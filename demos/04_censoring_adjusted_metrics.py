@@ -45,7 +45,7 @@ def ctd_on(idx):
     t, e, p = ds.times[idx], ds.events[idx], pi_true[idx]
     return concordance_td(p, t, e, censoring_km(t, e), horizon)
 
-mean, se, used = bootstrap_se(ctd_on, len(ds), n_replicates=100, seed=0)
+mean, se, used, _ = bootstrap_se(ctd_on, len(ds), n_replicates=100, seed=0)
 print(f"\nbootstrap C-td: {mean:.4f} +- {se:.4f} ({used} replicates)")
 
 # The grouped report recomputes every metric within each stratum, with its

@@ -211,15 +211,10 @@ def _report_rows(rows):
 
 
 def _calibration_table(surv, times, events, horizons):
-    rows = []
-    for h_idx, h in enumerate(horizons):
-        pi = surv[:, h_idx]
-        order = np.argsort(pi, kind="stable")
-        for b, idx in enumerate(np.array_split(order, metrics_mod.DEFAULT_ECE_BINS)):
-            from coxmix.estimators import kaplan_meier
-            km = kaplan_meier(times[idx], events[idx])(h)
-            rows.append([float(h), b, float(pi[idx].mean()), float(km), int(idx.size)])
-    return rows
+    return [[float(h), b, mean, km, size]
+            for h_idx, h in enumerate(horizons)
+            for b, (mean, km, size, _) in enumerate(
+                metrics_mod.calibration_bins(surv[:, h_idx], times, events, h))]
 
 
 def cmd_eval(args, tracker):
@@ -281,6 +276,7 @@ def cmd_cv(args, tracker):
     horizons = _resolve_horizons(args.horizons, ds)
 
     if args.grid:
+        g = metrics_mod.censoring_km(ds.times, ds.events)
         results = []
         for k, layers, width in _GRID:
             cfg = lambda fold, k=k, layers=layers, width=width: DcmConfig(
@@ -288,10 +284,8 @@ def cmd_cv(args, tracker):
                 batch_size=args.batch, max_epochs=args.epochs,
                 patience=args.patience, seed=args.seed + fold)
             surv = _run_cv(ds, horizons, cfg, args.folds, args.seed)
-            briers = [metrics_mod.brier_ipcw(
-                surv[:, i], ds.times, ds.events,
-                metrics_mod.censoring_km(ds.times, ds.events), h)
-                for i, h in enumerate(horizons)]
+            briers = [metrics_mod.brier_ipcw(surv[:, i], ds.times, ds.events, g, h)
+                      for i, h in enumerate(horizons)]
             results.append(((k, layers, width), float(np.mean(briers)), surv))
         results.sort(key=lambda r: (r[1], r[0]))
         (k, layers, width), best_brier, surv = results[0]

@@ -66,36 +66,53 @@ def eval_left(curve, t):
     return curve.eval_left(t)
 
 
-def _km_cum_hazard(times, events):
-    """Distinct times with the -log survival increments of the product-limit
-    estimate. Ties: all events at a time share the risk set; same-time
+def _deaths_by_time(times, events, groups):
+    """Records sorted by group, then time, and split at each distinct
+    (group, time). Returns the sort order, the sorted groups and, per
+    distinct (group, time), its first sorted position and its number of
+    events."""
+    order = np.lexsort((times, groups))
+    t, g = times[order], groups[order]
+    start = np.flatnonzero(np.r_[True, (t[1:] != t[:-1]) | (g[1:] != g[:-1])])
+    return order, g, start, np.add.reduceat(events[order], start)
+
+
+def _km_increments(times, events, groups):
+    """The product-limit estimate within each group: for each distinct
+    event time of a group, the group, the time and the increment of -log
+    survival. Ties: all events at a time share the risk set; same-time
     censored individuals stay in the risk set."""
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
     if times.size == 0:
         raise EstimatorError("empty input")
-    order = np.argsort(times, kind="stable")
-    t, e = times[order], events[order]
-    uniq, start = np.unique(t, return_index=True)
-    n_at_risk = t.size
-    knots, cumh = [], []
-    h = 0.0
-    counts = np.diff(np.append(start, t.size))
-    for ut, s, c in zip(uniq, start, counts):
-        d = int(e[s:s + c].sum())
-        if d > 0:
-            frac = d / n_at_risk
-            h += np.inf if frac >= 1.0 else -np.log1p(-frac)
-            knots.append(float(ut))
-            cumh.append(h)
-        n_at_risk -= int(c)
-    return np.asarray(knots), np.asarray(cumh)
+    order, g, start, deaths = _deaths_by_time(times, events, groups)
+    at_risk = np.searchsorted(g, g[start], side="right") - start
+    keep = deaths > 0
+    first = start[keep]
+    with np.errstate(divide="ignore"):  # everyone at risk dies: H = inf
+        return g[first], times[order[first]], -np.log1p(-deaths[keep] / at_risk[keep])
 
 
 def kaplan_meier(times, events):
     """Product-limit survival estimate with knots at distinct event times."""
-    knots, cumh = _km_cum_hazard(times, events)
-    return StepSurvivalCurve(knot_times=knots, cum_hazard=cumh)
+    _, knots, inc = _km_increments(times, events, np.zeros(np.size(times), dtype=int))
+    return StepSurvivalCurve(knot_times=knots, cum_hazard=np.cumsum(inc))
+
+
+def kaplan_meier_at(times, events, groups, t):
+    """Product-limit survival at time t within each group 0..max(groups):
+    for every k, the value kaplan_meier(times[groups == k],
+    events[groups == k])(t), computed in one pass over all records."""
+    groups = np.asarray(groups, dtype=int)
+    g, knots, inc = _km_increments(times, events, groups)
+    g, inc = g[knots <= t], inc[knots <= t]
+    counts = np.bincount(g, minlength=groups.max() + 1)
+    # each group's increments in time order along one row, summed in the
+    # same order as kaplan_meier's cumulative sum
+    rows = np.zeros((counts.size, counts.max() + 1))
+    rows[g, np.arange(g.size) - (np.cumsum(counts) - counts)[g]] = inc
+    return np.exp(-np.cumsum(rows, axis=1)[:, -1])
 
 
 def censoring_km(times, events):
@@ -121,18 +138,9 @@ def breslow(times, events, log_hazards):
         raise EstimatorError("empty input")
     if not np.all(np.isfinite(log_hazards)):
         raise EstimatorError("non-finite log hazards")
-    order = np.argsort(times, kind="stable")
-    t, e, w = times[order], events[order], np.exp(log_hazards[order])
-    uniq, start = np.unique(t, return_index=True)
-    counts = np.diff(np.append(start, t.size))
+    order, _, start, deaths = _deaths_by_time(times, events, np.zeros(times.size, dtype=int))
+    first = start[deaths > 0]
     # total exp-hazard of everyone with time >= each distinct time
-    tail = np.cumsum(w[::-1])[::-1]
-    knots, cumh = [], []
-    h = 0.0
-    for ut, s, c in zip(uniq, start, counts):
-        d = int(e[s:s + c].sum())
-        if d > 0:
-            h += d / tail[s]
-            knots.append(float(ut))
-            cumh.append(h)
-    return StepSurvivalCurve(knot_times=np.asarray(knots), cum_hazard=np.asarray(cumh))
+    tail = np.cumsum(np.exp(log_hazards[order])[::-1])[::-1]
+    return StepSurvivalCurve(knot_times=times[order[first]],
+                             cum_hazard=np.cumsum(deaths[deaths > 0] / tail[first]))

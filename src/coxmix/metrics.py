@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coxmix.estimators import censoring_km, kaplan_meier
+from coxmix.estimators import censoring_km, kaplan_meier_at
 
 MIN_IPCW_DENOM = 1e-4   # drop records with smaller G from IPCW sums
 MIN_GROUP_SIZE = 20
@@ -25,35 +25,67 @@ class MetricError(ValueError):
     pass
 
 
+def _count_later_above(times, ranks, at_times, above):
+    """For each query q, the number of records with a time strictly after
+    at_times[q] and a rank strictly above above[q] (ranks are integers in
+    [0, n)).
+
+    Records sorted by time form a merge-sort tree: the prefix of the s
+    records not later than a query splits into one aligned block of 2^k
+    positions per set bit k of s. Within a level the (block, rank) keys are
+    sorted once, so each block count is one searchsorted. O(n log^2 n) time
+    and O(n) memory.
+    """
+    order = np.argsort(times, kind="stable")
+    ranks = ranks[order]
+    n = ranks.size
+    prefix = np.searchsorted(times[order], at_times, side="right")
+    # queries in (prefix, above) order keep each level's searchsorted local
+    q = np.lexsort((above, prefix))
+    prefix, above = prefix[q], above[q]
+    span = n + 1  # ranks < n, so keys block * span + rank never collide
+    count = n - np.searchsorted(np.sort(ranks), above, side="right")
+    pos = np.arange(n)
+    for k in range(int(prefix.max(initial=0)).bit_length()):
+        sel = (prefix >> k) & 1 == 1
+        block = (prefix[sel] >> k) - 1
+        keys = np.sort((pos >> k) * span + ranks)
+        # keys of block b fill positions [b * 2^k, (b + 1) * 2^k)
+        count[sel] -= ((block + 1) << k) - np.searchsorted(
+            keys, block * span + above[sel], side="right")
+    out = np.empty_like(count)
+    out[q] = count
+    return out
+
+
 def concordance_td(surv_probs, times, events, g_curve, horizon):
     """Time-dependent concordance at a horizon, IPCW-weighted (Uno).
 
     Comparable pairs (i, j): i has an observed event, T_i < T_j, and
     T_i <= horizon; the pair is concordant when i is predicted at higher
     risk (lower survival probability). Ties in prediction count half; ties
-    in time are excluded.
+    in time are excluded. Pairs are counted over time-sorted records
+    (Uno et al., Stat Med 2011) without forming the n x n pairs.
     """
     pi = np.asarray(surv_probs, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
+    if np.isnan(pi).any():  # NaN has no order, so no pair could be ranked
+        raise MetricError("predictions contain NaN")
 
     g_left = g_curve.eval_left(times)
     cases = (events == 1) & (times <= horizon) & (g_left > MIN_IPCW_DENOM)
-    weights = np.zeros_like(times)
-    weights[cases] = 1.0 / g_left[cases] ** 2
-
-    num = 0.0
-    den = 0.0
-    for i in np.flatnonzero(cases):
-        later = times > times[i]
-        if not np.any(later):
-            continue
-        w = weights[i]
-        den += w * later.sum()
-        num += w * ((pi[i] < pi[later]).sum() + 0.5 * (pi[i] == pi[later]).sum())
+    ranks = np.unique(pi, return_inverse=True)[1]
+    r = ranks[cases]
+    # later records predicted to survive longer, and at least as long
+    higher, at_least = np.split(_count_later_above(
+        times, ranks, np.tile(times[cases], 2), np.concatenate([r, r - 1])), 2)
+    later = times.size - np.searchsorted(np.sort(times), times[cases], side="right")
+    w = 1.0 / g_left[cases] ** 2
+    den = float(np.sum(w * later))
     if den == 0:
         raise MetricError("no comparable pairs at this horizon")
-    return num / den
+    return float(np.sum(w * (higher + 0.5 * (at_least - higher)))) / den
 
 
 def auc_ipcw(surv_probs, times, events, g_curve, horizon):
@@ -68,6 +100,8 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon):
     pi = np.asarray(surv_probs, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
+    if np.isnan(pi).any():
+        raise MetricError("predictions contain NaN")
     n = times.size
 
     g_left = g_curve.eval_left(times)
@@ -77,25 +111,54 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon):
         raise MetricError("need at least one case and one control at this horizon")
 
     risk = 1.0 - pi  # higher risk = predicted earlier event
-    omega = np.zeros(n)
-    omega[cases] = 1.0 / (n * g_left[cases])
+    order = np.argsort(risk[cases])
+    r_case = risk[cases][order]
+    # w_tail[k]: total weight of the cases from sorted position k on
+    w_case = 1.0 / (n * g_left[cases][order])
+    w_tail = np.append(np.cumsum(w_case[::-1])[::-1], 0.0)
+    r_ctrl = np.sort(risk[controls])
 
-    thresholds = np.unique(risk)
-    # sensitivity: weighted fraction of cases with risk > c
-    # 1 - specificity: fraction of controls with risk > c
-    w_case = omega[cases]
-    r_case = risk[cases]
-    r_ctrl = risk[controls]
-    total_w = w_case.sum()
-    n_ctrl = r_ctrl.size
-
-    # sweep from high threshold (Se=0, FPR=0) to low (Se=1, FPR=1)
-    cs = np.concatenate([thresholds[::-1], [-np.inf]])
-    se = np.array([(w_case[r_case > c]).sum() / total_w for c in cs])
-    fpr = np.array([(r_ctrl > c).sum() / n_ctrl for c in cs])
+    # sweep from high threshold (Se=0, FPR=0) to low (Se=1, FPR=1);
+    # sensitivity is the weight of cases with risk > c, FPR the share of
+    # controls with risk > c
+    cs = np.concatenate([np.unique(risk)[::-1], [-np.inf]])
+    se = w_tail[np.searchsorted(r_case, cs, side="right")] / w_tail[0]
+    fpr = (r_ctrl.size - np.searchsorted(r_ctrl, cs, side="right")) / r_ctrl.size
     se = np.concatenate([[0.0], se])
     fpr = np.concatenate([[0.0], fpr])
     return float(np.trapezoid(se, fpr))
+
+
+def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS):
+    """Equal-mass quantile bins of the predicted survival probability.
+
+    Returns one (mean_predicted, km_observed, size, defined) tuple per bin:
+    the mean prediction, the bin's Kaplan-Meier survival at the horizon,
+    the number of records, and whether that survival is defined there. It
+    is undefined when follow-up ends before the horizon with a censored
+    subject and the curve has not reached zero.
+    """
+    pi = np.asarray(surv_probs, dtype=float)
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    if pi.size < n_bins:
+        raise MetricError(f"need at least {n_bins} records for {n_bins} bins")
+
+    order = np.argsort(pi, kind="stable")
+    bins = np.array_split(order, n_bins)
+    sizes = np.array([idx.size for idx in bins])
+    in_bin = np.empty(pi.size, dtype=int)
+    in_bin[order] = np.repeat(np.arange(n_bins), sizes)
+    km = kaplan_meier_at(times, events, in_bin, horizon)
+    # per bin: last follow-up time and the events there
+    first = np.cumsum(sizes) - sizes
+    t_max = np.maximum.reduceat(times[order], first)
+    last_events = np.add.reduceat(
+        events[order] * (times[order] == np.repeat(t_max, sizes)), first)
+    # past t_max the curve is flat, so km > 0 there means S(t_max) > 0
+    undefined = (horizon > t_max) & (last_events == 0) & (km > 0)
+    return [(float(pi[idx].mean()), float(km[b]), int(idx.size), not undefined[b])
+            for b, idx in enumerate(bins)]
 
 
 def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS):
@@ -107,28 +170,11 @@ def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS):
     estimate is undefined at the horizon (follow-up ends earlier with a
     censored subject) are skipped with a warning and the divisor reduced.
     """
-    pi = np.asarray(surv_probs, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
-    if pi.size < n_bins:
-        raise MetricError(f"need at least {n_bins} records for {n_bins} bins")
-
-    order = np.argsort(pi, kind="stable")
-    bins = np.array_split(order, n_bins)
-    gaps = []
-    skipped = 0
-    for idx in bins:
-        tb, eb = times[idx], events[idx]
-        t_max = tb.max()
-        if horizon > t_max and eb[tb == t_max].sum() == 0:
-            km_last = kaplan_meier(tb, eb)(t_max)
-            if km_last > 0:
-                skipped += 1
-                continue
-        gaps.append(abs(kaplan_meier(tb, eb)(horizon) - pi[idx].mean()))
-    if skipped:
-        warnings.warn(f"ece: skipped {skipped} bin(s) with undefined Kaplan-Meier "
-                      f"at the horizon", stacklevel=2)
+    bins = calibration_bins(surv_probs, times, events, horizon, n_bins)
+    gaps = [abs(km - mean) for mean, km, _, defined in bins if defined]
+    if len(gaps) < len(bins):
+        warnings.warn(f"ece: skipped {len(bins) - len(gaps)} bin(s) with undefined "
+                      f"Kaplan-Meier at the horizon", stacklevel=2)
     if not gaps:
         raise MetricError("all calibration bins undefined at this horizon")
     return float(np.sum(gaps) / len(gaps))
@@ -158,12 +204,15 @@ def brier_ipcw(surv_probs, times, events, g_curve, horizon):
 
 
 def bootstrap_se(metric_fn, n_records, n_replicates=100, seed=0):
-    """Bootstrap mean and standard error of a metric.
+    """Bootstrap mean and standard error of a metric, or of an array of them.
 
     ``metric_fn`` receives an index array (a resample of record indices
     with replacement) and must recompute everything downstream of it, the
-    censoring curve included. Replicates where the metric raises are
-    dropped and counted. Returns (mean, se, used_replicates).
+    censoring curve included. It returns a value, or an array of values
+    with NaN where one is undefined on that resample. Replicates where it
+    raises are dropped. Returns (mean, se, used, defined): the mean and SE
+    of each value over the replicates that define it, the number of
+    replicates scored and, per value, the number that define it.
     """
     if n_records < 2:
         raise MetricError("need at least 2 records to bootstrap")
@@ -178,8 +227,15 @@ def bootstrap_se(metric_fn, n_records, n_replicates=100, seed=0):
     if not values:
         raise MetricError("all bootstrap replicates failed")
     values = np.asarray(values, dtype=float)
-    se = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    return float(values.mean()), se, int(values.size)
+    stats = []
+    for col in values.reshape(len(values), -1).T:
+        col = col[~np.isnan(col)]
+        if col.size == 0:
+            stats.append((np.nan, np.nan, 0))
+        else:
+            stats.append((col.mean(), col.std(ddof=1) if col.size > 1 else 0.0, col.size))
+    mean, se, defined = (np.reshape(v, values.shape[1:])[()] for v in zip(*stats))
+    return mean, se, len(values), defined
 
 
 @dataclass(frozen=True)
@@ -195,35 +251,52 @@ class MetricRow:
 METRIC_NAMES = ("concordance_td", "auc_ipcw", "ece", "brier_ipcw")
 
 
-def _stratum_metrics(surv_matrix, times, events, horizons, group,
-                     n_replicates, seed):
-    rows = []
+def _sample_metrics(surv_matrix, times, events, horizons):
+    """Every metric at every horizon on one sample, all sharing one
+    censoring fit: a (n_horizons, n_metrics) array, NaN where undefined."""
+    g = censoring_km(times, events)
+    values = np.full((len(horizons), len(METRIC_NAMES)), np.nan)
     for h_idx, horizon in enumerate(horizons):
         pi = surv_matrix[:, h_idx]
-        for name in METRIC_NAMES:
-            def one(idx, name=name, pi=pi, horizon=horizon):
-                t, e, p = times[idx], events[idx], pi[idx]
-                if name == "ece":
-                    return ece(p, t, e, horizon)
-                g = censoring_km(t, e)
-                if name == "concordance_td":
-                    return concordance_td(p, t, e, g, horizon)
-                if name == "auc_ipcw":
-                    return auc_ipcw(p, t, e, g, horizon)
-                return brier_ipcw(p, t, e, g, horizon)
-
+        for m_idx, name in enumerate(METRIC_NAMES):
             try:
-                mean, se, used = bootstrap_se(one, len(times), n_replicates, seed)
+                if name == "concordance_td":
+                    values[h_idx, m_idx] = concordance_td(pi, times, events, g, horizon)
+                elif name == "auc_ipcw":
+                    values[h_idx, m_idx] = auc_ipcw(pi, times, events, g, horizon)
+                elif name == "ece":
+                    values[h_idx, m_idx] = ece(pi, times, events, horizon)
+                else:
+                    values[h_idx, m_idx] = brier_ipcw(pi, times, events, g, horizon)
             except MetricError:
-                mean, se, used = np.nan, np.nan, 0
-            rows.append(MetricRow(name, float(horizon), group, mean, se, used))
-    return rows
+                continue
+    return values
+
+
+def _stratum_metrics(surv_matrix, times, events, horizons, group,
+                     n_replicates, seed):
+    """Estimates on the full stratum, with SEs over bootstrap resamples of
+    it; each resample is drawn and scored once for all metrics."""
+    estimate = _sample_metrics(surv_matrix, times, events, horizons)
+    try:
+        _, se, _, defined = bootstrap_se(
+            lambda idx: _sample_metrics(surv_matrix[idx], times[idx], events[idx],
+                                        horizons),
+            len(times), n_replicates, seed)
+    except MetricError:
+        se, defined = np.full(estimate.shape, np.nan), np.zeros(estimate.shape, dtype=int)
+    return [MetricRow(name, float(horizon), group, float(estimate[h_idx, m_idx]),
+                      float(se[h_idx, m_idx]), int(defined[h_idx, m_idx]))
+            for h_idx, horizon in enumerate(horizons)
+            for m_idx, name in enumerate(METRIC_NAMES)]
 
 
 def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
                       n_replicates=100, seed=0):
     """Every metric at every horizon for the full population and per
-    group, with bootstrap standard errors. The censoring distribution is
+    group. Each estimate is computed on the full stratum; its standard
+    error and n (the bootstrap replicates that define it) come from
+    n_replicates resamples of the stratum. The censoring distribution is
     re-estimated within each evaluated stratum (and each bootstrap
     replicate). Groups below MIN_GROUP_SIZE records are reported with NaN
     estimates and n=0. Returns a list of MetricRow."""

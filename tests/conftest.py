@@ -78,6 +78,63 @@ def naive_auc(surv_probs, times, events, horizon):
     return num / den
 
 
+def brute_force_censoring_left(times, events):
+    """Censoring Kaplan-Meier just before each record's own time, G(T_i-),
+    from brute_force_km with the flipped indicator."""
+    cut, surv = brute_force_km(times, 1 - np.asarray(events, dtype=int))
+    out = []
+    for t in np.asarray(times, dtype=float):
+        before = surv[cut < t]
+        out.append(before[-1] if before.size else 1.0)
+    return np.asarray(out)
+
+
+def ipcw_pair_concordance(surv_probs, times, events, horizon, weight_floor):
+    """Uno's IPCW concordance by enumerating every (case, later record) pair:
+    cases are events at or before the horizon with G(T-) above the floor,
+    weighted 1 / G(T-)^2; ties in time are not comparable, ties in
+    prediction count half. None when there is no comparable pair."""
+    g = brute_force_censoring_left(times, events)
+    num = den = 0.0
+    for i in range(len(times)):
+        if events[i] != 1 or times[i] > horizon or g[i] <= weight_floor:
+            continue
+        w = 1.0 / g[i] ** 2
+        for j in range(len(times)):
+            if times[j] <= times[i]:
+                continue
+            den += w
+            if surv_probs[i] < surv_probs[j]:
+                num += w
+            elif surv_probs[i] == surv_probs[j]:
+                num += 0.5 * w
+    return num / den if den > 0 else None
+
+
+def ipcw_pair_auc(surv_probs, times, events, horizon, weight_floor):
+    """IPCW cumulative/dynamic AUC as a weighted Mann-Whitney count over
+    every (case, control) pair: cases as in ipcw_pair_concordance, weighted
+    1 / G(T-); controls are records with T > horizon; risk 1 - prediction,
+    ties count half. None without a case or a control."""
+    g = brute_force_censoring_left(times, events)
+    risk = 1.0 - np.asarray(surv_probs, dtype=float)
+    controls = [j for j in range(len(times)) if times[j] > horizon]
+    num = total = 0.0
+    for i in range(len(times)):
+        if events[i] != 1 or times[i] > horizon or g[i] <= weight_floor:
+            continue
+        w = 1.0 / g[i]
+        total += w
+        for j in controls:
+            if risk[i] > risk[j]:
+                num += w
+            elif risk[i] == risk[j]:
+                num += 0.5 * w
+    if total == 0 or not controls:
+        return None
+    return num / (total * len(controls))
+
+
 def random_survival_instance(rng, n, tie_prob=0.3):
     """Times with deliberate ties, mixed censoring, random log hazards."""
     times = rng.integers(1, max(n // 2, 2), size=n).astype(float)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,34 @@ class TestConcordance:
     def test_no_pairs_raises(self):
         with pytest.raises(MetricError):
             concordance_td([0.5, 0.5], [5.0, 6.0], [1, 1], flat_g(), 1.0)
+
+
+@pytest.mark.parametrize("metric", [concordance_td, auc_ipcw])
+def test_pairwise_metrics_reject_nan_predictions(metric):
+    times = np.array([1.0, 2.0, 3.0, 4.0])
+    events = np.array([1, 1, 1, 1])
+    pi = np.array([0.2, np.nan, 0.6, 0.8])
+    with pytest.raises(MetricError, match="NaN"):
+        metric(pi, times, events, flat_g(), 2.5)
+
+
+@pytest.mark.parametrize("metric", [concordance_td, auc_ipcw])
+def test_pairwise_metrics_never_form_all_pairs(metric):
+    # an n x n boolean array at n = 20000 is 400 MB; the sorted counting
+    # needs O(n) memory
+    rng = np.random.default_rng(6)
+    n = 20000
+    times = rng.exponential(1.0, n)
+    events = (rng.random(n) < 0.7).astype(int)
+    pi = np.round(rng.random(n), 2)
+    g = censoring_km(times, events)
+    tracemalloc.start()
+    try:
+        metric(pi, times, events, g, float(np.median(times)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 class TestAuc:
@@ -190,10 +220,10 @@ class TestBootstrap:
     def test_se_matches_analytic_mean(self):
         rng = np.random.default_rng(3)
         data = rng.normal(0, 1, 400)
-        mean, se, used = bootstrap_se(lambda idx: data[idx].mean(),
-                                      len(data), n_replicates=500, seed=0)
+        mean, se, used, defined = bootstrap_se(lambda idx: data[idx].mean(),
+                                               len(data), n_replicates=500, seed=0)
         analytic = data.std(ddof=1) / np.sqrt(len(data))
-        assert used == 500
+        assert used == defined == 500
         assert 0.8 * analytic < se < 1.2 * analytic
         assert abs(mean - data.mean()) < 3 * analytic
 
@@ -201,8 +231,8 @@ class TestBootstrap:
         rng = np.random.default_rng(4)
         small = rng.normal(0, 1, 100)
         big = rng.normal(0, 1, 1600)
-        _, se_small, _ = bootstrap_se(lambda i: small[i].mean(), 100, 300, seed=1)
-        _, se_big, _ = bootstrap_se(lambda i: big[i].mean(), 1600, 300, seed=1)
+        _, se_small, _, _ = bootstrap_se(lambda i: small[i].mean(), 100, 300, seed=1)
+        _, se_big, _, _ = bootstrap_se(lambda i: big[i].mean(), 1600, 300, seed=1)
         assert 2.5 < se_small / se_big < 6.0  # expect about 4
 
     def test_failed_replicates_dropped(self):
@@ -214,9 +244,32 @@ class TestBootstrap:
                 raise MetricError("bad resample")
             return 1.0
 
-        mean, se, used = bootstrap_se(flaky, 10, n_replicates=30, seed=2)
-        assert used == 20
+        mean, se, used, defined = bootstrap_se(flaky, 10, n_replicates=30, seed=2)
+        assert used == defined == 20
         assert mean == 1.0
+
+    def test_array_values_match_one_bootstrap_per_value(self):
+        # undefined (NaN) values drop out of their own entry only
+        rng = np.random.default_rng(5)
+        data = rng.normal(0, 1, 50)
+
+        def second(idx):
+            if data[idx].mean() > data.mean():
+                raise MetricError("undefined on this resample")
+            return data[idx].max()
+
+        def both(idx):
+            try:
+                return np.array([data[idx].mean(), second(idx)])
+            except MetricError:
+                return np.array([data[idx].mean(), np.nan])
+
+        mean, se, used, defined = bootstrap_se(both, 50, n_replicates=40, seed=3)
+        assert used == 40
+        for i, fn in enumerate((lambda idx: data[idx].mean(), second)):
+            m, s, u, d = bootstrap_se(fn, 50, n_replicates=40, seed=3)
+            assert (mean[i], se[i], defined[i]) == (m, s, u)
+        assert 0 < defined[1] < 40
 
     def test_all_fail_raises(self):
         def broken(idx):
@@ -266,6 +319,25 @@ class TestEvaluateByGroup:
                                  groups=groups, n_replicates=20)
         by = {r.group: r for r in rows if r.metric == "ece"}
         assert by["off"].estimate > by["ok"].estimate + 0.2
+
+    def test_estimates_are_full_stratum_metrics(self):
+        # without bootstrap replicates every estimate is still reported: it
+        # is the metric on the full stratum, with no SE
+        pi, times, events = self.make_population()
+        groups = np.array(["a"] * 300 + ["b"] * 300)
+        rows = evaluate_by_group(pi[:, None], times, events, [1.0],
+                                 groups=groups, n_replicates=0)
+        assert len(rows) == 12
+        for r in rows:
+            mask = np.ones(len(times), bool) if r.group == "population" else groups == r.group
+            p, t, e = pi[mask], times[mask], events[mask]
+            g = censoring_km(t, e)
+            direct = {"concordance_td": lambda: concordance_td(p, t, e, g, 1.0),
+                      "auc_ipcw": lambda: auc_ipcw(p, t, e, g, 1.0),
+                      "ece": lambda: ece(p, t, e, 1.0),
+                      "brier_ipcw": lambda: brier_ipcw(p, t, e, g, 1.0)}[r.metric]()
+            assert np.isfinite(r.estimate) and r.estimate == direct
+            assert np.isnan(r.se) and r.n == 0
 
     def test_shape_check(self):
         with pytest.raises(MetricError):

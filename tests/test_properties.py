@@ -1,0 +1,109 @@
+"""Property tests: the sorted-risk-set metrics and the vectorised
+estimators against the brute-force oracles in conftest, on random data with
+tied times, tied predictions and random censoring."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from coxmix.estimators import breslow, censoring_km, kaplan_meier, kaplan_meier_at
+from coxmix.metrics import (
+    MIN_IPCW_DENOM, MetricError, auc_ipcw, brier_ipcw, concordance_td, ece,
+)
+from conftest import (
+    brute_force_breslow, brute_force_km, ipcw_pair_auc, ipcw_pair_concordance,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def cohorts(draw, min_size=2, max_size=40):
+    """Integer times from a short range (many ties), random censoring,
+    predictions rounded to one or two decimals (ties across times) and a
+    horizon at one of the observed times."""
+    n = draw(st.integers(min_size, max_size))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    times = rng.integers(1, draw(st.integers(2, 10)), size=n).astype(float)
+    events = (rng.random(n) < draw(st.floats(0.2, 1.0))).astype(int)
+    pi = np.round(rng.random(n), draw(st.integers(1, 2)))
+    horizon = float(times[draw(st.integers(0, n - 1))])
+    return pi, times, events, horizon, rng
+
+
+def _metric_or_none(fn, *args):
+    try:
+        return fn(*args)
+    except MetricError:
+        return None
+
+
+@SETTINGS
+@given(cohorts())
+def test_concordance_matches_pair_oracle(cohort):
+    pi, times, events, horizon, _ = cohort
+    got = _metric_or_none(concordance_td, pi, times, events,
+                          censoring_km(times, events), horizon)
+    want = ipcw_pair_concordance(pi, times, events, horizon, MIN_IPCW_DENOM)
+    assert (got is None) == (want is None)
+    if want is not None:
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+@SETTINGS
+@given(cohorts())
+def test_auc_matches_pair_oracle(cohort):
+    pi, times, events, horizon, _ = cohort
+    got = _metric_or_none(auc_ipcw, pi, times, events,
+                          censoring_km(times, events), horizon)
+    want = ipcw_pair_auc(pi, times, events, horizon, MIN_IPCW_DENOM)
+    assert (got is None) == (want is None)
+    if want is not None:
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+@SETTINGS
+@given(cohorts(min_size=1))
+def test_estimators_match_brute_force(cohort):
+    _, times, events, _, rng = cohort
+    km = kaplan_meier(times, events)
+    knots, surv = brute_force_km(times, events)
+    np.testing.assert_array_equal(km.knot_times, knots)
+    np.testing.assert_allclose(km.survival_values, surv, rtol=1e-12, atol=1e-15)
+
+    log_hazards = rng.normal(0, 1, times.size)
+    curve = breslow(times, events, log_hazards)
+    knots, cumh = brute_force_breslow(times, events, log_hazards)
+    np.testing.assert_array_equal(curve.knot_times, knots)
+    np.testing.assert_allclose(curve.cum_hazard, cumh, rtol=1e-12)
+
+
+@SETTINGS
+@given(cohorts(min_size=1), st.integers(1, 5))
+def test_grouped_km_equals_one_fit_per_group(cohort, n_groups):
+    _, times, events, horizon, rng = cohort
+    groups = rng.integers(0, n_groups, times.size)
+    got = kaplan_meier_at(times, events, groups, horizon)
+    assert got.shape == (groups.max() + 1,)
+    for k in range(groups.max() + 1):
+        mask = groups == k
+        want = kaplan_meier(times[mask], events[mask])(horizon) if mask.any() else 1.0
+        assert got[k] == want
+
+
+@SETTINGS
+@given(cohorts(min_size=20, max_size=60))
+def test_metrics_invariant_to_row_order(cohort):
+    pi, times, events, horizon, rng = cohort
+    pi = rng.random(times.size)  # distinct, so ECE bins do not depend on row order
+    perm = rng.permutation(times.size)
+    for fn, needs_g in ((concordance_td, True), (auc_ipcw, True),
+                        (brier_ipcw, True), (ece, False)):
+        values = []
+        for p, t, e in ((pi, times, events), (pi[perm], times[perm], events[perm])):
+            args = (p, t, e, censoring_km(t, e), horizon) if needs_g else (p, t, e, horizon)
+            values.append(_metric_or_none(fn, *args))
+        assert (values[0] is None) == (values[1] is None), fn.__name__
+        if values[0] is not None:
+            np.testing.assert_allclose(values[1], values[0], rtol=1e-12, atol=1e-15,
+                                       err_msg=fn.__name__)
