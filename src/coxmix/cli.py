@@ -19,9 +19,7 @@ import numpy as np
 
 from coxmix import metrics as metrics_mod
 from coxmix import synth as synth_mod
-from coxmix.dataset import (
-    DatasetError, event_quantiles, k_fold_split, load_csv, standardize,
-)
+from coxmix.dataset import event_quantiles, k_fold_split, load_csv, standardize
 from coxmix.model import DcmConfig, DcmModel, fit
 
 
@@ -87,16 +85,17 @@ def _resolve_horizons(spec, ds):
     return out
 
 
-def _dcm_config(args, seed_offset=0):
+def _dcm_config(args, seed_offset=0, **overrides):
+    """The training flags as a DcmConfig; ``overrides`` replace fields
+    (the grid search sets n_clusters and hidden_dims)."""
     hidden = tuple(int(v) for v in args.layers.split(",") if v.strip()) \
         if args.layers else ()
     if args.hidden is not None:
         hidden = tuple(args.hidden for _ in hidden)
-    return DcmConfig(
-        n_clusters=args.k, hidden_dims=hidden, lr=args.lr,
-        batch_size=args.batch, max_epochs=args.epochs,
-        patience=args.patience, seed=args.seed + seed_offset,
-    )
+    return DcmConfig(**{
+        "n_clusters": args.k, "hidden_dims": hidden, "lr": args.lr,
+        "batch_size": args.batch, "max_epochs": args.epochs,
+        "patience": args.patience, "seed": args.seed + seed_offset, **overrides})
 
 
 # -- synth ----------------------------------------------------------------
@@ -176,28 +175,13 @@ def cmd_train(args, tracker):
     _echo_config(tracker, args, {"effective_dcm_config": asdict(config)})
 
 
-# -- predict / eval helpers ------------------------------------------------
-
-def _predict_matrix(model, ds):
-    if model.feature_names and tuple(ds.feature_names) != model.feature_names:
-        missing = set(model.feature_names) ^ set(ds.feature_names)
-        raise DatasetError(f"feature names differ from the model's: {sorted(missing)}")
-    x = ds.features
-    if model.standardization is not None:
-        mean, std = model.standardization
-        x = (x - mean) / std
-    return x
-
+# -- predict / eval ---------------------------------------------------------
 
 def cmd_predict(args, tracker):
     model = DcmModel.load(args.model)
     ds = _load_dataset(args)
     horizons = _resolve_horizons(args.horizons, ds)
-    x = _predict_matrix(model, ds)
-    surv = model.predict_survival(x, np.asarray(horizons))
-    surv = np.atleast_2d(surv)
-    if surv.shape[0] != len(ds):
-        surv = surv.reshape(len(ds), -1)
+    surv = model.predict_dataset(ds, horizons)
     _write_csv(tracker.path("predictions.csv"),
                [f"surv_at_{h}" for h in horizons],
                [list(map(float, row)) for row in surv])
@@ -221,10 +205,7 @@ def cmd_eval(args, tracker):
     model = DcmModel.load(args.model)
     ds = _load_dataset(args)
     horizons = _resolve_horizons(args.horizons, ds)
-    x = _predict_matrix(model, ds)
-    surv = np.atleast_2d(model.predict_survival(x, np.asarray(horizons)))
-    if surv.shape[0] != len(ds):
-        surv = surv.reshape(len(ds), -1)
+    surv = model.predict_dataset(ds, horizons)
     rows = metrics_mod.evaluate_by_group(
         surv, ds.times, ds.events, horizons, ds.groups,
         n_replicates=args.bootstrap, seed=args.seed)
@@ -263,11 +244,8 @@ def _run_cv(ds, horizons, config_fn, folds, seed):
     surv = np.full((len(ds), len(horizons)), np.nan)
     for fold in range(folds):
         tr, te = split.train_idx(fold), split.test_idx(fold)
-        train_ds, stats = standardize(ds.subset(tr))
-        model = fit(train_ds, config_fn(fold))
-        xte = (ds.features[te] - stats[0]) / stats[1]
-        p = np.atleast_2d(model.predict_survival(xte, np.asarray(horizons)))
-        surv[te] = p.reshape(len(te), -1)
+        model = fit(standardize(ds.subset(tr))[0], config_fn(fold))
+        surv[te] = model.predict_dataset(ds.subset(te), horizons)
     return surv
 
 
@@ -279,10 +257,8 @@ def cmd_cv(args, tracker):
         g = metrics_mod.censoring_km(ds.times, ds.events)
         results = []
         for k, layers, width in _GRID:
-            cfg = lambda fold, k=k, layers=layers, width=width: DcmConfig(
-                n_clusters=k, hidden_dims=(width,) * layers, lr=args.lr,
-                batch_size=args.batch, max_epochs=args.epochs,
-                patience=args.patience, seed=args.seed + fold)
+            cfg = lambda fold, k=k, hidden=(width,) * layers: _dcm_config(
+                args, fold, n_clusters=k, hidden_dims=hidden)
             surv = _run_cv(ds, horizons, cfg, args.folds, args.seed)
             briers = [metrics_mod.brier_ipcw(surv[:, i], ds.times, ds.events, g, h)
                       for i, h in enumerate(horizons)]

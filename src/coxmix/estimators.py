@@ -61,11 +61,6 @@ class StepSurvivalCurve:
         return self._eval(t, "left")
 
 
-def eval_left(curve, t):
-    """Left limit S(t-) of a step curve."""
-    return curve.eval_left(t)
-
-
 def _deaths_by_time(times, events, groups):
     """Records sorted by group, then time, and split at each distinct
     (group, time). Returns the sort order, the sorted groups and, per

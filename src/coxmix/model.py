@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from coxmix.spline import (
 )
 
 MODEL_FORMAT_VERSION = 1
+# config keys written by earlier releases; they only steered training, so
+# files that carry them still load and predict the same
+_RETIRED_CONFIG_KEYS = ("use_prior_in_estep", "baseline_smoothing")
 
 
 class ModelError(ValueError):
@@ -42,11 +45,7 @@ class DcmConfig:
     patience: int = 3
     seed: int = 0
     max_spline_knots: int = 100
-    use_prior_in_estep: bool = True
     val_fraction: float = 0.1
-    # weight on the previous epoch's cumulative hazard when refreshing
-    # baselines; 0 disables smoothing. Damps assignment-resampling noise.
-    baseline_smoothing: float = 0.0
 
     def __post_init__(self):
         if self.n_clusters < 1:
@@ -79,12 +78,6 @@ class DcmModel:
         rep, _ = neural.forward(self.params, x)
         return neural.heads_forward(self.heads, rep)
 
-    def log_hazards(self, x):
-        return self._heads_out(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
-    def gating_probs(self, x):
-        return neural.softmax(self._heads_out(np.atleast_2d(np.asarray(x, dtype=float)))[1])
-
     def predict_survival(self, x, t):
         """Mixture survival P(T > t | x) = sum_k S_k(t)^exp(f_k(x)) *
         gate_k(x). Accepts a single vector or (N, d) batch for x and a
@@ -103,6 +96,7 @@ class DcmModel:
         for k, bl in enumerate(self.baselines):
             s0 = spline_eval(bl, tg)                # (H,)
             out += w[:, k:k + 1] * np.power(s0[None, :], ef[:, k:k + 1])
+        np.minimum(out, 1.0, out=out)  # the gate weights may sum to 1 + 1 ulp
         if single_x and single_t:
             return float(out[0, 0])
         if single_x:
@@ -110,6 +104,21 @@ class DcmModel:
         if single_t:
             return out[:, 0]
         return out
+
+    def predict_dataset(self, ds, horizons):
+        """Survival at each horizon for every row of a raw (unstandardized)
+        dataset, shape (len(ds), len(horizons)). Columns are matched to the
+        model's features by name, then the stored standardization applies."""
+        x = ds.features
+        if self.feature_names and tuple(ds.feature_names) != self.feature_names:
+            if sorted(ds.feature_names) != sorted(self.feature_names):
+                differ = set(self.feature_names) ^ set(ds.feature_names)
+                raise ModelError(f"feature names differ from the model's: {sorted(differ)}")
+            x = x[:, [list(ds.feature_names).index(name) for name in self.feature_names]]
+        if self.standardization is not None:
+            mean, std = self.standardization
+            x = (x - mean) / std
+        return self.predict_survival(x, np.atleast_1d(np.asarray(horizons, dtype=float)))
 
     # -- persistence ----------------------------------------------------
 
@@ -145,34 +154,67 @@ class DcmModel:
                 payload = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelError(f"{path}: corrupt model file ({exc})") from None
-        version = payload.get("format_version")
+        version = payload.get("format_version") if isinstance(payload, dict) else None
         if version != MODEL_FORMAT_VERSION:
             raise ModelError(
                 f"{path}: unsupported model format version {version!r}, "
                 f"expected {MODEL_FORMAT_VERSION}")
-        cfg = DcmConfig(**{**payload["config"],
-                           "hidden_dims": tuple(payload["config"]["hidden_dims"])})
-        mlp = neural.MlpParams(
-            weights=[np.asarray(w, dtype=float) for w in payload["mlp"]["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in payload["mlp"]["biases"]],
-            layer_dims=tuple(payload["mlp"]["layer_dims"]),
-        )
+        try:
+            return cls._from_payload(payload)
+        except ModelError as exc:
+            raise ModelError(f"{path}: {exc}") from None
+        except KeyError as exc:
+            raise ModelError(f"{path}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ModelError(f"{path}: malformed model file ({exc})") from None
+
+    @classmethod
+    def _from_payload(cls, payload):
+        """Rebuild a model from a parsed file, checking every shape against
+        ``layer_dims`` and K = ``n_clusters``."""
+        raw = {k: v for k, v in payload["config"].items() if k not in _RETIRED_CONFIG_KEYS}
+        known = {f.name for f in fields(DcmConfig)}
+        if set(raw) != known:
+            raise ModelError(f"config keys: missing {sorted(known - set(raw))}, "
+                             f"unknown {sorted(set(raw) - known)}")
+        cfg = DcmConfig(**{**raw, "hidden_dims": tuple(raw["hidden_dims"])})
+        k, mlp, h = cfg.n_clusters, payload["mlp"], payload["heads"]
+        dims = tuple(mlp["layer_dims"])
+        if (not dims or not all(type(v) is int and v > 0 for v in dims)
+                or dims[1:] != cfg.hidden_dims
+                or not len(mlp["weights"]) == len(mlp["biases"]) == len(dims) - 1):
+            raise ModelError("layer_dims disagree with hidden_dims or the layer count")
+        params = neural.MlpParams(
+            weights=[_array(w, (a, b), "weights") for w, a, b in
+                     zip(mlp["weights"], dims[:-1], dims[1:])],
+            biases=[_array(v, (b,), "biases") for v, b in zip(mlp["biases"], dims[1:])],
+            layer_dims=dims)
         heads = neural.HeadParams(
-            f_w=np.asarray(payload["heads"]["f_w"], dtype=float),
-            f_b=np.asarray(payload["heads"]["f_b"], dtype=float),
-            g_w=np.asarray(payload["heads"]["g_w"], dtype=float),
-            g_b=np.asarray(payload["heads"]["g_b"], dtype=float),
-        )
+            **{key: _array(h[key], (dims[-1], k) if key.endswith("_w") else (k,), "heads")
+               for key in ("f_w", "f_b", "g_w", "g_b")})
         std = payload["standardization"]
-        standardization = None if std is None else (
-            np.asarray(std["mean"], dtype=float), np.asarray(std["std"], dtype=float))
-        return cls(
-            params=mlp, heads=heads,
-            baselines=[spline_from_dict(d) for d in payload["splines"]],
-            config=cfg, standardization=standardization,
-            feature_names=payload.get("feature_names"),
-            training_log=payload.get("training_log", []),
-        )
+        if std is not None:
+            std = (_array(std["mean"], dims[:1], "mean"), _array(std["std"], dims[:1], "std"))
+            if np.any(std[1] <= 0):
+                raise ModelError("standardization std must be positive")
+        names = payload["feature_names"]
+        if names is not None and (not isinstance(names, list) or len(names) != dims[0]
+                                  or not all(isinstance(v, str) for v in names)):
+            raise ModelError("feature_names disagree with layer_dims")
+        if len(payload["splines"]) != k or not isinstance(payload["training_log"], list):
+            raise ModelError("need one spline per cluster and a training_log list")
+        return cls(params=params, heads=heads,
+                   baselines=[spline_from_dict(d) for d in payload["splines"]],
+                   config=cfg, standardization=std, feature_names=names,
+                   training_log=payload["training_log"])
+
+
+def _array(value, shape, what):
+    """``value`` as a float array; ModelError unless it is finite with ``shape``."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise ModelError(f"{what}: need finite values of shape {shape}, got {arr.shape}")
+    return arr
 
 
 # -- EM steps ------------------------------------------------------------
@@ -180,43 +222,41 @@ class DcmModel:
 
 def cluster_log_densities(baselines, log_hazards, times, events):
     """Per-row, per-cluster log likelihood terms: log density for events,
-    exp(f_k) * log S_k(t) for censored rows. Shape (N, K)."""
+    exp(f_k) * log S_k(t) for censored rows. Shape (N, K). Each row's
+    spline terms are evaluated for its own case only."""
     times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
     f = np.asarray(log_hazards, dtype=float)
-    n, k = f.shape
-    out = np.empty((n, k))
-    ev = events == 1
+    if not np.all(np.isfinite(f)):
+        raise ModelError("non-finite log hazard")
+    ev = np.asarray(events, dtype=int) == 1
+    out = np.empty(f.shape)
     for c, bl in enumerate(baselines):
-        s0 = spline_eval(bl, times)
-        logs0 = np.log(s0)
-        ef = np.exp(f[:, c])
-        out[:, c] = np.where(
-            ev,
-            np.log(density_given_cluster(bl, f[:, c], times)),
-            ef * logs0,
-        )
+        out[ev, c] = np.log(density_given_cluster(bl, f[ev, c], times[ev]))
+        out[~ev, c] = np.exp(f[~ev, c]) * np.log(spline_eval(bl, times[~ev]))
     return out
 
 
-def e_step(model, x, times, events):
-    """Posterior cluster responsibilities for a batch.
+def _posterior(model, f, g, times, events):
+    """Log joint weights log(p(t, delta | k, x) * gate_k(x)), shape (N, K),
+    and the posterior responsibilities: density^delta *
+    conditional-survival^(1-delta) * gate, each row shifted by its max,
+    exponentiated, floored at EPS_DENSITY and normalized."""
+    z = g - g.max(axis=1, keepdims=True)
+    log_joint = cluster_log_densities(model.baselines, f, times, events) + (
+        z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+    w = np.maximum(np.exp(log_joint - log_joint.max(axis=1, keepdims=True)), EPS_DENSITY)
+    w[~np.all(np.isfinite(w), axis=1)] = 1.0
+    return log_joint, w / w.sum(axis=1, keepdims=True)
 
-    Weights are density^delta * conditional-survival^(1-delta), times the
-    gating prior when use_prior_in_estep is set. Computed in log space;
-    each row is shifted by its max, floored at EPS_DENSITY and normalized.
-    """
-    f, g = model._heads_out(x)
-    logw = cluster_log_densities(model.baselines, f, times, events)
-    if model.config.use_prior_in_estep:
-        z = g - g.max(axis=1, keepdims=True)
-        logw = logw + (z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
-    logw = logw - logw.max(axis=1, keepdims=True)
-    w = np.maximum(np.exp(logw), EPS_DENSITY)
-    bad = ~np.all(np.isfinite(w), axis=1)
-    if np.any(bad):
-        w[bad] = 1.0
-    return w / w.sum(axis=1, keepdims=True)
+
+def _q_loss(log_joint, gamma):
+    """Negated posterior-weighted complete-data log likelihood per row."""
+    return -float(np.sum(gamma * log_joint)) / gamma.shape[0]
+
+
+def e_step(model, x, times, events):
+    """Posterior cluster responsibilities for a batch of rows x."""
+    return _posterior(model, *model._heads_out(x), times, events)[1]
 
 
 def sample_assignments(gamma, rng):
@@ -237,56 +277,39 @@ def m_step(model, adam, x, times, events, gamma, zeta):
     return loss
 
 
-def update_baselines(model, x, times, events, zeta):
-    """Refresh each cluster's Breslow baseline over its assigned rows and
-    refit the spline. Clusters with fewer than 2 events keep their
-    previous spline; returns the number of such starved clusters.
-
-    With baseline_smoothing > 0 the refreshed cumulative hazard is an
-    exponential moving average of the previous and new estimates on the
-    new knot grid."""
-    f = model.log_hazards(x)
-    smoothing = model.config.baseline_smoothing
+def update_baselines(model, log_hazards, times, events, zeta):
+    """Refresh each cluster's Breslow baseline over its assigned rows,
+    given every row's log hazards (N, K), and refit the spline. Clusters
+    with fewer than 2 events keep their previous spline; returns the
+    number of such starved clusters."""
     starved = 0
     for k in range(model.n_clusters):
         rows = np.flatnonzero(zeta == k)
         if rows.size < 2 or events[rows].sum() < 2:
             starved += 1
             continue
-        curve = breslow(times[rows], events[rows], f[rows, k])
-        new = fit_spline(curve, model.config.max_spline_knots)
-        if smoothing > 0 and not model.baselines[k].is_fallback and not new.is_fallback:
-            new = _blend_baselines(model.baselines[k], new, smoothing)
-        model.baselines[k] = new
+        curve = breslow(times[rows], events[rows], log_hazards[rows, k])
+        model.baselines[k] = fit_spline(curve, model.config.max_spline_knots)
     return starved
-
-
-def _blend_baselines(old, new, smoothing):
-    from coxmix.spline import EPS_SURVIVAL, SplineSurvivalCurve
-
-    kt = new.knots
-    lam = (-smoothing * np.log(np.clip(spline_eval(old, kt), EPS_SURVIVAL, 1.0))
-           - (1.0 - smoothing) * np.log(np.clip(new.values, EPS_SURVIVAL, 1.0)))
-    vals = np.minimum.accumulate(np.clip(np.exp(-lam), EPS_SURVIVAL, 1.0))
-    if len(kt) > 1:
-        s_prev = max(float(vals[-2]), EPS_SURVIVAL)
-        s_last = max(float(vals[-1]), EPS_SURVIVAL)
-        tail = max((np.log(s_prev) - np.log(s_last)) / (kt[-1] - kt[-2]), 0.0)
-    else:
-        tail = new.tail_hazard
-    return SplineSurvivalCurve(knots=kt, values=vals, tail_hazard=tail)
 
 
 def expected_q_loss(model, x, times, events):
     """Soft-count EM objective on held-out data (negated, a loss): the
     posterior-weighted complete-data log likelihood, averaged per row.
     Deterministic; used for epoch monitoring and early stopping."""
-    gamma = e_step(model, x, times, events)
+    return _q_loss(*_posterior(model, *model._heads_out(x), times, events))
+
+
+def _refresh_phase(model, x, times, events, rng):
+    """One encoder pass over the training rows: draw hard assignments,
+    refresh the baselines, score the training objective against them.
+    Returns (starved clusters, objective). The heads are freed on return:
+    kept until the next epoch, they stop the allocator from handing the
+    freed encoder activations back, which raises peak memory."""
     f, g = model._heads_out(x)
-    logw = cluster_log_densities(model.baselines, f, times, events)
-    z = g - g.max(axis=1, keepdims=True)
-    log_gate = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return -float(np.sum(gamma * (logw + log_gate))) / len(times)
+    zeta = sample_assignments(_posterior(model, f, g, times, events)[1], rng)
+    starved = update_baselines(model, f, times, events, zeta)
+    return starved, _q_loss(*_posterior(model, f, g, times, events))
 
 
 def fit(dataset, config):
@@ -342,11 +365,7 @@ def fit(dataset, config):
             zeta = sample_assignments(gamma, rng)
             batch_losses.append(m_step(model, adam, xb, tb, eb, gamma, zeta))
 
-        gamma_full = e_step(model, xt, tt, et)
-        zeta_full = sample_assignments(gamma_full, rng)
-        starved = update_baselines(model, xt, tt, et, zeta_full)
-
-        train_q = expected_q_loss(model, xt, tt, et)
+        starved, train_q = _refresh_phase(model, xt, tt, et, rng)
         val_q = expected_q_loss(model, xv, tv, ev)
         if not np.isfinite(val_q):
             raise ModelError(f"non-finite objective at epoch {epoch}")

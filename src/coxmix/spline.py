@@ -166,9 +166,18 @@ def spline_to_dict(s):
 
 
 def spline_from_dict(d):
-    return SplineSurvivalCurve(
-        knots=np.asarray(d["knots"], dtype=float),
-        values=np.asarray(d["values"], dtype=float),
-        tail_hazard=float(d["tail_hazard"]),
-        is_fallback=bool(d["is_fallback"]),
-    )
+    """Inverse of ``spline_to_dict``. Raises ValueError unless the knots are
+    finite and strictly increase, the values are finite, never increase and
+    lie in [0, 1], and the tail hazard is finite and at least 0."""
+    knots = np.asarray(d["knots"], dtype=float)
+    values = np.asarray(d["values"], dtype=float)
+    tail = float(d["tail_hazard"])
+    if (knots.ndim != 1 or knots.size == 0 or values.shape != knots.shape
+            or not np.all(np.isfinite(knots)) or np.any(np.diff(knots) <= 0)):
+        raise ValueError("spline knots must be finite and strictly increasing")
+    if not (np.all((values >= 0) & (values <= 1)) and np.all(np.diff(values) <= 0)):
+        raise ValueError("spline values must lie in [0, 1] and never increase")
+    if not 0 <= tail < np.inf:
+        raise ValueError("spline tail hazard must be finite and at least 0")
+    return SplineSurvivalCurve(knots=knots, values=values, tail_hazard=tail,
+                               is_fallback=bool(d["is_fallback"]))

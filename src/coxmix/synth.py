@@ -10,7 +10,7 @@ and latent labels live in a sidecar so trained models can never see them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

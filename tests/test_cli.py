@@ -117,6 +117,19 @@ class TestPredict:
         assert code == 1
         assert "feature names" in capsys.readouterr().err
 
+    def test_permuted_columns_same_predictions(self, cohort_dir, model_dir, tmp_path):
+        rows = read_csv(cohort_dir / "cohort.csv")
+        permuted = tmp_path / "permuted.csv"
+        with open(permuted, "w", newline="") as fh:
+            csv.writer(fh).writerows(row[::-1] for row in rows)
+        outputs = []
+        for name, data in (("a", cohort_dir / "cohort.csv"), ("b", permuted)):
+            assert run(["predict", "--data", str(data), "--group-col", "group",
+                        "--model", str(model_dir / "model.json"),
+                        "--horizons", "q50,2.0", "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestEval:
     def test_outputs(self, cohort_dir, model_dir, tmp_path):

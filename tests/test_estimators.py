@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from coxmix.estimators import (
-    EstimatorError, StepSurvivalCurve, breslow, censoring_km, eval_left,
-    kaplan_meier,
+    EstimatorError, StepSurvivalCurve, breslow, censoring_km, kaplan_meier,
 )
 from conftest import brute_force_breslow, brute_force_km, random_survival_instance
 
@@ -17,7 +16,6 @@ class TestStepCurve:
         np.testing.assert_allclose(c.eval_left(1.0), 1.0)
         np.testing.assert_allclose(c.eval_left(2.0), np.exp(-0.5))
         np.testing.assert_allclose(c(3.0), np.exp(-1.5))
-        np.testing.assert_allclose(eval_left(c, 2.0), np.exp(-0.5))
 
     def test_vectorized(self):
         c = StepSurvivalCurve(knot_times=np.array([1.0]), cum_hazard=np.array([1.0]))

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxmix import neural
+from coxmix.dataset import standardize
 from coxmix.model import (
     DcmConfig, DcmModel, ModelError, e_step, expected_q_loss, fit,
     sample_assignments, update_baselines,
@@ -10,14 +14,14 @@ from coxmix.synth import generate_cohort
 from conftest import SEPARATED_CONFIG, exp_spline
 
 
-def hand_model(gate_logit_bias=(0.0, 0.0), use_prior=True):
+def hand_model(gate_logit_bias=(0.0, 0.0)):
     """Identity encoder on 1 feature, zero hazard heads, fixed gating bias,
     baselines exp(-t) and exp(-2t)."""
     params = neural.MlpParams(weights=[], biases=[], layer_dims=(1,))
     heads = neural.HeadParams(
         f_w=np.zeros((1, 2)), f_b=np.zeros(2),
         g_w=np.zeros((1, 2)), g_b=np.asarray(gate_logit_bias, dtype=float))
-    cfg = DcmConfig(n_clusters=2, hidden_dims=(), use_prior_in_estep=use_prior)
+    cfg = DcmConfig(n_clusters=2, hidden_dims=())
     baselines = [exp_spline(rate=1.0, t_max=8.0), exp_spline(rate=2.0, t_max=8.0)]
     return DcmModel(params, heads, baselines, cfg)
 
@@ -44,10 +48,6 @@ class TestEStep:
         gamma = e_step(m, np.zeros((1, 1)), np.array([1.0]), np.array([0]))
         w = np.array([0.75 * np.exp(-1.0), 0.25 * np.exp(-2.0)])
         np.testing.assert_allclose(gamma, (w / w.sum())[None, :], atol=2e-3)
-        m2 = hand_model(gate_logit_bias=(np.log(3.0), 0.0), use_prior=False)
-        gamma2 = e_step(m2, np.zeros((1, 1)), np.array([1.0]), np.array([0]))
-        np.testing.assert_allclose(gamma2, [[np.e / (np.e + 1), 1 / (np.e + 1)]],
-                                   atol=2e-3)
 
     def test_rows_sum_to_one(self):
         m = hand_model()
@@ -56,6 +56,13 @@ class TestEStep:
                        rng.exponential(1, 40), rng.integers(0, 2, 40))
         np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(gamma > 0)
+
+    def test_non_finite_log_hazard_raises(self):
+        # censored rows only: the density is not evaluated, the check still runs
+        m = hand_model()
+        m.heads.f_b[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite log hazard"):
+            e_step(m, np.zeros((2, 1)), np.array([1.0, 2.0]), np.array([0, 0]))
 
 
 class TestSampleAssignments:
@@ -107,7 +114,7 @@ class TestUpdateBaselines:
         # compare against a Kaplan-Meier of the same rows
         from coxmix.estimators import kaplan_meier
         from coxmix.spline import spline_eval
-        update_baselines(m, ds.features[:, :1], ds.times, ds.events, z)
+        update_baselines(m, m._heads_out(ds.features[:, :1])[0], ds.times, ds.events, z)
         for k in range(2):
             rows = z == k
             km = kaplan_meier(ds.times[rows], ds.events[rows])
@@ -120,13 +127,123 @@ class TestUpdateBaselines:
         before = m.baselines[1]
         z = np.zeros(50, dtype=int)  # nothing assigned to cluster 1
         rng = np.random.default_rng(3)
-        starved = update_baselines(m, rng.normal(size=(50, 1)),
+        starved = update_baselines(m, m._heads_out(rng.normal(size=(50, 1)))[0],
                                    rng.exponential(1, 50), np.ones(50, dtype=int), z)
         assert starved == 1
         assert m.baselines[1] is before
 
 
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """A small fitted model and the parsed contents of its saved file."""
+    ds, _ = generate_cohort(SEPARATED_CONFIG)
+    m = fit(standardize(ds.subset(np.arange(300)))[0],
+            DcmConfig(n_clusters=2, hidden_dims=(4,), max_epochs=2, seed=0))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    m.save(path)
+    return m, json.loads(path.read_text())
+
+
+def _dict_paths(node, prefix=()):
+    """Key paths of every dict entry in a saved model, training log aside."""
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _dict_paths(value, prefix + (i,))
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            if key != "training_log":
+                yield from _dict_paths(value, prefix + (key,))
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+_ARRAYS = [("mlp", "weights", 0), ("mlp", "biases", 0), ("heads", "f_w"),
+           ("heads", "f_b"), ("heads", "g_w"), ("heads", "g_b"),
+           ("standardization", "mean"), ("standardization", "std")]
+
+
+def _drop_key(p, data):
+    path = data.draw(st.sampled_from(list(_dict_paths(p))))
+    del _at(p, path[:-1])[path[-1]]
+
+
+def _unknown_config_key(p, data):
+    p["config"][data.draw(st.text(min_size=1).filter(
+        lambda k: k not in p["config"] and k not in ("use_prior_in_estep",
+                                                     "baseline_smoothing")))] = 1
+
+
+def _reshape_array(p, data):
+    *owner, key = data.draw(st.sampled_from(_ARRAYS))
+    arr = _at(p, owner)[key]
+    how = data.draw(st.sampled_from(["drop", "append", "narrow"]))
+    if how == "narrow" and isinstance(arr[0], list):
+        _at(p, owner)[key] = [row[:-1] for row in arr]
+    else:
+        _at(p, owner)[key] = arr[:-1] if how != "append" else arr + arr[-1:]
+
+
+def _change_dims(p, data):
+    if data.draw(st.booleans()):
+        p["config"]["n_clusters"] = data.draw(st.sampled_from([1, 3, 4]))
+    else:
+        dims = p["mlp"]["layer_dims"]
+        dims[data.draw(st.integers(0, len(dims) - 1))] += data.draw(st.sampled_from([-1, 1]))
+
+
+def _spline_knots(p, data):
+    s = p["splines"][data.draw(st.integers(0, len(p["splines"]) - 1))]
+    j = data.draw(st.integers(1, len(s["knots"]) - 1))
+    s["knots"][j] = s["knots"][j - 1] - data.draw(st.floats(0, 1))
+
+
+def _spline_values(p, data):
+    s = p["splines"][data.draw(st.integers(0, len(p["splines"]) - 1))]
+    j = data.draw(st.integers(1, len(s["values"]) - 1))
+    s["values"][j] = data.draw(st.one_of(
+        st.sampled_from([np.nan, np.inf, -np.inf, -1e-12, 1.5]),
+        st.floats(1e-9, 1).map(lambda step: s["values"][j - 1] + step)))
+
+
+def _spline_tail(p, data):
+    s = p["splines"][data.draw(st.integers(0, len(p["splines"]) - 1))]
+    s["tail_hazard"] = data.draw(st.sampled_from([-1e-12, -1.0, np.nan, np.inf]))
+
+
 class TestPersistence:
+    def test_retired_config_keys_still_load(self, saved_model, tmp_path):
+        # files written before the E-step prior switch and baseline
+        # smoothing were removed carry both keys at their defaults
+        m, payload = saved_model
+        payload = json.loads(json.dumps(payload))
+        payload["config"].update(use_prior_in_estep=True, baseline_smoothing=0.0)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload, sort_keys=True))
+        old = DcmModel.load(path)
+        x = np.random.default_rng(0).normal(size=(30, 3))
+        grid = np.array([0.0, 0.5, 1.0, 2.0, 50.0])
+        np.testing.assert_array_equal(old.predict_survival(x, grid),
+                                      m.predict_survival(x, grid))
+        assert old.config == m.config
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([_drop_key, _unknown_config_key, _reshape_array, _change_dims,
+                            _spline_knots, _spline_values, _spline_tail]), st.data())
+    def test_corrupted_file_raises_model_error(self, saved_model, tmp_path_factory,
+                                               corrupt, data):
+        _, payload = saved_model
+        payload = json.loads(json.dumps(payload))
+        corrupt(payload, data)
+        path = tmp_path_factory.mktemp("corrupt") / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelError):
+            DcmModel.load(path)
+
     def test_round_trip(self, tmp_path):
         ds, _ = generate_cohort(SEPARATED_CONFIG)
         cfg = DcmConfig(n_clusters=2, hidden_dims=(16,), max_epochs=3, seed=0)
@@ -176,6 +293,20 @@ class TestFit:
             assert set(entry) == {"epoch", "train_q", "val_q", "batch_loss",
                                   "starved_clusters"}
             assert np.isfinite(entry["val_q"])
+
+    def test_one_encoder_pass_per_phase(self, monkeypatch):
+        # per epoch: minibatch E-step and M-step (2 passes over the train
+        # rows), one full pass for the baseline refresh and the train
+        # objective, one pass over the validation rows
+        ds, _ = generate_cohort(SEPARATED_CONFIG)
+        rows, forward = [], neural.forward
+        monkeypatch.setattr(neural, "forward",
+                            lambda params, x: rows.append(len(x)) or forward(params, x))
+        m = fit(ds.subset(np.arange(200)), DcmConfig(
+            n_clusters=2, hidden_dims=(8,), max_epochs=3, patience=10, seed=0))
+        n_val = 20
+        n_train = 200 - n_val
+        assert sum(rows) == len(m.training_log) * (2 * n_train + n_train + n_val)
 
     def test_expected_q_loss_finite(self):
         ds, _ = generate_cohort(SEPARATED_CONFIG)

@@ -1,6 +1,7 @@
 """Property tests: the sorted-risk-set metrics and the vectorised
 estimators against the brute-force oracles in conftest, on random data with
-tied times, tied predictions and random censoring."""
+tied times, tied predictions and random censoring; and the range and
+monotonicity of the mixture's survival predictions."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,9 @@ from coxmix.estimators import breslow, censoring_km, kaplan_meier, kaplan_meier_
 from coxmix.metrics import (
     MIN_IPCW_DENOM, MetricError, auc_ipcw, brier_ipcw, concordance_td, ece,
 )
+from coxmix.model import DcmConfig, DcmModel
+from coxmix.neural import init_params
+from coxmix.spline import fit_spline
 from conftest import (
     brute_force_breslow, brute_force_km, ipcw_pair_auc, ipcw_pair_concordance,
 )
@@ -107,3 +111,22 @@ def test_metrics_invariant_to_row_order(cohort):
         if values[0] is not None:
             np.testing.assert_allclose(values[1], values[0], rtol=1e-12, atol=1e-15,
                                        err_msg=fn.__name__)
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 3), st.lists(st.integers(1, 5), max_size=2),
+       st.lists(cohorts(min_size=1), min_size=4, max_size=4), st.floats(0.1, 10.0))
+def test_predicted_survival_in_unit_interval_and_nonincreasing(
+        k, d, hidden, baseline_cohorts, x_scale):
+    """A random encoder and heads over K Breslow baselines fitted on random
+    cohorts, evaluated on a time grid from 0 to past every last knot."""
+    _, _, _, _, rng = baseline_cohorts[0]
+    params, heads = init_params((d, *hidden), k, int(rng.integers(2 ** 32)))
+    baselines = [fit_spline(breslow(times, events, rng.normal(size=times.size)))
+                 for _, times, events, _, _ in baseline_cohorts[:k]]
+    model = DcmModel(params, heads, baselines, DcmConfig(n_clusters=k, hidden_dims=tuple(hidden)))
+    x = rng.normal(scale=x_scale, size=(20, d))
+    grid = np.sort(np.r_[0.0, rng.uniform(0.0, 15.0, size=30), np.arange(1.0, 11.0)])
+    surv = model.predict_survival(x, grid)
+    assert np.all((surv >= 0) & (surv <= 1))
+    assert np.all(np.diff(surv, axis=1) <= 0)
