@@ -19,7 +19,7 @@ import numpy as np
 
 from coxmix import metrics as metrics_mod
 from coxmix import synth as synth_mod
-from coxmix.dataset import event_quantiles, k_fold_split, load_csv, standardize
+from coxmix.dataset import atomic_write, event_quantiles, k_fold_split, load_csv, standardize
 from coxmix.model import DcmConfig, DcmModel, fit
 
 
@@ -44,13 +44,13 @@ class _OutputTracker:
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -237,14 +237,20 @@ _GRID = [(k, layers, width)
          for k in (3, 4, 6) for layers in (1, 2) for width in (50, 100)]
 
 
-def _run_cv(ds, horizons, config_fn, folds, seed):
+def _cv_folds(ds, folds, seed):
+    """The k-fold split of ds, one (standardized training set, test rows)
+    pair per fold; computed once per command, shared by every configuration."""
+    split = k_fold_split(ds, folds, seed)
+    return [(standardize(ds.subset(split.train_idx(fold)))[0], split.test_idx(fold))
+            for fold in range(folds)]
+
+
+def _run_cv(ds, horizons, config_fn, folds):
     """Train per fold, pool held-out predictions, return the pooled
     survival matrix aligned with the dataset order."""
-    split = k_fold_split(ds, folds, seed)
     surv = np.full((len(ds), len(horizons)), np.nan)
-    for fold in range(folds):
-        tr, te = split.train_idx(fold), split.test_idx(fold)
-        model = fit(standardize(ds.subset(tr))[0], config_fn(fold))
+    for fold, (train, te) in enumerate(folds):
+        model = fit(train, config_fn(fold))
         surv[te] = model.predict_dataset(ds.subset(te), horizons)
     return surv
 
@@ -252,6 +258,7 @@ def _run_cv(ds, horizons, config_fn, folds, seed):
 def cmd_cv(args, tracker):
     ds = _load_dataset(args)
     horizons = _resolve_horizons(args.horizons, ds)
+    folds = _cv_folds(ds, args.folds, args.seed)
 
     if args.grid:
         g = metrics_mod.censoring_km(ds.times, ds.events)
@@ -259,7 +266,7 @@ def cmd_cv(args, tracker):
         for k, layers, width in _GRID:
             cfg = lambda fold, k=k, hidden=(width,) * layers: _dcm_config(
                 args, fold, n_clusters=k, hidden_dims=hidden)
-            surv = _run_cv(ds, horizons, cfg, args.folds, args.seed)
+            surv = _run_cv(ds, horizons, cfg, folds)
             briers = [metrics_mod.brier_ipcw(surv[:, i], ds.times, ds.events, g, h)
                       for i, h in enumerate(horizons)]
             results.append(((k, layers, width), float(np.mean(briers)), surv))
@@ -271,7 +278,7 @@ def cmd_cv(args, tracker):
         chosen = {"k": k, "layers": layers, "width": width, "mean_brier": best_brier}
     else:
         cfg = lambda fold: _dcm_config(args, seed_offset=fold)
-        surv = _run_cv(ds, horizons, cfg, args.folds, args.seed)
+        surv = _run_cv(ds, horizons, cfg, folds)
         chosen = None
 
     rows = metrics_mod.evaluate_by_group(

@@ -8,7 +8,10 @@ used for subgroup evaluation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +129,7 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
             if drop_missing:
                 continue
             raise DatasetError(f"{path}: row {rownum} has a missing or non-numeric value") from None
-        if any(not np.isfinite(v) for v in x) or not np.isfinite(t):
+        if not (math.isfinite(t) and all(map(math.isfinite, x))):
             if drop_missing:
                 continue
             raise DatasetError(f"{path}: row {rownum} has a missing or non-numeric value")
@@ -210,3 +213,20 @@ def k_fold_split(ds, k, seed):
     # cycle 0..k-1 over the permuted order; sizes differ by at most 1
     assignments[perm] = np.arange(n) % k
     return FoldSplit(fold_assignments=assignments, k=k, seed=seed)
+
+
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """Open a UTF-8 text file that appears at ``path`` only once the block
+    completes: it is written next to ``path`` and moved there with
+    ``os.replace``. If the block raises, the temp file is removed and
+    ``path`` is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

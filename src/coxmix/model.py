@@ -5,6 +5,9 @@ Each EM sweep alternates, per minibatch, a posterior (E) step using the
 current spline baselines, a categorical draw of hard assignments, and one
 Adam step on the hard-assignment objective; once per epoch the per-cluster
 Breslow baselines are recomputed over the full training data and re-splined.
+The baselines are fixed between refreshes, so each training row's spline
+terms are evaluated once per refresh into a baseline table that the
+minibatch E-steps read.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from coxmix import neural, objective
+from coxmix.dataset import atomic_write
 from coxmix.estimators import breslow, kaplan_meier
 from coxmix.spline import (
-    EPS_DENSITY, density_given_cluster, fit_spline, spline_eval,
-    spline_from_dict, spline_to_dict,
+    EPS_DENSITY, density_given_cluster, event_density, fit_spline, spline_derivative,
+    spline_eval, spline_from_dict, spline_to_dict,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -143,7 +147,7 @@ class DcmModel:
             "splines": [spline_to_dict(b) for b in self.baselines],
             "training_log": self.training_log,
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
 
@@ -220,29 +224,49 @@ def _array(value, shape, what):
 # -- EM steps ------------------------------------------------------------
 
 
-def cluster_log_densities(baselines, log_hazards, times, events):
-    """Per-row, per-cluster log likelihood terms: log density for events,
-    exp(f_k) * log S_k(t) for censored rows. Shape (N, K). Each row's
-    spline terms are evaluated for its own case only."""
+def baseline_table(baselines, times, events):
+    """Every row's spline terms under each cluster's baseline: S0_k(t_i) for
+    all rows and dS0_k/dt(t_i) for event rows (0 for censored rows), as two
+    (N, K) arrays. Rows gathered from it stand in for the splines in
+    ``cluster_log_densities``."""
     times = np.asarray(times, dtype=float)
+    ev = np.asarray(events, dtype=int) == 1
+    s0 = np.column_stack([spline_eval(bl, times) for bl in baselines])
+    ds0 = np.zeros_like(s0)
+    ds0[ev] = np.column_stack([spline_derivative(bl, times[ev]) for bl in baselines])
+    return s0, ds0
+
+
+def cluster_log_densities(baselines, log_hazards, times, events, table=None):
+    """Per-row, per-cluster log likelihood terms: log density for events,
+    exp(f_k) * log S_k(t) for censored rows. Shape (N, K). With ``table``,
+    the rows' (S0, dS0) from ``baseline_table``, no spline is evaluated;
+    without it each row's spline terms are evaluated for its own case only.
+    Both give the same bits."""
     f = np.asarray(log_hazards, dtype=float)
     if not np.all(np.isfinite(f)):
         raise ModelError("non-finite log hazard")
     ev = np.asarray(events, dtype=int) == 1
     out = np.empty(f.shape)
+    if table is not None:
+        s0, ds0 = table
+        out[ev] = np.log(event_density(np.exp(f[ev]), s0[ev], ds0[ev]))
+        out[~ev] = np.exp(f[~ev]) * np.log(s0[~ev])
+        return out
+    times = np.asarray(times, dtype=float)
     for c, bl in enumerate(baselines):
         out[ev, c] = np.log(density_given_cluster(bl, f[ev, c], times[ev]))
         out[~ev, c] = np.exp(f[~ev, c]) * np.log(spline_eval(bl, times[~ev]))
     return out
 
 
-def _posterior(model, f, g, times, events):
+def _posterior(model, f, g, times, events, table=None):
     """Log joint weights log(p(t, delta | k, x) * gate_k(x)), shape (N, K),
     and the posterior responsibilities: density^delta *
     conditional-survival^(1-delta) * gate, each row shifted by its max,
     exponentiated, floored at EPS_DENSITY and normalized."""
     z = g - g.max(axis=1, keepdims=True)
-    log_joint = cluster_log_densities(model.baselines, f, times, events) + (
+    log_joint = cluster_log_densities(model.baselines, f, times, events, table) + (
         z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
     w = np.maximum(np.exp(log_joint - log_joint.max(axis=1, keepdims=True)), EPS_DENSITY)
     w[~np.all(np.isfinite(w), axis=1)] = 1.0
@@ -254,9 +278,12 @@ def _q_loss(log_joint, gamma):
     return -float(np.sum(gamma * log_joint)) / gamma.shape[0]
 
 
-def e_step(model, x, times, events):
-    """Posterior cluster responsibilities for a batch of rows x."""
-    return _posterior(model, *model._heads_out(x), times, events)[1]
+def e_step(model, x, times, events, heads=None, table=None):
+    """Posterior cluster responsibilities for a batch of rows x. ``heads``:
+    the batch's (log hazards, gating logits) when the encoder has already
+    run on x; ``table``: the batch's rows of a ``baseline_table``."""
+    f, g = model._heads_out(x) if heads is None else heads
+    return _posterior(model, f, g, times, events, table)[1]
 
 
 def sample_assignments(gamma, rng):
@@ -266,11 +293,12 @@ def sample_assignments(gamma, rng):
     return (u[:, None] > cdf).sum(axis=1).astype(int)
 
 
-def m_step(model, adam, x, times, events, gamma, zeta):
-    """One Adam step on the hard-assignment objective. Returns the batch
-    loss before the update."""
-    rep, cache = neural.forward(model.params, x)
-    f, g = neural.heads_forward(model.heads, rep)
+def m_step(model, adam, encoded, times, events, gamma, zeta):
+    """One Adam step on the hard-assignment objective, backpropagating
+    through ``encoded`` = (rep, cache, log hazards, gating logits), the
+    encoder pass over the batch under the current parameters. Returns the
+    batch loss before the update."""
+    rep, cache, f, g = encoded
     loss, d_f, d_g = objective.q_hat(times, events, gamma, zeta, f, g)
     mlp_grads, head_grads = neural.backward(model.params, model.heads, cache, rep, d_f, d_g)
     neural.adam_step(model.params, model.heads, mlp_grads, head_grads, adam)
@@ -300,16 +328,18 @@ def expected_q_loss(model, x, times, events):
     return _q_loss(*_posterior(model, *model._heads_out(x), times, events))
 
 
-def _refresh_phase(model, x, times, events, rng):
-    """One encoder pass over the training rows: draw hard assignments,
-    refresh the baselines, score the training objective against them.
-    Returns (starved clusters, objective). The heads are freed on return:
-    kept until the next epoch, they stop the allocator from handing the
-    freed encoder activations back, which raises peak memory."""
+def _refresh_phase(model, x, times, events, table, rng):
+    """One encoder pass over the training rows: draw hard assignments
+    against the current baseline table, refresh the baselines, build their
+    table and score the training objective against it. Returns (starved
+    clusters, objective, new table). The heads are freed on return: kept
+    until the next epoch, they stop the allocator from handing the freed
+    encoder activations back, which raises peak memory."""
     f, g = model._heads_out(x)
-    zeta = sample_assignments(_posterior(model, f, g, times, events)[1], rng)
+    zeta = sample_assignments(_posterior(model, f, g, times, events, table)[1], rng)
     starved = update_baselines(model, f, times, events, zeta)
-    return starved, _q_loss(*_posterior(model, f, g, times, events))
+    table = baseline_table(model.baselines, times, events)
+    return starved, _q_loss(*_posterior(model, f, g, times, events, table)), table
 
 
 def fit(dataset, config):
@@ -350,6 +380,7 @@ def fit(dataset, config):
                      standardization=dataset.standardization,
                      feature_names=dataset.feature_names)
     adam = neural.AdamState.create(params, heads, config.lr)
+    table = baseline_table(model.baselines, tt, et)
 
     best = (np.inf, None)
     stale = 0
@@ -361,11 +392,14 @@ def fit(dataset, config):
             if rows.size < 2 * config.n_clusters:
                 continue
             xb, tb, eb = xt[rows], tt[rows], et[rows]
-            gamma = e_step(model, xb, tb, eb)
+            rep, cache = neural.forward(model.params, xb)
+            f, g = neural.heads_forward(model.heads, rep)
+            gamma = e_step(model, xb, tb, eb, heads=(f, g),
+                           table=(table[0][rows], table[1][rows]))
             zeta = sample_assignments(gamma, rng)
-            batch_losses.append(m_step(model, adam, xb, tb, eb, gamma, zeta))
+            batch_losses.append(m_step(model, adam, (rep, cache, f, g), tb, eb, gamma, zeta))
 
-        starved, train_q = _refresh_phase(model, xt, tt, et, rng)
+        starved, train_q, table = _refresh_phase(model, xt, tt, et, table, rng)
         val_q = expected_q_loss(model, xv, tv, ev)
         if not np.isfinite(val_q):
             raise ModelError(f"non-finite objective at epoch {epoch}")

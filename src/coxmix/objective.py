@@ -37,7 +37,7 @@ def partial_log_likelihood(log_hazards, times, events):
     w = np.exp(fo - fmax)
     # risk-set sums over {j : t_j >= t_i}, shared within a tie group
     tail = np.cumsum(w[::-1])[::-1]
-    uniq, start = np.unique(t, return_index=True)
+    start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))  # tie-group starts
     denom = tail[start]  # scaled by exp(-fmax)
 
     counts = np.diff(np.append(start, t.size))
@@ -48,7 +48,7 @@ def partial_log_likelihood(log_hazards, times, events):
 
     # gradient: delta_i - exp(f_i) * sum_{event times <= t_i} d / riskset_sum
     ratio_cum = np.cumsum(np.where(ev, d / denom, 0.0))
-    pos = np.repeat(np.arange(uniq.size), counts)  # tie-group index per sorted row
+    pos = np.repeat(np.arange(start.size), counts)  # tie-group index per sorted row
     grad_sorted = e - w * ratio_cum[pos]
     grad = np.empty_like(f)
     grad[order] = grad_sorted

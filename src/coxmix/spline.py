@@ -147,11 +147,14 @@ def density_given_cluster(s, log_hazard, t):
     S(t|x) = S0(t)^exp(f). Floored at EPS_DENSITY."""
     if not np.all(np.isfinite(log_hazard)):
         raise ValueError("non-finite log hazard")
-    ef = np.exp(log_hazard)
-    s0 = spline_eval(s, t)
-    ds = spline_derivative(s, t)
-    dens = -ef * np.power(s0, ef) / s0 * ds
-    return np.maximum(dens, EPS_DENSITY)
+    return event_density(np.exp(log_hazard), spline_eval(s, t), spline_derivative(s, t))
+
+
+def event_density(ef, s0, ds0):
+    """The density of ``density_given_cluster`` from the hazard ratio ef =
+    exp(f) and the baseline's value s0 and slope ds0 at the event time:
+    -ef * S0^ef / S0 * dS0/dt, floored at EPS_DENSITY. Elementwise."""
+    return np.maximum(-ef * np.power(s0, ef) / s0 * ds0, EPS_DENSITY)
 
 
 def spline_to_dict(s):

@@ -135,6 +135,22 @@ def ipcw_pair_auc(surv_probs, times, events, horizon, weight_floor):
     return num / (total * len(controls))
 
 
+def brute_force_partial_likelihood(log_hazards, times, events):
+    """Cox partial log-likelihood with Breslow ties and its gradient wrt the
+    log hazards, one loop per distinct event time: the d rows failing at
+    tau share the denominator sum_{t_j >= tau} exp(f_j)."""
+    f = np.asarray(log_hazards, dtype=float)
+    value, grad = 0.0, np.asarray(events, dtype=float).copy()
+    for tau in np.unique(times[events == 1]):
+        failing = (times == tau) & (events == 1)
+        at_risk = times >= tau
+        denom = np.sum(np.exp(f[at_risk]))
+        d = failing.sum()
+        value += f[failing].sum() - d * np.log(denom)
+        grad[at_risk] -= d * np.exp(f[at_risk]) / denom
+    return value, grad
+
+
 def random_survival_instance(rng, n, tie_prob=0.3):
     """Times with deliberate ties, mixed censoring, random log hazards."""
     times = rng.integers(1, max(n // 2, 2), size=n).astype(float)

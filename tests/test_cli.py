@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from coxmix import cli
 from coxmix.cli import main
 
 
@@ -163,6 +164,37 @@ class TestCv:
         pop = [r for r in report[1:] if r[2] == "population"]
         assert len(pop) == 4  # one row per metric
         assert (tmp_path / "report.json").exists()
+
+    def test_grid_splits_and_standardizes_once(self, cohort_dir, tmp_path, monkeypatch):
+        # 12 configurations share one split and one standardization per fold
+        calls = []
+        for name in ("k_fold_split", "standardize"):
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, fn=fn, name=name, **kw:
+                                calls.append(name) or fn(*a, **kw))
+        code = run(["cv", "--grid", "--data", str(cohort_dir / "cohort.csv"),
+                    "--group-col", "group", "--folds", "5", "--epochs", "1", "--horizons", "q50",
+                    "--bootstrap", "0", "--out", str(tmp_path)])
+        assert code == 0
+        assert calls.count("k_fold_split") == 1
+        assert calls.count("standardize") == 5
+
+
+class TestAtomicWrites:
+    def test_failed_row_write_leaves_no_partial_file(self, tmp_path):
+        def rows():
+            yield [1.0, 2]
+            raise RuntimeError("disk full")
+
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            cli._write_csv(str(target), ["a", "b"], rows())
+        assert os.listdir(tmp_path) == []
+        target.write_text("kept\n")
+        with pytest.raises(RuntimeError):
+            cli._write_csv(str(target), ["a", "b"], rows())
+        assert target.read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestParser:

@@ -54,6 +54,15 @@ class TestLoadCsv:
         ds = load_csv(path, "time", "event", drop_missing=True)
         assert len(ds) == 2
 
+    @pytest.mark.parametrize("text", ["x,time,event\n1,2,1\ninf,3,0\n",
+                                      "x,time,event\n1,2,1\n2,nan,0\n"])
+    def test_non_finite_value_names_row(self, tmp_path, text):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(DatasetError, match="row 3"):
+            load_csv(path, "time", "event")
+        ds = load_csv(path, "time", "event", drop_missing=True)
+        np.testing.assert_array_equal(ds.times, [2.0])
+
     def test_bad_event_value(self, tmp_path):
         path = write_csv(tmp_path, "x,time,event\n1,2,2\n")
         with pytest.raises(DatasetError, match="row 2"):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxmix import model as model_mod
 from coxmix import neural
+from coxmix import spline as spline_mod
 from coxmix.dataset import standardize
 from coxmix.model import (
     DcmConfig, DcmModel, ModelError, e_step, expected_q_loss, fit,
@@ -295,9 +297,9 @@ class TestFit:
             assert np.isfinite(entry["val_q"])
 
     def test_one_encoder_pass_per_phase(self, monkeypatch):
-        # per epoch: minibatch E-step and M-step (2 passes over the train
-        # rows), one full pass for the baseline refresh and the train
-        # objective, one pass over the validation rows
+        # per epoch: one pass per minibatch, shared by its E-step and M-step
+        # (one pass over the train rows), one full pass for the baseline
+        # refresh and the train objective, one pass over the validation rows
         ds, _ = generate_cohort(SEPARATED_CONFIG)
         rows, forward = [], neural.forward
         monkeypatch.setattr(neural, "forward",
@@ -306,7 +308,38 @@ class TestFit:
             n_clusters=2, hidden_dims=(8,), max_epochs=3, patience=10, seed=0))
         n_val = 20
         n_train = 200 - n_val
-        assert sum(rows) == len(m.training_log) * (2 * n_train + n_train + n_val)
+        assert sum(rows) == len(m.training_log) * (n_train + n_train + n_val)
+
+    @pytest.mark.parametrize("batch_size", [16, 64])
+    def test_spline_eval_per_table_build_not_per_minibatch(self, monkeypatch, batch_size):
+        # K calls per baseline-table build (the start-up one and one per
+        # epoch), plus 2K per epoch for the validation objective; none in the
+        # minibatch E-steps, so the count does not depend on the batch size
+        calls, spline_eval = [], spline_mod.spline_eval
+        counting = lambda s, t: calls.append(1) or spline_eval(s, t)
+        monkeypatch.setattr(spline_mod, "spline_eval", counting)
+        monkeypatch.setattr(model_mod, "spline_eval", counting)
+        ds, _ = generate_cohort(SEPARATED_CONFIG)
+        m = fit(ds.subset(np.arange(200)), DcmConfig(
+            n_clusters=3, hidden_dims=(8,), batch_size=batch_size, max_epochs=3,
+            patience=10, seed=0))
+        assert len(calls) == 3 * (1 + 3 * len(m.training_log))
+
+    def test_non_finite_log_hazard_in_minibatch_raises(self, monkeypatch):
+        # the first heads are the first minibatch's, whose E-step reads the
+        # baseline table; the log-hazard check still runs there
+        heads_forward = neural.heads_forward
+
+        def poisoned(heads, rep):
+            f, g = heads_forward(heads, rep)
+            f[-1, 0] = np.inf
+            return f, g
+
+        monkeypatch.setattr(neural, "heads_forward", poisoned)
+        monkeypatch.setattr(model_mod, "update_baselines", None)  # never reached
+        ds, _ = generate_cohort(SEPARATED_CONFIG)
+        with pytest.raises(ModelError, match="non-finite log hazard"):
+            fit(ds.subset(np.arange(200)), DcmConfig(n_clusters=2, hidden_dims=(8,), seed=0))
 
     def test_expected_q_loss_finite(self):
         ds, _ = generate_cohort(SEPARATED_CONFIG)

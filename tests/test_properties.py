@@ -1,7 +1,8 @@
-"""Property tests: the sorted-risk-set metrics and the vectorised
-estimators against the brute-force oracles in conftest, on random data with
-tied times, tied predictions and random censoring; and the range and
-monotonicity of the mixture's survival predictions."""
+"""Property tests: the sorted-risk-set metrics, the vectorised estimators
+and the partial likelihood against the brute-force oracles in conftest, on
+random data with tied times, tied predictions and random censoring; the
+range and monotonicity of the mixture's survival predictions; and the
+baseline table against direct spline evaluation."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,13 @@ from coxmix.estimators import breslow, censoring_km, kaplan_meier, kaplan_meier_
 from coxmix.metrics import (
     MIN_IPCW_DENOM, MetricError, auc_ipcw, brier_ipcw, concordance_td, ece,
 )
-from coxmix.model import DcmConfig, DcmModel
+from coxmix.model import DcmConfig, DcmModel, baseline_table, cluster_log_densities
 from coxmix.neural import init_params
-from coxmix.spline import fit_spline
+from coxmix.objective import partial_log_likelihood
+from coxmix.spline import fit_spline, spline_from_dict
 from conftest import (
-    brute_force_breslow, brute_force_km, ipcw_pair_auc, ipcw_pair_concordance,
+    brute_force_breslow, brute_force_km, brute_force_partial_likelihood, ipcw_pair_auc,
+    ipcw_pair_concordance,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -130,3 +133,49 @@ def test_predicted_survival_in_unit_interval_and_nonincreasing(
     surv = model.predict_survival(x, grid)
     assert np.all((surv >= 0) & (surv <= 1))
     assert np.all(np.diff(surv, axis=1) <= 0)
+
+
+@SETTINGS
+@given(cohorts(min_size=1))
+def test_partial_likelihood_matches_brute_force(cohort):
+    _, times, events, _, rng = cohort
+    f = rng.normal(scale=2.0, size=times.size)
+    value, grad = partial_log_likelihood(f, times, events)
+    expect_value, expect_grad = brute_force_partial_likelihood(f, times, events)
+    np.testing.assert_allclose(value, expect_value, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(grad, expect_grad, rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def baselines(draw, cohort):
+    """A fitted Breslow spline (first knot at 0), a spline whose first knot
+    is later than some times, or a single-knot fallback."""
+    _, times, events, _, rng = cohort
+    kind = draw(st.sampled_from(["fitted", "late_start", "fallback"]))
+    if kind == "fitted":
+        return fit_spline(breslow(times, events, rng.normal(size=times.size)))
+    n_knots = 1 if kind == "fallback" else draw(st.integers(2, 6))
+    knots = np.sort(rng.choice(np.arange(1, 20) / 2, size=n_knots, replace=False))
+    return spline_from_dict({
+        "knots": knots, "values": np.sort(rng.random(n_knots))[::-1],
+        "tail_hazard": float(rng.exponential()), "is_fallback": kind == "fallback"})
+
+
+@SETTINGS
+@given(st.data(), cohorts(min_size=1))
+def test_table_log_densities_equal_direct(data, cohort):
+    """Rows gathered from a baseline table (a minibatch, repeats allowed) give
+    the bits of evaluating the splines on those rows: times from 0 to past
+    every last knot, tied, events and censored rows."""
+    _, _, _, _, rng = cohort
+    bls = [data.draw(baselines(cohort)) for _ in range(data.draw(st.integers(1, 4)))]
+    n = data.draw(st.integers(1, 60))
+    times = rng.integers(0, 24, size=n) / 2.0
+    events = (rng.random(n) < 0.6).astype(int)
+    table = baseline_table(bls, times, events)
+    rows = rng.integers(0, n, size=data.draw(st.integers(1, 40)))
+    f = rng.normal(scale=2.0, size=(rows.size, len(bls)))
+    direct = cluster_log_densities(bls, f, times[rows], events[rows])
+    gathered = cluster_log_densities(bls, f, times[rows], events[rows],
+                                     table=(table[0][rows], table[1][rows]))
+    assert np.array_equal(gathered, direct)
