@@ -90,8 +90,6 @@ def _dcm_config(args, seed_offset=0, **overrides):
     (the grid search sets n_clusters and hidden_dims)."""
     hidden = tuple(int(v) for v in args.layers.split(",") if v.strip()) \
         if args.layers else ()
-    if args.hidden is not None:
-        hidden = tuple(args.hidden for _ in hidden)
     return DcmConfig(**{
         "n_clusters": args.k, "hidden_dims": hidden, "lr": args.lr,
         "batch_size": args.batch, "max_epochs": args.epochs,
@@ -188,10 +186,14 @@ def cmd_predict(args, tracker):
     _echo_config(tracker, args, {"horizons": horizons})
 
 
-def _report_rows(rows):
-    return [[r.metric, r.horizon, r.group,
-             "" if np.isnan(r.estimate) else r.estimate,
-             "" if np.isnan(r.se) else r.se, r.n] for r in rows]
+def _write_report(tracker, rows):
+    """report.csv and report.json, one entry per MetricRow; an undefined
+    estimate or SE is a blank cell in the CSV and null in the JSON."""
+    header = ["metric", "horizon", "group", "estimate", "se", "n"]
+    table = [[r.metric, r.horizon, r.group, None if np.isnan(r.estimate) else r.estimate,
+              None if np.isnan(r.se) else r.se, r.n] for r in rows]
+    _write_csv(tracker.path("report.csv"), header, table)  # csv writes None as ""
+    _write_json(tracker.path("report.json"), [dict(zip(header, row)) for row in table])
 
 
 def _calibration_table(surv, times, events, horizons):
@@ -209,11 +211,7 @@ def cmd_eval(args, tracker):
     rows = metrics_mod.evaluate_by_group(
         surv, ds.times, ds.events, horizons, ds.groups,
         n_replicates=args.bootstrap, seed=args.seed)
-    _write_csv(tracker.path("report.csv"),
-               ["metric", "horizon", "group", "estimate", "se", "n"],
-               _report_rows(rows))
-    _write_json(tracker.path("report.json"),
-                [asdict_row(r) for r in rows])
+    _write_report(tracker, rows)
     _write_csv(tracker.path("calibration_bins.csv"),
                ["horizon", "bin", "mean_predicted", "km_observed", "n"],
                _calibration_table(surv, ds.times, ds.events, horizons))
@@ -223,12 +221,6 @@ def cmd_eval(args, tracker):
             _write_csv(tracker.path(f"baseline_{k}.csv"), ["time", "survival"],
                        [[float(t), float(bl(t))] for t in grid])
     _echo_config(tracker, args, {"horizons": horizons})
-
-
-def asdict_row(r):
-    return {"metric": r.metric, "horizon": r.horizon, "group": r.group,
-            "estimate": None if np.isnan(r.estimate) else r.estimate,
-            "se": None if np.isnan(r.se) else r.se, "n": r.n}
 
 
 # -- cross-validation -------------------------------------------------------
@@ -284,10 +276,7 @@ def cmd_cv(args, tracker):
     rows = metrics_mod.evaluate_by_group(
         surv, ds.times, ds.events, horizons, ds.groups,
         n_replicates=args.bootstrap, seed=args.seed)
-    _write_csv(tracker.path("report.csv"),
-               ["metric", "horizon", "group", "estimate", "se", "n"],
-               _report_rows(rows))
-    _write_json(tracker.path("report.json"), [asdict_row(r) for r in rows])
+    _write_report(tracker, rows)
     extra = {"horizons": horizons}
     if chosen:
         extra["selected"] = chosen
@@ -313,8 +302,6 @@ def _add_train_flags(p):
     p.add_argument("--k", type=int, default=3, help="number of mixture components")
     p.add_argument("--layers", default="100",
                    help="comma-separated hidden widths; empty for a linear model")
-    p.add_argument("--hidden", type=int, default=None,
-                   help="override width for every hidden layer")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--epochs", type=int, default=50)

@@ -77,8 +77,6 @@ class FoldSplit:
     """Deterministic k-fold assignment; fold sizes differ by at most one."""
 
     fold_assignments: np.ndarray
-    k: int
-    seed: int
 
     def train_idx(self, fold):
         return np.flatnonzero(self.fold_assignments != fold)
@@ -212,7 +210,7 @@ def k_fold_split(ds, k, seed):
     assignments = np.empty(n, dtype=int)
     # cycle 0..k-1 over the permuted order; sizes differ by at most 1
     assignments[perm] = np.arange(n) % k
-    return FoldSplit(fold_assignments=assignments, k=k, seed=seed)
+    return FoldSplit(fold_assignments=assignments)
 
 
 @contextlib.contextmanager

@@ -43,12 +43,9 @@ class StepSurvivalCurve:
         return np.exp(-self.cum_hazard)
 
     def _eval(self, t, side):
-        t = np.asarray(t, dtype=float)
-        if len(self.knot_times) == 0:  # no drops anywhere: S = 1
-            out = np.ones_like(t)
-            return float(out) if out.ndim == 0 else out
-        idx = np.searchsorted(self.knot_times, t, side=side) - 1
-        h = np.where(idx >= 0, self.cum_hazard[np.maximum(idx, 0)], 0.0)
+        # H is 0 before the first knot, then the hazard of the last knot passed
+        h = np.concatenate([[0.0], self.cum_hazard])[
+            np.searchsorted(self.knot_times, np.asarray(t, dtype=float), side=side)]
         out = np.exp(-h)
         return float(out) if out.ndim == 0 else out
 

@@ -58,6 +58,21 @@ def _count_later_above(times, ranks, at_times, above):
     return out
 
 
+def _ipcw_inputs(surv_probs, times, events, g_curve, horizon):
+    """The arrays an IPCW metric scores, as (pi, times, events, g_left,
+    cases): the censoring left limit G(T-) of every record and the cases,
+    observed events by the horizon with G(T-) > MIN_IPCW_DENOM. Raises
+    MetricError on NaN predictions, which no metric can score."""
+    pi = np.asarray(surv_probs, dtype=float)
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    if np.isnan(pi).any():
+        raise MetricError("predictions contain NaN")
+    g_left = g_curve.eval_left(times)
+    cases = (events == 1) & (times <= horizon) & (g_left > MIN_IPCW_DENOM)
+    return pi, times, events, g_left, cases
+
+
 def concordance_td(surv_probs, times, events, g_curve, horizon):
     """Time-dependent concordance at a horizon, IPCW-weighted (Uno).
 
@@ -67,14 +82,7 @@ def concordance_td(surv_probs, times, events, g_curve, horizon):
     in time are excluded. Pairs are counted over time-sorted records
     (Uno et al., Stat Med 2011) without forming the n x n pairs.
     """
-    pi = np.asarray(surv_probs, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
-    if np.isnan(pi).any():  # NaN has no order, so no pair could be ranked
-        raise MetricError("predictions contain NaN")
-
-    g_left = g_curve.eval_left(times)
-    cases = (events == 1) & (times <= horizon) & (g_left > MIN_IPCW_DENOM)
+    pi, times, _, g_left, cases = _ipcw_inputs(surv_probs, times, events, g_curve, horizon)
     ranks = np.unique(pi, return_inverse=True)[1]
     r = ranks[cases]
     # later records predicted to survive longer, and at least as long
@@ -97,15 +105,8 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon):
     are swept over the distinct predicted values and the (FPR, TPR) curve
     is integrated by trapezoid, which credits prediction ties by half.
     """
-    pi = np.asarray(surv_probs, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
-    if np.isnan(pi).any():
-        raise MetricError("predictions contain NaN")
+    pi, times, _, g_left, cases = _ipcw_inputs(surv_probs, times, events, g_curve, horizon)
     n = times.size
-
-    g_left = g_curve.eval_left(times)
-    cases = (events == 1) & (times <= horizon) & (g_left > MIN_IPCW_DENOM)
     controls = times > horizon
     if not np.any(cases) or not np.any(controls):
         raise MetricError("need at least one case and one control at this horizon")
@@ -136,11 +137,14 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
     the mean prediction, the bin's Kaplan-Meier survival at the horizon,
     the number of records, and whether that survival is defined there. It
     is undefined when follow-up ends before the horizon with a censored
-    subject and the curve has not reached zero.
+    subject and the curve has not reached zero. NaN predictions, which
+    have no bin, raise MetricError.
     """
     pi = np.asarray(surv_probs, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
+    if np.isnan(pi).any():
+        raise MetricError("predictions contain NaN")
     if pi.size < n_bins:
         raise MetricError(f"need at least {n_bins} records for {n_bins} bins")
 
@@ -183,22 +187,16 @@ def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS):
 def brier_ipcw(surv_probs, times, events, g_curve, horizon):
     """IPCW Brier score at a horizon:
     mean of pi^2 * 1{T<=t, event}/G(T-) + (1-pi)^2 * 1{T>t}/G(t)."""
-    pi = np.asarray(surv_probs, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
+    pi, times, events, g_left, cases = _ipcw_inputs(surv_probs, times, events, g_curve, horizon)
     g_t = g_curve(horizon)
     if g_t <= 0:
         raise MetricError("horizon beyond censoring follow-up (G(t) = 0)")
-    g_left = g_curve.eval_left(times)
-
-    early_event = (times <= horizon) & (events == 1)
-    late = times > horizon
-    usable_event = early_event & (g_left > MIN_IPCW_DENOM)
-    if np.any(early_event & ~usable_event):
+    if np.any((events == 1) & (times <= horizon) & ~cases):
         warnings.warn("brier_ipcw: dropped record(s) with near-zero censoring "
                       "weight denominator", stacklevel=2)
+    late = times > horizon
     terms = np.zeros_like(pi)
-    terms[usable_event] = pi[usable_event] ** 2 / g_left[usable_event]
+    terms[cases] = pi[cases] ** 2 / g_left[cases]
     terms[late] += (1.0 - pi[late]) ** 2 / (g_t if g_t > MIN_IPCW_DENOM else np.inf)
     return float(terms.mean())
 

@@ -29,7 +29,9 @@ from coxmix.spline import (
 MODEL_FORMAT_VERSION = 1
 # config keys written by earlier releases; they only steered training, so
 # files that carry them still load and predict the same
-_RETIRED_CONFIG_KEYS = ("use_prior_in_estep", "baseline_smoothing")
+_RETIRED_CONFIG_KEYS = ("use_prior_in_estep", "baseline_smoothing",
+                        "max_spline_knots", "val_fraction")
+VAL_FRACTION = 0.1  # share of rows fit holds out to monitor the objective
 
 
 class ModelError(ValueError):
@@ -48,8 +50,6 @@ class DcmConfig:
     max_epochs: int = 50
     patience: int = 3
     seed: int = 0
-    max_spline_knots: int = 100
-    val_fraction: float = 0.1
 
     def __post_init__(self):
         if self.n_clusters < 1:
@@ -317,7 +317,7 @@ def update_baselines(model, log_hazards, times, events, zeta):
             starved += 1
             continue
         curve = breslow(times[rows], events[rows], log_hazards[rows, k])
-        model.baselines[k] = fit_spline(curve, model.config.max_spline_knots)
+        model.baselines[k] = fit_spline(curve)
     return starved
 
 
@@ -357,7 +357,7 @@ def fit(dataset, config):
     rng = np.random.default_rng(config.seed)
 
     perm = rng.permutation(n)
-    n_val = max(int(round(config.val_fraction * n)), 1) if n >= 20 else 0
+    n_val = max(int(round(VAL_FRACTION * n)), 1) if n >= 20 else 0
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if dataset.events[train_idx].sum() == 0:
         raise ModelError("no events left in the training split")
@@ -373,7 +373,7 @@ def fit(dataset, config):
 
     layer_dims = (d, *config.hidden_dims)
     params, heads = neural.init_params(layer_dims, config.n_clusters, config.seed)
-    pooled = fit_spline(kaplan_meier(tt, et), config.max_spline_knots)
+    pooled = fit_spline(kaplan_meier(tt, et))
     model = DcmModel(params, heads,
                      baselines=[pooled] * config.n_clusters,
                      config=config,

@@ -28,10 +28,6 @@ class MlpParams:
     biases: list = field(default_factory=list)
     layer_dims: tuple = ()
 
-    @property
-    def out_dim(self):
-        return self.layer_dims[-1]
-
 
 @dataclass
 class HeadParams:
@@ -73,8 +69,9 @@ def init_params(layer_dims, n_clusters, seed):
 def forward(params, x):
     """Encode a batch: returns (representation, cache for backward).
 
-    Hidden activation is ReLU. The cache holds each layer's input and
-    pre-activation.
+    Hidden activation is ReLU. The cache holds each hidden layer's input;
+    backward takes a layer's ReLU mask from the next layer's input, or from
+    the representation for the last layer.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
@@ -84,9 +81,10 @@ def forward(params, x):
     cache = []
     a = x
     for w, b in zip(params.weights, params.biases):
-        z = a @ w + b
-        cache.append((a, z))
-        a = np.maximum(z, 0.0)
+        cache.append(a)
+        z = a @ w
+        z += b
+        a = np.maximum(z, 0.0, out=z)  # in place: one new array per layer
     return a, cache
 
 
@@ -116,8 +114,9 @@ def backward(params, heads, cache, rep, d_log_hazards, d_gating_logits):
     )
     da = d_log_hazards @ heads.f_w.T + d_gating_logits @ heads.g_w.T
     gw, gb = [], []
-    for (a_in, z), w in zip(reversed(cache), reversed(params.weights)):
-        dz = da * (z > 0)
+    for a_in, a_out, w in zip(reversed(cache), reversed([*cache[1:], rep]),
+                              reversed(params.weights)):
+        dz = da * (a_out > 0)  # relu(z) > 0 exactly where z > 0
         gw.append(a_in.T @ dz)
         gb.append(dz.sum(axis=0))
         da = dz @ w.T

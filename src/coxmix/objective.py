@@ -72,13 +72,12 @@ def gating_cross_entropy(gamma, gating_logits):
     return value, grad
 
 
-def q_hat(times, events, gamma, zeta, log_hazards, gating_logits,
-          min_cluster_rows=2):
+def q_hat(times, events, gamma, zeta, log_hazards, gating_logits):
     """Hard-assignment objective: gating cross-entropy over all rows plus,
     per cluster, the partial log-likelihood restricted to rows assigned to
-    it (column k of log_hazards). Clusters with fewer than
-    ``min_cluster_rows`` members or no events contribute nothing (the
-    partial likelihood is undefined on an empty risk set).
+    it (column k of log_hazards). Clusters with fewer than 2 members or no
+    events contribute nothing (the partial likelihood is undefined on an
+    empty risk set).
 
     Returned negated, as (loss, d_loss/d_log_hazards, d_loss/d_gating_logits).
     """
@@ -93,7 +92,7 @@ def q_hat(times, events, gamma, zeta, log_hazards, gating_logits,
     d_f = np.zeros_like(f)
     for c in range(k):
         rows = np.flatnonzero(zeta == c)
-        if rows.size < min_cluster_rows or events[rows].sum() == 0:
+        if rows.size < 2 or events[rows].sum() == 0:
             continue
         val, grad = partial_log_likelihood(f[rows, c], times[rows], events[rows])
         total += val

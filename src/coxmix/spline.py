@@ -16,8 +16,7 @@ from scipy.interpolate import PchipInterpolator
 
 EPS_SURVIVAL = 1e-10  # lower clamp for evaluated survival values
 EPS_DENSITY = 1e-10   # floor for the implied event density
-
-_MAX_KNOTS_DEFAULT = 100
+MAX_KNOTS = 100       # knots kept by fit_spline; more make the cubic oscillate
 
 
 @dataclass(frozen=True)
@@ -49,40 +48,55 @@ class SplineSurvivalCurve:
         return spline_derivative(self, t)
 
 
-def fit_spline(curve, max_knots=_MAX_KNOTS_DEFAULT):
+def fit_spline(curve):
     """Interpolate a step survival curve with a degree-3 spline (a
     monotone piecewise-cubic Hermite interpolant, so the result is itself
     a valid survival curve).
 
     A knot at t=0 with survival 1 is prepended when the step curve starts
-    later (the step curve is 1 there). Curves with more than ``max_knots``
-    knots are thinned by even-rank subsampling, always keeping the first
-    and last knot: uncapped interpolation through thousands of noisy steps
-    oscillates. Step curves with fewer than 2 usable knots produce a
-    flagged constant/exponential-tail fallback.
+    later or is empty (the step curve is 1 there). Curves with more than
+    ``MAX_KNOTS`` knots are thinned by even-rank subsampling, always keeping
+    the first and last knot: uncapped interpolation through thousands of
+    noisy steps oscillates. A step curve with no knot after t=0 produces a
+    flagged constant fallback with a zero tail hazard.
     """
     kt = np.asarray(curve.knot_times, dtype=float)
     sv = np.asarray(curve.survival_values, dtype=float)
-    if kt.size == 0:
-        return SplineSurvivalCurve(
-            knots=np.array([0.0]), values=np.array([1.0]),
-            tail_hazard=0.0, is_fallback=True)
-    if kt[0] > 0:
+    if kt.size == 0 or kt[0] > 0:
         kt = np.concatenate([[0.0], kt])
         sv = np.concatenate([[1.0], sv])
-    if kt.size > max_knots:
-        pick = np.unique(np.round(np.linspace(0, kt.size - 1, max_knots)).astype(int))
+    if kt.size > MAX_KNOTS:
+        pick = np.unique(np.round(np.linspace(0, kt.size - 1, MAX_KNOTS)).astype(int))
         kt, sv = kt[pick], sv[pick]
-    if kt.size < 2:
-        t0, v0 = float(kt[0]), float(sv[0])
-        h = -np.log(max(v0, EPS_SURVIVAL)) / t0 if t0 > 0 else 0.0
-        return SplineSurvivalCurve(
-            knots=np.array([t0]), values=np.array([v0]),
-            tail_hazard=max(h, 0.0), is_fallback=True)
+    if kt.size < 2:  # a single knot, at t=0 after the prepend
+        return SplineSurvivalCurve(knots=kt, values=sv, tail_hazard=0.0, is_fallback=True)
     s_prev = max(float(sv[-2]), EPS_SURVIVAL)
     s_last = max(float(sv[-1]), EPS_SURVIVAL)
     tail = max((np.log(s_prev) - np.log(s_last)) / (kt[-1] - kt[-2]), 0.0)
     return SplineSurvivalCurve(knots=kt, values=sv, tail_hazard=tail)
+
+
+def _piecewise(s, t, nu):
+    """Unclamped S(t) (nu=0) or dS/dt (nu=1) as a 1-d array: 1 or 0 before
+    the first knot; between knots the monotone cubic's value or slope (the
+    knot value or 0 for a single-knot fallback); past the last knot the
+    exponential constant-hazard tail or its slope -tail_hazard * tail."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty_like(t)
+    lo, hi = s.knots[0], s.knots[-1]
+    before = t < lo
+    after = t > hi
+    mid = ~(before | after)  # a NaN time lands here and evaluates to NaN
+    out[before] = 1.0 - nu
+    if np.any(after):
+        tail = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * (t[after] - hi))
+        out[after] = tail if nu == 0 else -s.tail_hazard * tail
+    if np.any(mid):
+        if s._spline is None:  # single-knot fallback
+            out[mid] = s.values[-1] if nu == 0 else 0.0
+        else:
+            out[mid] = s._spline(t[mid], nu)
+    return out
 
 
 def spline_eval(s, t):
@@ -93,52 +107,15 @@ def spline_eval(s, t):
     (the interpolant never overshoots the knot values, so the clip only
     guards the floor).
     """
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-
-    lo, hi = s.knots[0], s.knots[-1]
-    before = t < lo
-    after = t > hi
-    mid = ~(before | after)
-    out[before] = 1.0
-    if np.any(after):
-        out[after] = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * (t[after] - hi))
-    if np.any(mid):
-        tm = t[mid]
-        if s._spline is None:  # single-knot fallback
-            raw = np.full_like(tm, s.values[-1])
-        else:
-            raw = s._spline(tm)
-        out[mid] = raw
-    out = np.clip(out, EPS_SURVIVAL, 1.0)
-    return float(out[0]) if scalar else out
+    out = np.clip(_piecewise(s, t, 0), EPS_SURVIVAL, 1.0)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def spline_derivative(s, t):
     """Analytic derivative dS/dt, clamped to at most -EPS_DENSITY so the
     implied event density is strictly positive."""
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-
-    lo, hi = s.knots[0], s.knots[-1]
-    before = t < lo
-    after = t > hi
-    mid = ~(before | after)
-    out[before] = 0.0
-    if np.any(after):
-        val = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * (t[after] - hi))
-        out[after] = -s.tail_hazard * val
-    if np.any(mid):
-        if s._spline is None:
-            out[mid] = 0.0
-        else:
-            out[mid] = s._spline(t[mid], 1)
-    out = np.minimum(out, -EPS_DENSITY)
-    return float(out[0]) if scalar else out
+    out = np.minimum(_piecewise(s, t, 1), -EPS_DENSITY)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def density_given_cluster(s, log_hazard, t):

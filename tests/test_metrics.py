@@ -5,7 +5,7 @@ import pytest
 
 from coxmix.estimators import StepSurvivalCurve, censoring_km
 from coxmix.metrics import (
-    MIN_GROUP_SIZE, MetricError, auc_ipcw, bootstrap_se, brier_ipcw,
+    MIN_GROUP_SIZE, MetricError, auc_ipcw, bootstrap_se, brier_ipcw, calibration_bins,
     concordance_td, ece, evaluate_by_group,
 )
 from conftest import naive_auc, naive_concordance
@@ -174,6 +174,15 @@ class TestEce:
         with pytest.raises(MetricError):
             ece([0.5] * 5, [1.0] * 5, [1] * 5, horizon=0.5)
 
+    def test_rejects_nan_predictions(self):
+        # a NaN has no quantile bin; the shared binning must not place it
+        pi, times, events, horizon = uncensored_instance(n=200)
+        pi[17] = np.nan
+        with pytest.raises(MetricError, match="NaN"):
+            ece(pi, times, events, horizon)
+        with pytest.raises(MetricError, match="NaN"):
+            calibration_bins(pi, times, events, horizon)
+
 
 class TestBrier:
     def test_hand_no_censoring(self):
@@ -214,6 +223,17 @@ class TestBrier:
         g = censoring_km(times, events)
         with pytest.raises(MetricError):
             brier_ipcw([0.5, 0.5], times, events, g, 10.0)
+
+    def test_rejects_nan_prediction_of_censored_row(self):
+        # censored before the horizon, the row carries no weight, so the
+        # NaN would otherwise drop out of a finite score
+        rng = np.random.default_rng(5)
+        times = rng.exponential(1.0, 200)
+        events = (rng.random(200) < 0.6).astype(int)
+        pi = rng.random(200)
+        pi[np.flatnonzero((events == 0) & (times < 1.0))[0]] = np.nan
+        with pytest.raises(MetricError, match="NaN"):
+            brier_ipcw(pi, times, events, censoring_km(times, events), 1.0)
 
 
 class TestBootstrap:

@@ -176,8 +176,8 @@ def _drop_key(p, data):
 
 def _unknown_config_key(p, data):
     p["config"][data.draw(st.text(min_size=1).filter(
-        lambda k: k not in p["config"] and k not in ("use_prior_in_estep",
-                                                     "baseline_smoothing")))] = 1
+        lambda k: k not in p["config"]
+        and k not in model_mod._RETIRED_CONFIG_KEYS))] = 1
 
 
 def _reshape_array(p, data):
@@ -219,11 +219,13 @@ def _spline_tail(p, data):
 
 class TestPersistence:
     def test_retired_config_keys_still_load(self, saved_model, tmp_path):
-        # files written before the E-step prior switch and baseline
-        # smoothing were removed carry both keys at their defaults
+        # files written before the E-step prior switch, baseline smoothing,
+        # knot cap and validation share became fixed carry those keys at
+        # their defaults
         m, payload = saved_model
         payload = json.loads(json.dumps(payload))
-        payload["config"].update(use_prior_in_estep=True, baseline_smoothing=0.0)
+        payload["config"].update(use_prior_in_estep=True, baseline_smoothing=0.0,
+                                 max_spline_knots=100, val_fraction=0.1)
         path = tmp_path / "old.json"
         path.write_text(json.dumps(payload, sort_keys=True))
         old = DcmModel.load(path)

@@ -1,8 +1,9 @@
 """Property tests: the sorted-risk-set metrics, the vectorised estimators
 and the partial likelihood against the brute-force oracles in conftest, on
 random data with tied times, tied predictions and random censoring; the
-range and monotonicity of the mixture's survival predictions; and the
-baseline table against direct spline evaluation."""
+range and monotonicity of the mixture's survival predictions; the baseline
+table against direct spline evaluation; and the spline's slope outside
+its knots."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,9 @@ from coxmix.metrics import (
 from coxmix.model import DcmConfig, DcmModel, baseline_table, cluster_log_densities
 from coxmix.neural import init_params
 from coxmix.objective import partial_log_likelihood
-from coxmix.spline import fit_spline, spline_from_dict
+from coxmix.spline import (
+    EPS_DENSITY, EPS_SURVIVAL, fit_spline, spline_derivative, spline_eval, spline_from_dict,
+)
 from conftest import (
     brute_force_breslow, brute_force_km, brute_force_partial_likelihood, ipcw_pair_auc,
     ipcw_pair_concordance,
@@ -179,3 +182,20 @@ def test_table_log_densities_equal_direct(data, cohort):
     gathered = cluster_log_densities(bls, f, times[rows], events[rows],
                                      table=(table[0][rows], table[1][rows]))
     assert np.array_equal(gathered, direct)
+
+
+@SETTINGS
+@given(st.data(), cohorts(min_size=1))
+def test_spline_slope_outside_knots(data, cohort):
+    """Past the last knot, wherever S is above its clip, dS/dt is the tail's
+    -tail_hazard * S floored at -EPS_DENSITY; before the first knot S is 1
+    and dS/dt is -EPS_DENSITY. Fitted, late-start and fallback splines."""
+    bl = data.draw(baselines(cohort))
+    rng = cohort[4]
+    after = bl.knots[-1] + rng.exponential(data.draw(st.sampled_from([0.5, 5.0, 50.0])), 30)
+    s, ds = spline_eval(bl, after), spline_derivative(bl, after)
+    free = s > EPS_SURVIVAL
+    assert np.array_equal(ds[free], np.minimum(-bl.tail_hazard * s[free], -EPS_DENSITY))
+    before = bl.knots[0] - rng.uniform(1e-6, 5.0, 30)
+    assert np.all(spline_eval(bl, before) == 1.0)
+    assert np.all(spline_derivative(bl, before) == -EPS_DENSITY)
