@@ -6,7 +6,7 @@
 import numpy as np
 
 from coxmix.estimators import breslow, censoring_km, kaplan_meier
-from coxmix.spline import density_given_cluster, fit_spline
+from coxmix.spline import density_given_cluster, fit_spline, spline_derivative
 
 rng = np.random.default_rng(0)
 
@@ -44,7 +44,7 @@ f = 0.8 * 0.5  # an individual with x = 0.5
 t_eval = np.array([0.3, 0.6, 1.2])
 print("\nspline-smoothed baseline and implied density at f =", round(f, 2))
 print("   t    S0(t)    dS0/dt    density")
-for t, s0, ds, dens in zip(t_eval, spline(t_eval), spline.derivative(t_eval),
+for t, s0, ds, dens in zip(t_eval, spline(t_eval), spline_derivative(spline, t_eval),
                            density_given_cluster(spline, f, t_eval)):
     print(f"  {t:4.2f}  {s0:6.3f}  {ds:8.4f}  {dens:7.4f}")
 

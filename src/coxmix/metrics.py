@@ -294,15 +294,17 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     """Every metric at every horizon for the full population and per
     group. Each estimate is computed on the full stratum; its standard
     error and n (the bootstrap replicates that define it) come from
-    n_replicates resamples of the stratum. The censoring distribution is
-    re-estimated within each evaluated stratum (and each bootstrap
-    replicate). Groups below MIN_GROUP_SIZE records are reported with NaN
-    estimates and n=0. Returns a list of MetricRow."""
+    n_replicates resamples of the stratum, each stratum and resample with
+    its own censoring fit. Groups below MIN_GROUP_SIZE records get NaN
+    estimates and n=0. Returns a list of MetricRow; raises MetricError on
+    a NaN prediction."""
     surv_matrix = np.asarray(surv_matrix, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
     if surv_matrix.shape != (times.size, len(horizons)):
         raise MetricError("surv_matrix must be (n_records, n_horizons)")
+    if np.isnan(surv_matrix).any():  # before any stratum, so no report is half-scored
+        raise MetricError("surv_matrix contains NaN predictions")
 
     rows = _stratum_metrics(surv_matrix, times, events, horizons,
                             "population", n_replicates, seed)
@@ -311,10 +313,8 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
         for label in sorted(set(groups.tolist())):
             mask = groups == label
             if mask.sum() < MIN_GROUP_SIZE:
-                for h in horizons:
-                    for name in METRIC_NAMES:
-                        rows.append(MetricRow(name, float(h), str(label),
-                                              np.nan, np.nan, 0))
+                rows.extend(MetricRow(name, float(h), str(label), np.nan, np.nan, 0)
+                            for h in horizons for name in METRIC_NAMES)
                 continue
             rows.extend(_stratum_metrics(
                 surv_matrix[mask], times[mask], events[mask], horizons,

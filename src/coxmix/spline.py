@@ -2,9 +2,13 @@
 
 The Breslow estimator yields a step function, which has no density; the
 posterior over mixture components for an uncensored observation needs one.
-A degree-3 interpolating spline through the step curve's knots supplies a
-differentiable survival estimate, with constant-hazard extrapolation past
-the last knot.
+A monotone piecewise-cubic Hermite spline (Fritsch & Carlson, SIAM J. Numer.
+Anal. 1980) through the step curve's knots supplies a differentiable survival
+estimate, with constant-hazard extrapolation past the last knot. Its knot
+slopes follow scipy's PCHIP rule: inside, the weighted harmonic mean of the
+adjacent secants of Fritsch & Butland (SIAM J. Sci. Stat. Comput. 1984), 0
+where they differ in sign or one is 0; at each end, a one-sided three-point
+estimate kept shape-preserving.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 EPS_SURVIVAL = 1e-10  # lower clamp for evaluated survival values
 EPS_DENSITY = 1e-10   # floor for the implied event density
@@ -21,37 +24,49 @@ MAX_KNOTS = 100       # knots kept by fit_spline; more make the cubic oscillate
 
 @dataclass(frozen=True)
 class SplineSurvivalCurve:
-    """Degree-3 interpolating spline through (time, survival) knots.
-
-    The interpolant is a monotonicity-preserving piecewise-cubic Hermite
-    spline, so the evaluated survival never increases between knots.
-    Beyond the last knot the curve decays exponentially at ``tail_hazard``,
-    the average hazard over the final inter-knot interval. ``is_fallback``
-    marks curves built from degenerate (< 2 knot) inputs.
+    """Monotone cubic through (time, survival) knots, so the evaluated
+    survival never increases between knots. Beyond the last knot the curve
+    decays exponentially at ``tail_hazard``, the average hazard over the
+    final inter-knot interval. ``is_fallback`` marks curves built from
+    degenerate (< 2 knot) inputs.
     """
 
     knots: np.ndarray
     values: np.ndarray
     tail_hazard: float
     is_fallback: bool = False
-    _spline: PchipInterpolator = field(repr=False, compare=False, default=None)
+    _coef: np.ndarray = field(repr=False, compare=False, default=None)  # see _pchip_coef
 
     def __post_init__(self):
-        if self._spline is None and len(self.knots) >= 2:
-            object.__setattr__(
-                self, "_spline", PchipInterpolator(self.knots, self.values))
+        if self._coef is None and len(self.knots) >= 2:
+            object.__setattr__(self, "_coef", _pchip_coef(self.knots, self.values))
 
     def __call__(self, t):
         return spline_eval(self, t)
 
-    def derivative(self, t):
-        return spline_derivative(self, t)
+
+def _pchip_coef(x, y):
+    """(4, m-1) table: each interval's cubic in powers of t - its left knot,
+    highest first, with the module's knot slopes d. y never increases, so no
+    secants differ in sign and scipy's 3 * m0 cap on the end slopes is moot."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full_like(y, m[0])
+    if y.size > 2:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(all="ignore"):  # 0 secants are masked; tiny ones overflow to slope 0
+            d[1:-1] = np.where((m[:-1] < 0) & (m[1:] < 0),
+                               1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0, end)
+    c = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([c / h, (m - d[:-1]) / h - c, d[:-1], y[:-1]])
 
 
 def fit_spline(curve):
-    """Interpolate a step survival curve with a degree-3 spline (a
-    monotone piecewise-cubic Hermite interpolant, so the result is itself
-    a valid survival curve).
+    """Interpolate a step survival curve with the monotone cubic, so the
+    result is itself a valid survival curve.
 
     A knot at t=0 with survival 1 is prepended when the step curve starts
     later or is empty (the step curve is 1 there). Curves with more than
@@ -70,8 +85,7 @@ def fit_spline(curve):
         kt, sv = kt[pick], sv[pick]
     if kt.size < 2:  # a single knot, at t=0 after the prepend
         return SplineSurvivalCurve(knots=kt, values=sv, tail_hazard=0.0, is_fallback=True)
-    s_prev = max(float(sv[-2]), EPS_SURVIVAL)
-    s_last = max(float(sv[-1]), EPS_SURVIVAL)
+    s_prev, s_last = np.maximum(sv[-2:], EPS_SURVIVAL)
     tail = max((np.log(s_prev) - np.log(s_last)) / (kt[-1] - kt[-2]), 0.0)
     return SplineSurvivalCurve(knots=kt, values=sv, tail_hazard=tail)
 
@@ -84,18 +98,21 @@ def _piecewise(s, t, nu):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty_like(t)
     lo, hi = s.knots[0], s.knots[-1]
-    before = t < lo
-    after = t > hi
+    before, after = t < lo, t > hi
     mid = ~(before | after)  # a NaN time lands here and evaluates to NaN
     out[before] = 1.0 - nu
     if np.any(after):
         tail = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * (t[after] - hi))
         out[after] = tail if nu == 0 else -s.tail_hazard * tail
     if np.any(mid):
-        if s._spline is None:  # single-knot fallback
+        if s._coef is None:  # single-knot fallback
             out[mid] = s.values[-1] if nu == 0 else 0.0
         else:
-            out[mid] = s._spline(t[mid], nu)
+            i = np.clip(np.searchsorted(s.knots, t[mid], "right") - 1, 0, s.knots.size - 2)
+            x, (a, b, c, y0) = t[mid] - s.knots[i], s._coef.take(i, axis=1)
+            x2 = x * x  # terms summed in scipy PPoly's order, so its bits are kept
+            out[mid] = (y0 + c * x + b * x2 + a * (x2 * x) if nu == 0
+                        else c + b * x * 2 + a * x2 * 3)
     return out
 
 
@@ -136,19 +153,15 @@ def event_density(ef, s0, ds0):
 
 def spline_to_dict(s):
     """Serializable representation (knots and values round-trip exactly
-    through decimal text; the cubic is refit deterministically on load)."""
-    return {
-        "knots": [float(v) for v in s.knots],
-        "values": [float(v) for v in s.values],
-        "tail_hazard": float(s.tail_hazard),
-        "is_fallback": bool(s.is_fallback),
-    }
+    through decimal text; the cubic is rebuilt deterministically on load)."""
+    return {"knots": s.knots.tolist(), "values": s.values.tolist(),
+            "tail_hazard": float(s.tail_hazard), "is_fallback": bool(s.is_fallback)}
 
 
 def spline_from_dict(d):
     """Inverse of ``spline_to_dict``. Raises ValueError unless the knots are
-    finite and strictly increase, the values are finite, never increase and
-    lie in [0, 1], and the tail hazard is finite and at least 0."""
+    finite and strictly increase, the values never increase and lie in
+    [0, 1], the tail hazard is finite and >= 0, and is_fallback is a bool."""
     knots = np.asarray(d["knots"], dtype=float)
     values = np.asarray(d["values"], dtype=float)
     tail = float(d["tail_hazard"])
@@ -159,5 +172,7 @@ def spline_from_dict(d):
         raise ValueError("spline values must lie in [0, 1] and never increase")
     if not 0 <= tail < np.inf:
         raise ValueError("spline tail hazard must be finite and at least 0")
+    if not isinstance(d["is_fallback"], bool):
+        raise ValueError("spline is_fallback must be true or false")
     return SplineSurvivalCurve(knots=knots, values=values, tail_hazard=tail,
-                               is_fallback=bool(d["is_fallback"]))
+                               is_fallback=d["is_fallback"])

@@ -1,12 +1,17 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import coxmix
 from coxmix import cli
 from coxmix.cli import main
+from coxmix.model import DcmModel
 
 
 def run(argv):
@@ -178,6 +183,70 @@ class TestCv:
         assert code == 0
         assert calls.count("k_fold_split") == 1
         assert calls.count("standardize") == 5
+
+
+class TestNanPredictions:
+    """A NaN prediction stops eval and cv with the named error before any
+    report is written, rather than leaving blank estimates in it."""
+
+    @pytest.fixture(autouse=True)
+    def nan_prediction(self, monkeypatch):
+        predict = DcmModel.predict_dataset
+
+        def with_nan(self, ds, horizons):
+            surv = predict(self, ds, horizons)
+            surv[0, 0] = np.nan
+            return surv
+        monkeypatch.setattr(DcmModel, "predict_dataset", with_nan)
+
+    def check_failed(self, code, out, capsys):
+        assert code == 1
+        assert "surv_matrix contains NaN predictions" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_eval(self, cohort_dir, model_dir, tmp_path, capsys):
+        code = run(["eval", "--data", str(cohort_dir / "cohort.csv"),
+                    "--group-col", "group", "--model", str(model_dir / "model.json"),
+                    "--horizons", "q50", "--bootstrap", "2", "--out", str(tmp_path)])
+        self.check_failed(code, tmp_path, capsys)
+
+    def test_cv(self, cohort_dir, tmp_path, capsys):
+        code = run(["cv", "--data", str(cohort_dir / "cohort.csv"),
+                    "--group-col", "group", "--k", "2", "--layers", "8",
+                    "--epochs", "1", "--folds", "2", "--horizons", "q50",
+                    "--bootstrap", "2", "--out", str(tmp_path)])
+        self.check_failed(code, tmp_path, capsys)
+
+
+def test_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: importing the package and its
+    CLI loads no scipy, and synth -> train -> predict -> eval succeed in a
+    fresh interpreter where every scipy import fails."""
+    script = textwrap.dedent(f"""
+        import sys
+        import coxmix
+        assert "scipy" not in sys.modules, "import coxmix loaded scipy"
+        import coxmix.cli
+        assert "scipy" not in sys.modules, "import coxmix.cli loaded scipy"
+        sys.modules["scipy"] = None
+        out = {str(tmp_path)!r}
+        for argv in (
+                ["synth", "--n", "200", "--censoring", "0.2", "--out", out + "/s"],
+                ["train", "--data", out + "/s/cohort.csv", "--k", "2", "--layers", "8",
+                 "--epochs", "2", "--out", out + "/t"],
+                ["predict", "--data", out + "/s/cohort.csv", "--model", out + "/t/model.json",
+                 "--out", out + "/p"],
+                ["eval", "--data", out + "/s/cohort.csv", "--model", out + "/t/model.json",
+                 "--bootstrap", "2", "--dump-baselines", "--out", out + "/e"]):
+            assert coxmix.cli.main(argv) == 0, argv
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxmix.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "e" / "report.csv").exists()
 
 
 class TestAtomicWrites:

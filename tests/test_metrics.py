@@ -359,6 +359,19 @@ class TestEvaluateByGroup:
             assert np.isfinite(r.estimate) and r.estimate == direct
             assert np.isnan(r.se) and r.n == 0
 
+    def test_nan_prediction_rejected_before_scoring(self):
+        # one NaN in a 200-row stratum must not become blank estimates next
+        # to a finite SE from the resamples that missed the row
+        pi, times, events = self.make_population(n=400)
+        pi[317] = np.nan
+        groups = np.array(["a"] * 200 + ["b"] * 200)
+        with pytest.raises(MetricError, match="surv_matrix contains NaN"):
+            evaluate_by_group(pi[:, None], times, events, [1.0], groups=groups,
+                              n_replicates=5)
+        with pytest.raises(MetricError, match="surv_matrix contains NaN"):
+            evaluate_by_group(pi[200:, None], times[200:], events[200:], [1.0],
+                              n_replicates=5)
+
     def test_shape_check(self):
         with pytest.raises(MetricError):
             evaluate_by_group(np.zeros((5, 2)), np.ones(5), np.ones(5, dtype=int),

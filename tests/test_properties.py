@@ -2,10 +2,11 @@
 and the partial likelihood against the brute-force oracles in conftest, on
 random data with tied times, tied predictions and random censoring; the
 range and monotonicity of the mixture's survival predictions; the baseline
-table against direct spline evaluation; and the spline's slope outside
-its knots."""
+table against direct spline evaluation; the spline's slope outside its
+knots; and the spline against scipy's PchipInterpolator between them."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxmix.estimators import breslow, censoring_km, kaplan_meier, kaplan_meier_at
@@ -199,3 +200,52 @@ def test_spline_slope_outside_knots(data, cohort):
     before = bl.knots[0] - rng.uniform(1e-6, 5.0, 30)
     assert np.all(spline_eval(bl, before) == 1.0)
     assert np.all(spline_derivative(bl, before) == -EPS_DENSITY)
+
+
+@st.composite
+def monotone_curves(draw):
+    """Strictly increasing knots (2, 3 or up to 100, at several spacings,
+    sometimes starting at 0) with non-increasing values in [0, 1]: random,
+    rounded so that adjacent values tie (flat runs), or falling from 1 to
+    below 1e-300, through subnormal values, often to a run of exact zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.sampled_from([2, 3]) | st.integers(2, 100))
+    knots = np.cumsum(rng.exponential(draw(st.sampled_from([0.01, 1.0, 100.0])), m))
+    if draw(st.booleans()):
+        knots -= knots[0]
+    kind = draw(st.sampled_from(["random", "ties", "coarse_ties", "underflow"]))
+    if kind == "underflow":
+        return knots, np.sort(np.r_[1.0, 10.0 ** -rng.uniform(300, 330, m - 1)])[::-1]
+    values = np.sort(rng.random(m))[::-1]
+    return knots, {"random": values, "ties": np.round(values, 2),
+                   "coarse_ties": np.round(values, 1)}[kind]
+
+
+@SETTINGS
+@given(monotone_curves(), st.floats(0.0, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_spline_matches_scipy_pchip(curve, tail, seed):
+    """spline_eval and spline_derivative agree with scipy's PchipInterpolator,
+    clamped the same way, within 1e-12 relative to the curve's scale, at the
+    knots, between them, before the first (S = 1) and past the last knot
+    (the constant-hazard tail)."""
+    pchip_cls = pytest.importorskip("scipy.interpolate").PchipInterpolator
+    knots, values = curve
+    bl = spline_from_dict({"knots": knots, "values": values, "tail_hazard": tail,
+                           "is_fallback": False})
+    rng = np.random.default_rng(seed)
+    lo, hi, span = knots[0], knots[-1], knots[-1] - knots[0]
+    q = np.concatenate([knots, rng.uniform(lo, hi, 200), lo - rng.uniform(0, span, 10),
+                        hi + rng.uniform(0, span, 10)])
+    # scipy overflows on subnormal secants, as the spline does; each branch's
+    # values off its own side of the knots are discarded
+    with np.errstate(all="ignore"):
+        pchip = pchip_cls(knots, values)
+        tail_s = max(values[-1], EPS_SURVIVAL) * np.exp(-tail * (q - hi))
+        s_ref = np.where(q < lo, 1.0, np.where(q > hi, tail_s, pchip(q)))
+        ds_ref = np.where(q < lo, 0.0, np.where(q > hi, -tail * tail_s, pchip(q, 1)))
+    s_ref = np.clip(s_ref, EPS_SURVIVAL, 1.0)
+    ds_ref = np.minimum(ds_ref, -EPS_DENSITY)
+    for got, ref in ((spline_eval(bl, q), s_ref), (spline_derivative(bl, q), ds_ref)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+    # every knot but the last starts its interval, where the cubic is its value
+    assert np.array_equal(spline_eval(bl, knots[:-1]), np.clip(values[:-1], EPS_SURVIVAL, 1))

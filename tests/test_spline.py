@@ -133,3 +133,11 @@ class TestSerialization:
                                    atol=1e-14)
         assert s2.tail_hazard == s.tail_hazard
         assert s2.is_fallback == s.is_fallback
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_is_fallback_must_be_a_bool(self, flag):
+        # bool("false") is True, so a non-bool flag must not be coerced
+        d = spline_to_dict(exp_spline())
+        d["is_fallback"] = flag
+        with pytest.raises(ValueError, match="is_fallback"):
+            spline_from_dict(d)
