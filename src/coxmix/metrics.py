@@ -58,16 +58,26 @@ def _count_later_above(times, ranks, at_times, above):
     return out
 
 
-def _ipcw_inputs(surv_probs, times, events, g_curve, horizon):
+def _check_predictions(pi, what, probabilities):
+    """MetricError unless every entry of ``pi`` is finite and, if read as
+    survival ``probabilities`` (Brier, calibration, the report), in [0, 1];
+    the rank metrics (concordance, AUC) take any finite score."""
+    ok = (pi >= 0.0) & (pi <= 1.0) if probabilities else np.isfinite(pi)
+    if not ok.all():
+        problem = ("NaN predictions" if np.isnan(pi).any() else
+                   "predictions outside [0, 1]" if probabilities else "infinite predictions")
+        raise MetricError(f"{what} contains {problem}")
+
+
+def _ipcw_inputs(surv_probs, times, events, g_curve, horizon, probabilities=False):
     """The arrays an IPCW metric scores, as (pi, times, events, g_left,
     cases): the censoring left limit G(T-) of every record and the cases,
     observed events by the horizon with G(T-) > MIN_IPCW_DENOM. Raises
-    MetricError on NaN predictions, which no metric can score."""
+    MetricError on predictions ``_check_predictions`` rejects."""
     pi = np.asarray(surv_probs, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
-    if np.isnan(pi).any():
-        raise MetricError("predictions contain NaN")
+    _check_predictions(pi, "surv_probs", probabilities)
     g_left = g_curve.eval_left(times)
     cases = (events == 1) & (times <= horizon) & (g_left > MIN_IPCW_DENOM)
     return pi, times, events, g_left, cases
@@ -137,14 +147,13 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
     the mean prediction, the bin's Kaplan-Meier survival at the horizon,
     the number of records, and whether that survival is defined there. It
     is undefined when follow-up ends before the horizon with a censored
-    subject and the curve has not reached zero. NaN predictions, which
-    have no bin, raise MetricError.
+    subject and the curve has not reached zero. Predictions that are not
+    probabilities (NaN, +-inf, outside [0, 1]) raise MetricError.
     """
     pi = np.asarray(surv_probs, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
-    if np.isnan(pi).any():
-        raise MetricError("predictions contain NaN")
+    _check_predictions(pi, "surv_probs", probabilities=True)
     if pi.size < n_bins:
         raise MetricError(f"need at least {n_bins} records for {n_bins} bins")
 
@@ -187,7 +196,8 @@ def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS):
 def brier_ipcw(surv_probs, times, events, g_curve, horizon):
     """IPCW Brier score at a horizon:
     mean of pi^2 * 1{T<=t, event}/G(T-) + (1-pi)^2 * 1{T>t}/G(t)."""
-    pi, times, events, g_left, cases = _ipcw_inputs(surv_probs, times, events, g_curve, horizon)
+    pi, times, events, g_left, cases = _ipcw_inputs(surv_probs, times, events, g_curve,
+                                                    horizon, probabilities=True)
     g_t = g_curve(horizon)
     if g_t <= 0:
         raise MetricError("horizon beyond censoring follow-up (G(t) = 0)")
@@ -297,14 +307,13 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     n_replicates resamples of the stratum, each stratum and resample with
     its own censoring fit. Groups below MIN_GROUP_SIZE records get NaN
     estimates and n=0. Returns a list of MetricRow; raises MetricError on
-    a NaN prediction."""
+    a prediction that is not a probability."""
     surv_matrix = np.asarray(surv_matrix, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
     if surv_matrix.shape != (times.size, len(horizons)):
         raise MetricError("surv_matrix must be (n_records, n_horizons)")
-    if np.isnan(surv_matrix).any():  # before any stratum, so no report is half-scored
-        raise MetricError("surv_matrix contains NaN predictions")
+    _check_predictions(surv_matrix, "surv_matrix", probabilities=True)  # before any scoring
 
     rows = _stratum_metrics(surv_matrix, times, events, horizons,
                             "population", n_replicates, seed)

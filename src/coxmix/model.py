@@ -12,7 +12,6 @@ minibatch E-steps read.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, asdict, fields
 
@@ -301,7 +300,7 @@ def m_step(model, adam, encoded, times, events, gamma, zeta):
     rep, cache, f, g = encoded
     loss, d_f, d_g = objective.q_hat(times, events, gamma, zeta, f, g)
     mlp_grads, head_grads = neural.backward(model.params, model.heads, cache, rep, d_f, d_g)
-    neural.adam_step(model.params, model.heads, mlp_grads, head_grads, adam)
+    neural.adam_step(mlp_grads, head_grads, adam)
     return loss
 
 
@@ -309,7 +308,8 @@ def update_baselines(model, log_hazards, times, events, zeta):
     """Refresh each cluster's Breslow baseline over its assigned rows,
     given every row's log hazards (N, K), and refit the spline. Clusters
     with fewer than 2 events keep their previous spline; returns the
-    number of such starved clusters."""
+    number of such starved clusters. Splines are replaced, never mutated,
+    so a shallow copy of ``model.baselines`` is a snapshot."""
     starved = 0
     for k in range(model.n_clusters):
         rows = np.flatnonzero(zeta == k)
@@ -382,7 +382,7 @@ def fit(dataset, config):
     adam = neural.AdamState.create(params, heads, config.lr)
     table = baseline_table(model.baselines, tt, et)
 
-    best = (np.inf, None)
+    best = (np.inf, None, None)
     stale = 0
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_idx))
@@ -412,14 +412,13 @@ def fit(dataset, config):
         })
 
         if val_q < best[0] - 1e-12:
-            best = (val_q, (copy.deepcopy(model.params), copy.deepcopy(model.heads),
-                            copy.deepcopy(model.baselines)))
+            best = (val_q, adam.theta.copy(), list(model.baselines))
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
 
-    if best[1] is not None:
-        model.params, model.heads, model.baselines = best[1]
+    if best[1] is not None:  # the parameters are views into adam.theta
+        adam.theta[:], model.baselines = best[1:]
     return model

@@ -126,48 +126,54 @@ def backward(params, heads, cache, rep, d_log_hazards, d_gating_logits):
 
 
 def _flatten(params, heads):
-    arrs = list(params.weights) + list(params.biases)
-    arrs += [heads.f_w, heads.f_b, heads.g_w, heads.g_b]
-    return arrs
+    return [*params.weights, *params.biases, heads.f_w, heads.f_b, heads.g_w, heads.g_b]
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """The parameters as one contiguous vector ``theta``, with the first
+    and second moment accumulators over it."""
 
-    m: list
-    v: list
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int
     lr: float
 
     @classmethod
     def create(cls, params, heads, lr):
+        """Copy the parameters into one vector and rebind every array of
+        ``params`` and ``heads`` to its view into it."""
         arrs = _flatten(params, heads)
-        return cls(m=[np.zeros_like(a) for a in arrs],
-                   v=[np.zeros_like(a) for a in arrs],
+        theta = np.concatenate([a.ravel() for a in arrs])
+        parts = np.split(theta, np.cumsum([a.size for a in arrs])[:-1])
+        views = [part.reshape(a.shape) for a, part in zip(arrs, parts)]
+        n = len(params.weights)
+        params.weights, params.biases = views[:n], views[n:2 * n]
+        heads.f_w, heads.f_b, heads.g_w, heads.g_b = views[2 * n:]
+        return cls(theta=theta, m=np.zeros_like(theta), v=np.zeros_like(theta),
                    step=0, lr=lr)
 
 
-def adam_step(params, heads, mlp_grads, head_grads, state):
-    """In-place Adam update with bias correction, after clipping the
-    global gradient norm at GRAD_CLIP_NORM. Raises on non-finite
-    gradients."""
-    arrs = _flatten(params, heads)
+def adam_step(mlp_grads, head_grads, state):
+    """In-place Adam update of ``state.theta`` with bias correction, after
+    clipping the global gradient norm at GRAD_CLIP_NORM. Raises on
+    non-finite gradients or parameters."""
     grads = _flatten(mlp_grads, head_grads)
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    total = np.sqrt(sum(float(np.sum(a * a)) for a in grads))
     if not np.isfinite(total):
         raise NeuralError("non-finite gradient; training aborted")
-    scale = GRAD_CLIP_NORM / total if total > GRAD_CLIP_NORM else 1.0
+    g = np.concatenate([a.ravel() for a in grads])
+    if total > GRAD_CLIP_NORM:
+        g *= GRAD_CLIP_NORM / total
 
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    for a, g, m, v in zip(arrs, grads, state.m, state.v):
-        g = g * scale
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        a -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if not np.all(np.isfinite(a)):
-            raise NeuralError("non-finite parameter after update")
+    state.m *= ADAM_BETA1
+    state.m += (1 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1 - ADAM_BETA2) * g * g
+    state.theta -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
+    if not np.all(np.isfinite(state.theta)):
+        raise NeuralError("non-finite parameter after update")

@@ -8,20 +8,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from coxmix.neural import softmax
-
 
 class ObjectiveError(ValueError):
     pass
 
 
-def partial_log_likelihood(log_hazards, times, events):
-    """Cox partial log-likelihood with Breslow tie handling.
+def partial_log_likelihood(log_hazards, times, events, strata=None):
+    """Cox partial log-likelihood with Breslow tie handling, stratified by
+    the non-negative integer labels ``strata`` (one stratum when None).
 
     Returns (value, gradient wrt log_hazards). The risk set at an event
-    time holds everyone with time >= it; tied events share one
-    denominator. Computed with a max-shifted cumulative sum so |f| up to
-    ~50 stays finite. Zero events gives (0, zeros).
+    time holds everyone in its stratum with time >= it; tied events share
+    one denominator. One sort serves all strata (Kalbfleisch & Prentice
+    1980): each stratum's risk sums are a reverse cumulative sum down its
+    column of an (N, K) array that is zero off the stratum's rows, shifted
+    by the stratum's max so |f| up to ~50 stays finite. The zeros are
+    exact, so a stratum gets the bits it gets alone. Zero events gives
+    (0, zeros).
     """
     f = np.asarray(log_hazards, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -30,28 +33,28 @@ def partial_log_likelihood(log_hazards, times, events):
         raise ObjectiveError("non-finite log hazards")
     if events.sum() == 0:
         return 0.0, np.zeros_like(f)
+    strata = np.zeros(f.size, dtype=int) if strata is None else np.asarray(strata, dtype=int)
 
     order = np.argsort(times, kind="stable")
-    t, e, fo = times[order], events[order], f[order]
-    fmax = fo.max()
-    w = np.exp(fo - fmax)
-    # risk-set sums over {j : t_j >= t_i}, shared within a tie group
-    tail = np.cumsum(w[::-1])[::-1]
-    start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))  # tie-group starts
-    denom = tail[start]  # scaled by exp(-fmax)
-
-    counts = np.diff(np.append(start, t.size))
-    d = np.add.reduceat(e, start)  # events per distinct time
+    t, e, fo, so = times[order], events[order], f[order], strata[order]
+    member = so[:, None] == np.arange(so.max() + 1)  # (N, K) stratum indicator
+    fmax = np.where(member, fo[:, None], -np.inf).max(axis=0)
+    w = np.exp(fo - fmax[so])
+    # risk-set sums over {j in stratum k : t_j >= t_i}, shared within a tie group
+    tail = np.cumsum(np.where(member, w[:, None], 0.0)[::-1], axis=0)[::-1]
+    first = np.concatenate(([True], t[1:] != t[:-1]))  # rows that start a tie group
+    start = np.flatnonzero(first)
+    denom = tail[start]  # (groups, K), stratum k scaled by exp(-fmax_k)
+    d = np.add.reduceat(member * e[:, None], start)  # events per distinct time and stratum
 
     ev = d > 0
-    value = float(np.sum(fo[e == 1]) - np.sum(d[ev] * (np.log(denom[ev]) + fmax)))
+    value = float(np.sum(fo[e == 1])
+                  - np.sum(d[ev] * (np.log(denom[ev]) + fmax[np.nonzero(ev)[1]])))
 
     # gradient: delta_i - exp(f_i) * sum_{event times <= t_i} d / riskset_sum
-    ratio_cum = np.cumsum(np.where(ev, d / denom, 0.0))
-    pos = np.repeat(np.arange(start.size), counts)  # tie-group index per sorted row
-    grad_sorted = e - w * ratio_cum[pos]
+    ratio_cum = np.cumsum(np.divide(d, denom, out=np.zeros(denom.shape), where=ev), axis=0)
     grad = np.empty_like(f)
-    grad[order] = grad_sorted
+    grad[order] = e - w * ratio_cum[np.cumsum(first) - 1, so]  # row's tie group, stratum
     return value, grad
 
 
@@ -66,35 +69,27 @@ def gating_cross_entropy(gamma, gating_logits):
     if np.any(np.abs(gamma.sum(axis=1) - 1.0) > 1e-6):
         raise ObjectiveError("gamma rows must lie on the simplex")
     z = logits - logits.max(axis=1, keepdims=True)
-    log_sm = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    value = float(np.sum(gamma * log_sm))
-    grad = gamma - softmax(logits)
-    return value, grad
+    ez = np.exp(z)
+    total = ez.sum(axis=1, keepdims=True)
+    value = float(np.sum(gamma * (z - np.log(total))))
+    return value, gamma - ez / total
 
 
 def q_hat(times, events, gamma, zeta, log_hazards, gating_logits):
     """Hard-assignment objective: gating cross-entropy over all rows plus,
     per cluster, the partial log-likelihood restricted to rows assigned to
-    it (column k of log_hazards). Clusters with fewer than 2 members or no
-    events contribute nothing (the partial likelihood is undefined on an
-    empty risk set).
+    it (column k of log_hazards), all clusters in one stratified call.
+    Clusters with fewer than 2 members or no events contribute exact
+    zeros (the partial likelihood is undefined on an empty risk set).
 
     Returned negated, as (loss, d_loss/d_log_hazards, d_loss/d_gating_logits).
     """
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
     zeta = np.asarray(zeta, dtype=int)
     f = np.asarray(log_hazards, dtype=float)
-    n, k = f.shape
+    rows = np.arange(f.shape[0])
 
     gate_val, gate_grad = gating_cross_entropy(gamma, gating_logits)
-    total = gate_val
+    val, grad = partial_log_likelihood(f[rows, zeta], times, events, strata=zeta)
     d_f = np.zeros_like(f)
-    for c in range(k):
-        rows = np.flatnonzero(zeta == c)
-        if rows.size < 2 or events[rows].sum() == 0:
-            continue
-        val, grad = partial_log_likelihood(f[rows, c], times[rows], events[rows])
-        total += val
-        d_f[rows, c] = grad
-    return -total, -d_f, -gate_grad
+    d_f[rows, zeta] = grad
+    return -(gate_val + val), -d_f, -gate_grad

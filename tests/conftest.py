@@ -151,6 +151,80 @@ def brute_force_partial_likelihood(log_hazards, times, events):
     return value, grad
 
 
+def unstratified_partial_likelihood(log_hazards, times, events):
+    """The single-stratum partial likelihood as one sort, one max shift and
+    one reverse cumulative sum, in the float operations the stratified
+    library call must reproduce for each stratum. Returns (value, grad)."""
+    f = np.asarray(log_hazards, dtype=float)
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    order = np.argsort(times, kind="stable")
+    t, e, fo = times[order], events[order], f[order]
+    fmax = fo.max()
+    w = np.exp(fo - fmax)
+    tail = np.cumsum(w[::-1])[::-1]
+    start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    denom = tail[start]
+    d = np.add.reduceat(e, start)
+    ev = d > 0
+    value = float(np.sum(fo[e == 1]) - np.sum(d[ev] * (np.log(denom[ev]) + fmax)))
+    ratio_cum = np.cumsum(np.where(ev, d / denom, 0.0))
+    pos = np.repeat(np.arange(start.size), np.diff(np.append(start, t.size)))
+    grad = np.empty_like(f)
+    grad[order] = e - w * ratio_cum[pos]
+    return value, grad
+
+
+def per_cluster_q_hat(times, events, gamma, zeta, log_hazards, gating_logits):
+    """The hard-assignment objective with one unstratified likelihood per
+    cluster over its assigned rows, skipping clusters with fewer than 2
+    rows or no events, and the gating softmax taken on its own. Returns
+    (loss, d_loss/d_log_hazards, d_loss/d_gating_logits)."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    f = np.asarray(log_hazards, dtype=float)
+    z = gating_logits - gating_logits.max(axis=1, keepdims=True)
+    total = float(np.sum(gamma * (z - np.log(np.exp(z).sum(axis=1, keepdims=True)))))
+    softmax = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    d_f = np.zeros_like(f)
+    for c in range(f.shape[1]):
+        rows = np.flatnonzero(zeta == c)
+        if rows.size < 2 or events[rows].sum() == 0:
+            continue
+        val, grad = unstratified_partial_likelihood(f[rows, c], times[rows], events[rows])
+        total += val
+        d_f[rows, c] = grad
+    return -total, -d_f, -(gamma - softmax)
+
+
+class PerArrayAdam:
+    """Adam moments held per parameter array, updated array by array by
+    ``per_array_adam_step``: the oracle for the flat-buffer update."""
+
+    def __init__(self, arrays, lr):
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.step, self.lr = 0, lr
+
+
+def per_array_adam_step(arrays, grads, state, beta1=0.9, beta2=0.999, eps=1e-8,
+                        clip=10.0):
+    """Adam with bias correction on each array in place, after clipping the
+    global gradient norm (summed array by array) at ``clip``."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    scale = clip / total if total > clip else 1.0
+    state.step += 1
+    bc1 = 1.0 - beta1 ** state.step
+    bc2 = 1.0 - beta2 ** state.step
+    for a, g, m, v in zip(arrays, grads, state.m, state.v):
+        g = g * scale
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g * g
+        a -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
 def random_survival_instance(rng, n, tie_prob=0.3):
     """Times with deliberate ties, mixed censoring, random log hazards."""
     times = rng.integers(1, max(n // 2, 2), size=n).astype(float)

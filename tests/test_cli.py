@@ -189,19 +189,21 @@ class TestNanPredictions:
     """A NaN prediction stops eval and cv with the named error before any
     report is written, rather than leaving blank estimates in it."""
 
-    @pytest.fixture(autouse=True)
-    def nan_prediction(self, monkeypatch):
-        predict = DcmModel.predict_dataset
+    bad, message = np.nan, "surv_matrix contains NaN predictions"
 
-        def with_nan(self, ds, horizons):
+    @pytest.fixture(autouse=True)
+    def bad_prediction(self, monkeypatch):
+        predict, bad = DcmModel.predict_dataset, self.bad
+
+        def poisoned(self, ds, horizons):
             surv = predict(self, ds, horizons)
-            surv[0, 0] = np.nan
+            surv[0, 0] = bad
             return surv
-        monkeypatch.setattr(DcmModel, "predict_dataset", with_nan)
+        monkeypatch.setattr(DcmModel, "predict_dataset", poisoned)
 
     def check_failed(self, code, out, capsys):
         assert code == 1
-        assert "surv_matrix contains NaN predictions" in capsys.readouterr().err
+        assert self.message in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
     def test_eval(self, cohort_dir, model_dir, tmp_path, capsys):
@@ -216,6 +218,13 @@ class TestNanPredictions:
                     "--epochs", "1", "--folds", "2", "--horizons", "q50",
                     "--bootstrap", "2", "--out", str(tmp_path)])
         self.check_failed(code, tmp_path, capsys)
+
+
+class TestOutOfRangePredictions(TestNanPredictions):
+    """A prediction above 1 stops eval and cv the same way; it used to be
+    scored into finite estimates."""
+
+    bad, message = 1.5, "surv_matrix contains predictions outside [0, 1]"
 
 
 def test_runs_without_scipy(tmp_path):

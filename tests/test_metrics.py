@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from coxmix import metrics as metrics_mod
 from coxmix.estimators import StepSurvivalCurve, censoring_km
 from coxmix.metrics import (
     MIN_GROUP_SIZE, MetricError, auc_ipcw, bootstrap_se, brier_ipcw, calibration_bins,
@@ -77,6 +78,36 @@ def test_pairwise_metrics_reject_nan_predictions(metric):
     pi = np.array([0.2, np.nan, 0.6, 0.8])
     with pytest.raises(MetricError, match="NaN"):
         metric(pi, times, events, flat_g(), 2.5)
+
+
+def _score(metric, pi, seed=8):
+    rng = np.random.default_rng(seed)
+    times = rng.exponential(1.0, pi.size)
+    events = (rng.random(pi.size) < 0.7).astype(int)
+    if metric in (ece, calibration_bins):
+        return metric(pi, times, events, 1.0)
+    return metric(pi, times, events, censoring_km(times, events), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, 1.5, -0.2])
+@pytest.mark.parametrize("metric", [brier_ipcw, ece, calibration_bins])
+def test_probability_metrics_reject_non_probabilities(metric, bad):
+    # +inf made ece and brier_ipcw inf, and 1.5 or -0.2 scored silently
+    pi = np.random.default_rng(3).random(200)
+    pi[17] = bad
+    with pytest.raises(MetricError, match=r"infinite|outside \[0, 1\]"):
+        _score(metric, pi)
+
+
+@pytest.mark.parametrize("metric", [concordance_td, auc_ipcw])
+def test_rank_metrics_take_any_finite_score(metric):
+    # only the order of the scores counts, so an increasing map out of
+    # [0, 1] scores the same; an infinite score is rejected
+    pi = np.random.default_rng(3).random(200)
+    assert _score(metric, 3.0 * pi - 1.0) == _score(metric, pi)
+    pi[17] = np.inf
+    with pytest.raises(MetricError, match="infinite"):
+        _score(metric, pi)
 
 
 @pytest.mark.parametrize("metric", [concordance_td, auc_ipcw])
@@ -370,6 +401,18 @@ class TestEvaluateByGroup:
                               n_replicates=5)
         with pytest.raises(MetricError, match="surv_matrix contains NaN"):
             evaluate_by_group(pi[200:, None], times[200:], events[200:], [1.0],
+                              n_replicates=5)
+
+    @pytest.mark.parametrize("bad", [np.inf, 1.5, -0.2])
+    def test_non_probability_rejected_before_scoring(self, monkeypatch, bad):
+        # one such prediction in a 200-row stratum scored silently, as an
+        # inf ece or as finite numbers; now no stratum is scored at all
+        pi, times, events = self.make_population(n=400)
+        pi[317] = bad
+        groups = np.array(["a"] * 200 + ["b"] * 200)
+        monkeypatch.setattr(metrics_mod, "_stratum_metrics", None)  # never reached
+        with pytest.raises(MetricError, match="surv_matrix contains predictions outside"):
+            evaluate_by_group(pi[:, None], times, events, [1.0], groups=groups,
                               n_replicates=5)
 
     def test_shape_check(self):

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxmix import model as model_mod
-from coxmix import neural
+from coxmix import neural, objective
 from coxmix import spline as spline_mod
 from coxmix.dataset import standardize
 from coxmix.model import (
@@ -326,6 +327,39 @@ class TestFit:
             n_clusters=3, hidden_dims=(8,), batch_size=batch_size, max_epochs=3,
             patience=10, seed=0))
         assert len(calls) == 3 * (1 + 3 * len(m.training_log))
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_one_likelihood_call_per_trained_minibatch(self, monkeypatch, k):
+        # all K clusters' partial likelihoods in one stratified call; the
+        # 4-row remainder of each epoch's 180 training rows is below 2K and
+        # is not trained
+        calls, pll = [], objective.partial_log_likelihood
+        monkeypatch.setattr(objective, "partial_log_likelihood",
+                            lambda *a, **kw: calls.append(1) or pll(*a, **kw))
+        ds, _ = generate_cohort(SEPARATED_CONFIG)
+        m = fit(ds.subset(np.arange(200)), DcmConfig(
+            n_clusters=k, hidden_dims=(8,), batch_size=16, max_epochs=2,
+            patience=10, seed=0))
+        assert len(calls) == 11 * len(m.training_log)
+
+    def test_best_epoch_restore_equals_shorter_fit(self):
+        # the restored best epoch b < last epoch must be exactly the model
+        # that training stopped after b gives: the snapshot shares no
+        # memory with the parameters or the baseline list trained on
+        ds, _ = generate_cohort(SEPARATED_CONFIG)
+        data = ds.subset(np.arange(200))
+        cfg = DcmConfig(n_clusters=2, hidden_dims=(8,), lr=0.01, max_epochs=6,
+                        patience=10, seed=4)
+        long = fit(data, cfg)
+        val = [e["val_q"] for e in long.training_log]
+        best = int(np.argmin(val))
+        assert best < len(val) - 1
+        short = fit(data, replace(cfg, max_epochs=best + 1))
+        for a, b in zip(neural._flatten(long.params, long.heads),
+                        neural._flatten(short.params, short.heads), strict=True):
+            assert np.array_equal(a, b)
+        assert [spline_mod.spline_to_dict(b) for b in long.baselines] == [
+            spline_mod.spline_to_dict(b) for b in short.baselines]
 
     def test_non_finite_log_hazard_in_minibatch_raises(self, monkeypatch):
         # the first heads are the first minibatch's, whose E-step reads the

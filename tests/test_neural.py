@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import PerArrayAdam, per_array_adam_step
 from coxmix.neural import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, GRAD_CLIP_NORM, HeadParams,
-    MlpParams, NeuralError, adam_step, backward, forward, heads_forward,
+    MlpParams, NeuralError, _flatten, adam_step, backward, forward, heads_forward,
     init_params, softmax,
 )
 
@@ -140,7 +141,7 @@ class TestAdam:
 
         w_ref, m, v = 0.0, 0.0, 0.0
         for step in range(1, 4):
-            adam_step(p, h, g, gz, state)
+            adam_step(g, gz, state)
             m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * 1.0
             v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * 1.0
             mh = m / (1 - ADAM_BETA1 ** step)
@@ -158,7 +159,7 @@ class TestAdam:
                          layer_dims=(1, 1))
         gz = HeadParams(f_w=np.zeros((1, 1)), f_b=np.zeros(1),
                         g_w=np.zeros((1, 1)), g_b=np.zeros(1))
-        adam_step(p, h, huge, gz, state)
+        adam_step(huge, gz, state)
         # effective gradient was clipped to GRAD_CLIP_NORM; first Adam step
         # is -lr * sign(g) regardless of magnitude, so just check finiteness
         assert np.isfinite(p.weights[0][0, 0])
@@ -173,4 +174,31 @@ class TestAdam:
         gz = HeadParams(f_w=np.zeros_like(h.f_w), f_b=np.zeros_like(h.f_b),
                         g_w=np.zeros_like(h.g_w), g_b=np.zeros_like(h.g_b))
         with pytest.raises(NeuralError):
-            adam_step(p, h, bad, gz, state)
+            adam_step(bad, gz, state)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("grad_scale", [1e-3, 1e3])
+    def test_five_steps_match_per_array_oracle(self, grad_scale):
+        # a 2-hidden-layer net; backprop gradients scaled below and far
+        # above the clip norm
+        p, h = init_params((5, 7, 6), 3, seed=4)
+        ref_arrays = [a.copy() for a in _flatten(p, h)]
+        state = AdamState.create(p, h, lr=0.01)
+        ref = PerArrayAdam(ref_arrays, lr=0.01)
+        rng = np.random.default_rng(9)
+        clipped = []
+        for _ in range(5):
+            x = rng.normal(size=(32, 5))
+            rep, cache = forward(p, x)
+            f, g = heads_forward(h, rep)
+            mg, hg = backward(p, h, cache, rep, grad_scale * rng.normal(size=f.shape),
+                              grad_scale * rng.normal(size=g.shape))
+            grads = _flatten(mg, hg)
+            clipped.append(np.sqrt(sum(np.sum(a * a) for a in grads)) > GRAD_CLIP_NORM)
+            adam_step(mg, hg, state)
+            per_array_adam_step(ref_arrays, grads, ref)
+            for got, want in zip(_flatten(p, h), ref_arrays, strict=True):
+                assert np.array_equal(got, want)
+        assert all(clipped) if grad_scale > 1 else not any(clipped)
+

@@ -1,9 +1,11 @@
 """Property tests: the sorted-risk-set metrics, the vectorised estimators
 and the partial likelihood against the brute-force oracles in conftest, on
 random data with tied times, tied predictions and random censoring; the
-range and monotonicity of the mixture's survival predictions; the baseline
-table against direct spline evaluation; the spline's slope outside its
-knots; and the spline against scipy's PchipInterpolator between them."""
+range and monotonicity of the mixture's survival predictions; the
+stratified partial likelihood against one likelihood per cluster; the
+baseline table against direct spline evaluation; the spline's slope
+outside its knots; and the spline against scipy's PchipInterpolator
+between them."""
 
 import numpy as np
 import pytest
@@ -15,13 +17,13 @@ from coxmix.metrics import (
 )
 from coxmix.model import DcmConfig, DcmModel, baseline_table, cluster_log_densities
 from coxmix.neural import init_params
-from coxmix.objective import partial_log_likelihood
+from coxmix.objective import partial_log_likelihood, q_hat
 from coxmix.spline import (
     EPS_DENSITY, EPS_SURVIVAL, fit_spline, spline_derivative, spline_eval, spline_from_dict,
 )
 from conftest import (
     brute_force_breslow, brute_force_km, brute_force_partial_likelihood, ipcw_pair_auc,
-    ipcw_pair_concordance,
+    ipcw_pair_concordance, per_cluster_q_hat,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -147,6 +149,60 @@ def test_partial_likelihood_matches_brute_force(cohort):
     value, grad = partial_log_likelihood(f, times, events)
     expect_value, expect_grad = brute_force_partial_likelihood(f, times, events)
     np.testing.assert_allclose(value, expect_value, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(grad, expect_grad, rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def clustered_batches(draw):
+    """A minibatch hard-assigned to K in 1..6 clusters, some of them empty,
+    some with a single row and some without events; times are tied and
+    |f| reaches 40. Returns (times, events, gamma, zeta, log_hazards,
+    gating_logits)."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = rng.permutation(k)
+    n_empty = draw(st.integers(0, k - 1))
+    zeta = rng.choice(labels[n_empty:], size=n)
+    for c in labels[:draw(st.integers(0, n_empty))]:
+        zeta[rng.integers(n)] = c  # a single-row cluster
+    times = rng.integers(1, draw(st.integers(2, 12)), size=n).astype(float)
+    events = (rng.random(n) < draw(st.floats(0.3, 1.0))).astype(int)
+    events[np.isin(zeta, labels[:draw(st.integers(0, k - 1))])] = 0  # no events
+    scale = draw(st.sampled_from([0.5, 5.0, 40.0]))
+    f = np.clip(rng.normal(scale=scale, size=(n, k)), -40.0, 40.0)
+    logits = rng.normal(scale=scale, size=(n, k))
+    return times, events, rng.dirichlet(np.ones(k), size=n), zeta, f, logits
+
+
+@SETTINGS
+@given(clustered_batches())
+def test_stratified_q_hat_matches_per_cluster_calls(batch):
+    """One stratified likelihood call gives the gradients of one call per
+    cluster bit for bit, and the loss within 1e-12 relative: only the order
+    of the loss's sums differs."""
+    loss, d_f, d_g = q_hat(*batch)
+    ref_loss, ref_d_f, ref_d_g = per_cluster_q_hat(*batch)
+    assert np.array_equal(d_f, ref_d_f)
+    assert np.array_equal(d_g, ref_d_g)
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+
+
+@SETTINGS
+@given(clustered_batches())
+def test_stratified_likelihood_matches_brute_force(batch):
+    """The strata= path is the sum of the brute-force likelihood over the
+    strata, each on its own rows, with each stratum's gradient on its rows."""
+    times, events, _, zeta, f, _ = batch
+    fz = f[np.arange(zeta.size), zeta]
+    value, grad = partial_log_likelihood(fz, times, events, strata=zeta)
+    expect_value, expect_grad = 0.0, np.zeros_like(fz)
+    for c in np.unique(zeta):
+        rows = zeta == c
+        v, g = brute_force_partial_likelihood(fz[rows], times[rows], events[rows])
+        expect_value += v
+        expect_grad[rows] = g
+    np.testing.assert_allclose(value, expect_value, rtol=1e-10, atol=1e-9)
     np.testing.assert_allclose(grad, expect_grad, rtol=1e-10, atol=1e-10)
 
 
