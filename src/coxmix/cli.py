@@ -73,15 +73,13 @@ def _load_dataset(args):
 
 
 def _resolve_horizons(spec, ds):
-    """'q25,q50,q75' quantile tags (lower nearest-rank rule over the
-    uncensored event times) or explicit comma-separated times."""
+    """'q25,q50,q75' quantile tags (lower nearest-rank rule over the uncensored
+    event times) or explicit comma-separated times: at least one, all finite."""
     parts = [p.strip() for p in spec.split(",") if p.strip()]
-    out = []
-    for p in parts:
-        if p.startswith("q"):
-            out.append(event_quantiles(ds, [float(p[1:]) / 100.0])[0])
-        else:
-            out.append(float(p))
+    out = [event_quantiles(ds, [float(p[1:]) / 100.0])[0] if p.startswith("q") else float(p)
+           for p in parts]
+    if not out or not np.all(np.isfinite(out)):
+        raise ValueError(f"--horizons needs at least one finite time, got {spec!r}")
     return out
 
 

@@ -98,13 +98,10 @@ def kaplan_meier_at(times, events, groups, t):
     events[groups == k])(t), computed in one pass over all records."""
     groups = np.asarray(groups, dtype=int)
     g, knots, inc = _km_increments(times, events, groups)
-    g, inc = g[knots <= t], inc[knots <= t]
-    counts = np.bincount(g, minlength=groups.max() + 1)
-    # each group's increments in time order along one row, summed in the
-    # same order as kaplan_meier's cumulative sum
-    rows = np.zeros((counts.size, counts.max() + 1))
-    rows[g, np.arange(g.size) - (np.cumsum(counts) - counts)[g]] = inc
-    return np.exp(-np.cumsum(rows, axis=1)[:, -1])
+    sel = knots <= t
+    # bincount adds each group's increments in time order, the order of
+    # kaplan_meier's cumulative sum
+    return np.exp(-np.bincount(g[sel], inc[sel], minlength=groups.max() + 1))
 
 
 def censoring_km(times, events):

@@ -25,7 +25,7 @@ from coxmix.spline import (
     spline_eval, spline_from_dict, spline_to_dict,
 )
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # version 1 files still load: they hold every version-2 key
 # config keys written by earlier releases; they only steered training, so
 # files that carry them still load and predict the same
 _RETIRED_CONFIG_KEYS = ("use_prior_in_estep", "baseline_smoothing",
@@ -135,7 +135,6 @@ class DcmModel:
             },
             "feature_names": list(self.feature_names) if self.feature_names else None,
             "mlp": {
-                "layer_dims": list(self.params.layer_dims),
                 "weights": [w.tolist() for w in self.params.weights],
                 "biases": [b.tolist() for b in self.params.biases],
             },
@@ -158,10 +157,10 @@ class DcmModel:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelError(f"{path}: corrupt model file ({exc})") from None
         version = payload.get("format_version") if isinstance(payload, dict) else None
-        if version != MODEL_FORMAT_VERSION:
+        if version not in (1, MODEL_FORMAT_VERSION):
             raise ModelError(
                 f"{path}: unsupported model format version {version!r}, "
-                f"expected {MODEL_FORMAT_VERSION}")
+                f"expected 1 or {MODEL_FORMAT_VERSION}")
         try:
             return cls._from_payload(payload)
         except ModelError as exc:
@@ -174,7 +173,7 @@ class DcmModel:
     @classmethod
     def _from_payload(cls, payload):
         """Rebuild a model from a parsed file, checking every shape against
-        ``layer_dims`` and K = ``n_clusters``."""
+        ``hidden_dims``, the first matrix's input width and K = ``n_clusters``."""
         raw = {k: v for k, v in payload["config"].items() if k not in _RETIRED_CONFIG_KEYS}
         known = {f.name for f in fields(DcmConfig)}
         if set(raw) != known:
@@ -182,11 +181,10 @@ class DcmModel:
                              f"unknown {sorted(set(raw) - known)}")
         cfg = DcmConfig(**{**raw, "hidden_dims": tuple(raw["hidden_dims"])})
         k, mlp, h = cfg.n_clusters, payload["mlp"], payload["heads"]
-        dims = tuple(mlp["layer_dims"])
-        if (not dims or not all(type(v) is int and v > 0 for v in dims)
-                or dims[1:] != cfg.hidden_dims
-                or not len(mlp["weights"]) == len(mlp["biases"]) == len(dims) - 1):
-            raise ModelError("layer_dims disagree with hidden_dims or the layer count")
+        if not len(mlp["weights"]) == len(mlp["biases"]) == len(cfg.hidden_dims):
+            raise ModelError("need one weight matrix and one bias per hidden layer")
+        first = mlp["weights"][0] if cfg.hidden_dims else h["f_w"]
+        dims = (len(first), *cfg.hidden_dims)
         params = neural.MlpParams(
             weights=[_array(w, (a, b), "weights") for w, a, b in
                      zip(mlp["weights"], dims[:-1], dims[1:])],
@@ -203,7 +201,7 @@ class DcmModel:
         names = payload["feature_names"]
         if names is not None and (not isinstance(names, list) or len(names) != dims[0]
                                   or not all(isinstance(v, str) for v in names)):
-            raise ModelError("feature_names disagree with layer_dims")
+            raise ModelError("feature_names disagree with the input width")
         if len(payload["splines"]) != k or not isinstance(payload["training_log"], list):
             raise ModelError("need one spline per cluster and a training_log list")
         return cls(params=params, heads=heads,
@@ -380,7 +378,7 @@ def fit(dataset, config):
                      standardization=dataset.standardization,
                      feature_names=dataset.feature_names)
     adam = neural.AdamState.create(params, heads, config.lr)
-    table = baseline_table(model.baselines, tt, et)
+    table = tuple(np.repeat(c, config.n_clusters, axis=1) for c in baseline_table([pooled], tt, et))
 
     best = (np.inf, None, None)
     stale = 0

@@ -27,19 +27,23 @@ class SplineSurvivalCurve:
     """Monotone cubic through (time, survival) knots, so the evaluated
     survival never increases between knots. Beyond the last knot the curve
     decays exponentially at ``tail_hazard``, the average hazard over the
-    final inter-knot interval. ``is_fallback`` marks curves built from
-    degenerate (< 2 knot) inputs.
+    final inter-knot interval. The knots and values are the whole curve:
+    the tail and the cubic are derived from them.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    tail_hazard: float
-    is_fallback: bool = False
-    _coef: np.ndarray = field(repr=False, compare=False, default=None)  # see _pchip_coef
+    tail_hazard: float = field(init=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)  # see _pchip_coef
 
     def __post_init__(self):
-        if self._coef is None and len(self.knots) >= 2:
-            object.__setattr__(self, "_coef", _pchip_coef(self.knots, self.values))
+        tail, coef = 0.0, None  # a single knot: a flat curve
+        if len(self.knots) >= 2:
+            s_prev, s_last = np.maximum(self.values[-2:], EPS_SURVIVAL)
+            tail = max((np.log(s_prev) - np.log(s_last)) / (self.knots[-1] - self.knots[-2]), 0.0)
+            coef = _pchip_coef(self.knots, self.values)
+        object.__setattr__(self, "tail_hazard", float(tail))
+        object.__setattr__(self, "_coef", coef)
 
     def __call__(self, t):
         return spline_eval(self, t)
@@ -72,8 +76,8 @@ def fit_spline(curve):
     later or is empty (the step curve is 1 there). Curves with more than
     ``MAX_KNOTS`` knots are thinned by even-rank subsampling, always keeping
     the first and last knot: uncapped interpolation through thousands of
-    noisy steps oscillates. A step curve with no knot after t=0 produces a
-    flagged constant fallback with a zero tail hazard.
+    noisy steps oscillates. A step curve with no knot after t=0 gives a
+    single-knot curve, constant at 1.
     """
     kt = np.asarray(curve.knot_times, dtype=float)
     sv = np.asarray(curve.survival_values, dtype=float)
@@ -83,17 +87,13 @@ def fit_spline(curve):
     if kt.size > MAX_KNOTS:
         pick = np.unique(np.round(np.linspace(0, kt.size - 1, MAX_KNOTS)).astype(int))
         kt, sv = kt[pick], sv[pick]
-    if kt.size < 2:  # a single knot, at t=0 after the prepend
-        return SplineSurvivalCurve(knots=kt, values=sv, tail_hazard=0.0, is_fallback=True)
-    s_prev, s_last = np.maximum(sv[-2:], EPS_SURVIVAL)
-    tail = max((np.log(s_prev) - np.log(s_last)) / (kt[-1] - kt[-2]), 0.0)
-    return SplineSurvivalCurve(knots=kt, values=sv, tail_hazard=tail)
+    return SplineSurvivalCurve(knots=kt, values=sv)
 
 
 def _piecewise(s, t, nu):
     """Unclamped S(t) (nu=0) or dS/dt (nu=1) as a 1-d array: 1 or 0 before
     the first knot; between knots the monotone cubic's value or slope (the
-    knot value or 0 for a single-knot fallback); past the last knot the
+    knot value or 0 for a single knot); past the last knot the
     exponential constant-hazard tail or its slope -tail_hazard * tail."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty_like(t)
@@ -105,7 +105,7 @@ def _piecewise(s, t, nu):
         tail = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * (t[after] - hi))
         out[after] = tail if nu == 0 else -s.tail_hazard * tail
     if np.any(mid):
-        if s._coef is None:  # single-knot fallback
+        if s._coef is None:  # a single knot
             out[mid] = s.values[-1] if nu == 0 else 0.0
         else:
             i = np.clip(np.searchsorted(s.knots, t[mid], "right") - 1, 0, s.knots.size - 2)
@@ -152,27 +152,21 @@ def event_density(ef, s0, ds0):
 
 
 def spline_to_dict(s):
-    """Serializable representation (knots and values round-trip exactly
-    through decimal text; the cubic is rebuilt deterministically on load)."""
-    return {"knots": s.knots.tolist(), "values": s.values.tolist(),
-            "tail_hazard": float(s.tail_hazard), "is_fallback": bool(s.is_fallback)}
+    """Serializable representation: the knots and values, which round-trip
+    exactly through decimal text; the tail and the cubic are rebuilt from
+    them on load."""
+    return {"knots": s.knots.tolist(), "values": s.values.tolist()}
 
 
 def spline_from_dict(d):
-    """Inverse of ``spline_to_dict``. Raises ValueError unless the knots are
-    finite and strictly increase, the values never increase and lie in
-    [0, 1], the tail hazard is finite and >= 0, and is_fallback is a bool."""
+    """Inverse of ``spline_to_dict``; other keys are ignored. Raises
+    ValueError unless the knots are finite and strictly increase and the
+    values never increase and lie in [0, 1]."""
     knots = np.asarray(d["knots"], dtype=float)
     values = np.asarray(d["values"], dtype=float)
-    tail = float(d["tail_hazard"])
     if (knots.ndim != 1 or knots.size == 0 or values.shape != knots.shape
             or not np.all(np.isfinite(knots)) or np.any(np.diff(knots) <= 0)):
         raise ValueError("spline knots must be finite and strictly increasing")
     if not (np.all((values >= 0) & (values <= 1)) and np.all(np.diff(values) <= 0)):
         raise ValueError("spline values must lie in [0, 1] and never increase")
-    if not 0 <= tail < np.inf:
-        raise ValueError("spline tail hazard must be finite and at least 0")
-    if not isinstance(d["is_fallback"], bool):
-        raise ValueError("spline is_fallback must be true or false")
-    return SplineSurvivalCurve(knots=knots, values=values, tail_hazard=tail,
-                               is_fallback=d["is_fallback"])
+    return SplineSurvivalCurve(knots=knots, values=values)

@@ -227,6 +227,23 @@ class TestOutOfRangePredictions(TestNanPredictions):
     bad, message = 1.5, "surv_matrix contains predictions outside [0, 1]"
 
 
+@pytest.mark.parametrize("spec", ["nan", "inf", ",", "q50,nan"])
+@pytest.mark.parametrize("command", ["predict", "eval", "cv"])
+def test_horizons_must_be_given_and_finite(cohort_dir, model_dir, tmp_path, capsys,
+                                           command, spec):
+    """An empty or non-finite --horizons list stops the command before any
+    output is written; it used to give NaN predictions, an empty header or
+    an unrelated unpacking error."""
+    args = {"cv": ["--k", "2", "--layers", "8", "--epochs", "1", "--folds", "2"]}.get(
+        command, ["--model", str(model_dir / "model.json")])
+    out = tmp_path / "o"
+    code = run([command, "--data", str(cohort_dir / "cohort.csv"), "--group-col", "group",
+                *args, "--horizons", spec, "--out", str(out)])
+    assert code == 1
+    assert "--horizons needs at least one finite time" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_runs_without_scipy(tmp_path):
     """numpy is the only runtime dependency: importing the package and its
     CLI loads no scipy, and synth -> train -> predict -> eval succeed in a

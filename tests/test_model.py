@@ -195,7 +195,7 @@ def _change_dims(p, data):
     if data.draw(st.booleans()):
         p["config"]["n_clusters"] = data.draw(st.sampled_from([1, 3, 4]))
     else:
-        dims = p["mlp"]["layer_dims"]
+        dims = p["config"]["hidden_dims"]
         dims[data.draw(st.integers(0, len(dims) - 1))] += data.draw(st.sampled_from([-1, 1]))
 
 
@@ -211,11 +211,6 @@ def _spline_values(p, data):
     s["values"][j] = data.draw(st.one_of(
         st.sampled_from([np.nan, np.inf, -np.inf, -1e-12, 1.5]),
         st.floats(1e-9, 1).map(lambda step: s["values"][j - 1] + step)))
-
-
-def _spline_tail(p, data):
-    s = p["splines"][data.draw(st.integers(0, len(p["splines"]) - 1))]
-    s["tail_hazard"] = data.draw(st.sampled_from([-1e-12, -1.0, np.nan, np.inf]))
 
 
 class TestPersistence:
@@ -238,7 +233,7 @@ class TestPersistence:
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([_drop_key, _unknown_config_key, _reshape_array, _change_dims,
-                            _spline_knots, _spline_values, _spline_tail]), st.data())
+                            _spline_knots, _spline_values]), st.data())
     def test_corrupted_file_raises_model_error(self, saved_model, tmp_path_factory,
                                                corrupt, data):
         _, payload = saved_model
@@ -274,6 +269,40 @@ class TestPersistence:
         p.write_text('{"format_version": 99}\n')
         with pytest.raises(ModelError, match="version"):
             DcmModel.load(p)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_only_formats_1_and_2_load(self, saved_model, tmp_path, version):
+        _, payload = saved_model
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps({**payload, "format_version": version}))
+        with pytest.raises(ModelError, match="version .* expected 1 or 2"):
+            DcmModel.load(p)
+
+    def test_saved_file_stores_no_derived_field(self, saved_model):
+        # each spline's tail follows from its knots and values, and the
+        # encoder's widths from the weights and config.hidden_dims
+        _, payload = saved_model
+        assert payload["format_version"] == 2
+        assert set(payload["mlp"]) == {"weights", "biases"}
+        for s in payload["splines"]:
+            assert set(s) == {"knots", "values"}
+
+    def test_format_1_file_loads_and_predicts_the_same(self, saved_model, tmp_path):
+        # format 1 also stored each spline's tail hazard and fallback flag
+        # and the encoder's layer widths
+        m, payload = saved_model
+        old = json.loads(json.dumps(payload))
+        old["format_version"] = 1
+        old["mlp"]["layer_dims"] = list(m.params.layer_dims)
+        for s, bl in zip(old["splines"], m.baselines):
+            s.update(tail_hazard=bl.tail_hazard, is_fallback=bl.knots.size < 2)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(old, sort_keys=True))
+        m1 = DcmModel.load(path)
+        x = np.random.default_rng(1).normal(size=(30, 3))
+        grid = np.array([0.0, 0.5, 1.0, 2.0, 50.0])
+        assert np.array_equal(m1.predict_survival(x, grid), m.predict_survival(x, grid))
+        assert m1.params.layer_dims == m.params.layer_dims
 
 
 class TestFit:
@@ -315,9 +344,10 @@ class TestFit:
 
     @pytest.mark.parametrize("batch_size", [16, 64])
     def test_spline_eval_per_table_build_not_per_minibatch(self, monkeypatch, batch_size):
-        # K calls per baseline-table build (the start-up one and one per
-        # epoch), plus 2K per epoch for the validation objective; none in the
-        # minibatch E-steps, so the count does not depend on the batch size
+        # one call for the start-up table (every cluster starts at the pooled
+        # spline), then per epoch K for the table build and 2K for the
+        # validation objective; none in the minibatch E-steps, so the count
+        # does not depend on the batch size
         calls, spline_eval = [], spline_mod.spline_eval
         counting = lambda s, t: calls.append(1) or spline_eval(s, t)
         monkeypatch.setattr(spline_mod, "spline_eval", counting)
@@ -326,7 +356,7 @@ class TestFit:
         m = fit(ds.subset(np.arange(200)), DcmConfig(
             n_clusters=3, hidden_dims=(8,), batch_size=batch_size, max_epochs=3,
             patience=10, seed=0))
-        assert len(calls) == 3 * (1 + 3 * len(m.training_log))
+        assert len(calls) == 1 + 3 * 3 * len(m.training_log)
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_one_likelihood_call_per_trained_minibatch(self, monkeypatch, k):

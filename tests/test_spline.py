@@ -60,10 +60,10 @@ class TestFitEval:
     def test_degenerate_fallback(self):
         s = fit_spline(StepSurvivalCurve(knot_times=np.array([2.0]),
                                          cum_hazard=np.array([0.5])))
-        assert not s.is_fallback  # a t=0 knot is prepended, giving 2 knots
+        assert s.knots.size == 2  # a t=0 knot is prepended
         empty = fit_spline(StepSurvivalCurve(knot_times=np.array([]),
                                              cum_hazard=np.array([])))
-        assert empty.is_fallback
+        assert empty.knots.size == 1 and empty.tail_hazard == 0.0
         assert spline_eval(empty, 3.0) == 1.0
 
 
@@ -132,12 +132,4 @@ class TestSerialization:
         np.testing.assert_allclose(spline_eval(s2, grid), spline_eval(s, grid),
                                    atol=1e-14)
         assert s2.tail_hazard == s.tail_hazard
-        assert s2.is_fallback == s.is_fallback
-
-    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
-    def test_is_fallback_must_be_a_bool(self, flag):
-        # bool("false") is True, so a non-bool flag must not be coerced
-        d = spline_to_dict(exp_spline())
-        d["is_fallback"] = flag
-        with pytest.raises(ValueError, match="is_fallback"):
-            spline_from_dict(d)
+        assert s2.knots.size == s.knots.size
