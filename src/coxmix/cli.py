@@ -187,9 +187,9 @@ def cmd_predict(args, tracker):
 def _write_report(tracker, rows):
     """report.csv and report.json, one entry per MetricRow; an undefined
     estimate or SE is a blank cell in the CSV and null in the JSON."""
-    header = ["metric", "horizon", "group", "estimate", "se", "n"]
+    header = ["metric", "horizon", "group", "estimate", "se", "n", "records"]
     table = [[r.metric, r.horizon, r.group, None if np.isnan(r.estimate) else r.estimate,
-              None if np.isnan(r.se) else r.se, r.n] for r in rows]
+              None if np.isnan(r.se) else r.se, r.n, r.records] for r in rows]
     _write_csv(tracker.path("report.csv"), header, table)  # csv writes None as ""
     _write_json(tracker.path("report.json"), [dict(zip(header, row)) for row in table])
 
@@ -252,12 +252,14 @@ def cmd_cv(args, tracker):
 
     if args.grid:
         g = metrics_mod.censoring_km(ds.times, ds.events)
+        sample = metrics_mod._Sample(ds.times, g)  # every configuration shares G(T-)
         results = []
         for k, layers, width in _GRID:
             cfg = lambda fold, k=k, hidden=(width,) * layers: _dcm_config(
                 args, fold, n_clusters=k, hidden_dims=hidden)
             surv = _run_cv(ds, horizons, cfg, folds)
-            briers = [metrics_mod.brier_ipcw(surv[:, i], ds.times, ds.events, g, h)
+            briers = [metrics_mod.brier_ipcw(surv[:, i], ds.times, ds.events, g, h,
+                                             sample=sample)
                       for i, h in enumerate(horizons)]
             results.append(((k, layers, width), float(np.mean(briers)), surv))
         results.sort(key=lambda r: (r[1], r[0]))
@@ -306,6 +308,13 @@ def _add_train_flags(p):
     p.add_argument("--patience", type=int, default=3)
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="coxmix",
@@ -333,7 +342,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--horizons", default="q25,q50,q75",
                    help="qNN quantile tags or explicit times, comma separated")
-    p.add_argument("--bootstrap", type=int, default=100)
+    p.add_argument("--bootstrap", type=_non_negative_int, default=100)
     p.add_argument("--dump-baselines", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -342,7 +351,7 @@ def build_parser():
     _add_train_flags(p)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--horizons", default="q25,q50,q75")
-    p.add_argument("--bootstrap", type=int, default=100)
+    p.add_argument("--bootstrap", type=_non_negative_int, default=100)
     p.add_argument("--grid", action="store_true",
                    help="sweep K/layers/width and select by lowest pooled Brier")
     p.set_defaults(func=cmd_cv)

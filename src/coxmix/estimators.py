@@ -58,18 +58,21 @@ class StepSurvivalCurve:
         return self._eval(t, "left")
 
 
-def _deaths_by_time(times, events, groups):
+def _deaths_by_time(times, events, groups, time_order=None):
     """Records sorted by group, then time, and split at each distinct
     (group, time). Returns the sort order, the sorted groups and, per
     distinct (group, time), its first sorted position and its number of
-    events."""
-    order = np.lexsort((times, groups))
+    events. ``time_order`` is np.argsort(times, kind="stable"), computed
+    here unless given; sorted stably by group it is that order."""
+    if time_order is None:
+        time_order = np.argsort(times, kind="stable")
+    order = time_order[np.argsort(groups[time_order], kind="stable")]
     t, g = times[order], groups[order]
     start = np.flatnonzero(np.r_[True, (t[1:] != t[:-1]) | (g[1:] != g[:-1])])
     return order, g, start, np.add.reduceat(events[order], start)
 
 
-def _km_increments(times, events, groups):
+def _km_increments(times, events, groups, time_order=None):
     """The product-limit estimate within each group: for each distinct
     event time of a group, the group, the time and the increment of -log
     survival. Ties: all events at a time share the risk set; same-time
@@ -78,7 +81,7 @@ def _km_increments(times, events, groups):
     events = np.asarray(events, dtype=int)
     if times.size == 0:
         raise EstimatorError("empty input")
-    order, g, start, deaths = _deaths_by_time(times, events, groups)
+    order, g, start, deaths = _deaths_by_time(times, events, groups, time_order)
     at_risk = np.searchsorted(g, g[start], side="right") - start
     keep = deaths > 0
     first = start[keep]
@@ -92,12 +95,14 @@ def kaplan_meier(times, events):
     return StepSurvivalCurve(knot_times=knots, cum_hazard=np.cumsum(inc))
 
 
-def kaplan_meier_at(times, events, groups, t):
+def kaplan_meier_at(times, events, groups, t, *, time_order=None):
     """Product-limit survival at time t within each group 0..max(groups):
     for every k, the value kaplan_meier(times[groups == k],
-    events[groups == k])(t), computed in one pass over all records."""
+    events[groups == k])(t), computed in one pass over all records.
+    ``time_order``, if given, is np.argsort(times, kind="stable"), which
+    saves a sort and leaves every bit of the result unchanged."""
     groups = np.asarray(groups, dtype=int)
-    g, knots, inc = _km_increments(times, events, groups)
+    g, knots, inc = _km_increments(times, events, groups, time_order)
     sel = knots <= t
     # bincount adds each group's increments in time order, the order of
     # kaplan_meier's cumulative sum

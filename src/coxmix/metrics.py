@@ -9,6 +9,7 @@ to avoid the event's own censoring contribution.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -25,10 +26,11 @@ class MetricError(ValueError):
     pass
 
 
-def _count_later_above(times, ranks, at_times, above):
-    """For each query q, the number of records with a time strictly after
-    at_times[q] and a rank strictly above above[q] (ranks are integers in
-    [0, n)).
+def _count_later_above(ranks_by_time, prefix, above):
+    """For each query q, the number of records after the first prefix[q]
+    in time order with a rank strictly above above[q], given the records'
+    ranks (integers in [0, n)) in time order. Queries in prefix order keep
+    each level's searchsorted local.
 
     Records sorted by time form a merge-sort tree: the prefix of the s
     records not later than a query splits into one aligned block of 2^k
@@ -36,26 +38,60 @@ def _count_later_above(times, ranks, at_times, above):
     sorted once, so each block count is one searchsorted. O(n log^2 n) time
     and O(n) memory.
     """
-    order = np.argsort(times, kind="stable")
-    ranks = ranks[order]
-    n = ranks.size
-    prefix = np.searchsorted(times[order], at_times, side="right")
-    # queries in (prefix, above) order keep each level's searchsorted local
-    q = np.lexsort((above, prefix))
-    prefix, above = prefix[q], above[q]
+    n = ranks_by_time.size
     span = n + 1  # ranks < n, so keys block * span + rank never collide
-    count = n - np.searchsorted(np.sort(ranks), above, side="right")
+    # all records ranked above the query, less those in the prefix's blocks
+    count = n - np.cumsum(np.bincount(ranks_by_time, minlength=n))[above]
     pos = np.arange(n)
     for k in range(int(prefix.max(initial=0)).bit_length()):
         sel = (prefix >> k) & 1 == 1
         block = (prefix[sel] >> k) - 1
-        keys = np.sort((pos >> k) * span + ranks)
+        keys = np.sort((pos >> k) * span + ranks_by_time)
         # keys of block b fill positions [b * 2^k, (b + 1) * 2^k)
         count[sel] -= ((block + 1) << k) - np.searchsorted(
             keys, block * span + above[sel], side="right")
-    out = np.empty_like(count)
-    out[q] = count
-    return out
+    return count
+
+
+def _stable_order(x):
+    """np.argsort(x, kind="stable") and the dense ranks of x (those of
+    np.unique(x, return_inverse=True)). One quicksort of x gives the ranks
+    and one sort of the distinct integer keys rank * n + index gives the
+    stable order, several times faster than numpy's stable float sort."""
+    n = x.size
+    order = np.argsort(x)
+    sorted_x = x[order]
+    step = np.zeros(n, dtype=bool)
+    step[1:] = sorted_x[1:] != sorted_x[:-1]
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[order] = np.cumsum(step)
+    return np.sort(ranks * n + np.arange(n)) % n, ranks
+
+
+class _Sample:
+    """The sort work every metric at every horizon shares on one sample
+    (a stratum or one bootstrap resample of it): the stable time order, its
+    inverse (each record's time position), the sorted times and, given the
+    censoring curve, each record's G(T-) from one searchsorted over the
+    sorted times, scattered back to record order. ``at(pi)`` adds one
+    horizon's predictions: their stable order and their dense ranks. A
+    metric given ``sample=`` trusts it to describe the times, censoring
+    curve and predictions it is called with."""
+
+    def __init__(self, times, g_curve=None):
+        self.time_order, _ = _stable_order(times)
+        self.time_pos = np.empty_like(self.time_order)
+        self.time_pos[self.time_order] = np.arange(times.size)
+        self.sorted_times = times[self.time_order]
+        self.g_left = self.pi_order = self.ranks = None
+        if g_curve is not None:
+            self.g_left = np.empty(times.size)
+            self.g_left[self.time_order] = g_curve.eval_left(self.sorted_times)
+
+    def at(self, pi):
+        out = copy.copy(self)
+        out.pi_order, out.ranks = _stable_order(pi)
+        return out
 
 
 def _check_predictions(pi, what, probabilities):
@@ -69,21 +105,26 @@ def _check_predictions(pi, what, probabilities):
         raise MetricError(f"{what} contains {problem}")
 
 
-def _ipcw_inputs(surv_probs, times, events, g_curve, horizon, probabilities=False):
-    """The arrays an IPCW metric scores, as (pi, times, events, g_left,
-    cases): the censoring left limit G(T-) of every record and the cases,
-    observed events by the horizon with G(T-) > MIN_IPCW_DENOM. Raises
-    MetricError on predictions ``_check_predictions`` rejects."""
+def _ipcw_inputs(surv_probs, times, events, g_curve, horizon, sample,
+                 ranked=False, probabilities=False):
+    """The arrays an IPCW metric scores, as (pi, times, events, sample,
+    cases): the shared ``_Sample`` (built here when None, ``ranked`` with
+    the predictions if asked), whose g_left holds the censoring left limit
+    G(T-) of every record, and the cases, observed events by the horizon
+    with G(T-) > MIN_IPCW_DENOM. Raises MetricError on predictions
+    ``_check_predictions`` rejects."""
     pi = np.asarray(surv_probs, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
     _check_predictions(pi, "surv_probs", probabilities)
-    g_left = g_curve.eval_left(times)
-    cases = (events == 1) & (times <= horizon) & (g_left > MIN_IPCW_DENOM)
-    return pi, times, events, g_left, cases
+    if sample is None:
+        sample = _Sample(times, g_curve)
+        sample = sample.at(pi) if ranked else sample
+    cases = (events == 1) & (times <= horizon) & (sample.g_left > MIN_IPCW_DENOM)
+    return pi, times, events, sample, cases
 
 
-def concordance_td(surv_probs, times, events, g_curve, horizon):
+def concordance_td(surv_probs, times, events, g_curve, horizon, *, sample=None):
     """Time-dependent concordance at a horizon, IPCW-weighted (Uno).
 
     Comparable pairs (i, j): i has an observed event, T_i < T_j, and
@@ -92,21 +133,30 @@ def concordance_td(surv_probs, times, events, g_curve, horizon):
     in time are excluded. Pairs are counted over time-sorted records
     (Uno et al., Stat Med 2011) without forming the n x n pairs.
     """
-    pi, times, _, g_left, cases = _ipcw_inputs(surv_probs, times, events, g_curve, horizon)
-    ranks = np.unique(pi, return_inverse=True)[1]
-    r = ranks[cases]
-    # later records predicted to survive longer, and at least as long
-    higher, at_least = np.split(_count_later_above(
-        times, ranks, np.tile(times[cases], 2), np.concatenate([r, r - 1])), 2)
-    later = times.size - np.searchsorted(np.sort(times), times[cases], side="right")
-    w = 1.0 / g_left[cases] ** 2
+    _, times, _, sample, cases = _ipcw_inputs(surv_probs, times, events, g_curve, horizon,
+                                              sample, ranked=True)
+    n = times.size
+    # cases in time order, and the records not later than each
+    by_time = sample.time_order[cases[sample.time_order]]
+    prefix = np.searchsorted(sample.sorted_times, times[by_time], side="right")
+    r = sample.ranks[by_time]
+    # of the later records, those predicted to survive longer, and those
+    # tied in prediction, counted in the sorted (rank, time position) keys
+    higher = _count_later_above(sample.ranks[sample.time_order], prefix, r)
+    keys = np.sort(sample.ranks * (n + 1) + sample.time_pos)
+    tied = (np.searchsorted(keys, r * (n + 1) + n, side="right")
+            - np.searchsorted(keys, r * (n + 1) + prefix))
+    counts = np.empty((3, n), dtype=np.intp)
+    counts[:, by_time] = higher, tied, n - prefix
+    higher, tied, later = counts[:, cases]
+    w = 1.0 / sample.g_left[cases] ** 2
     den = float(np.sum(w * later))
     if den == 0:
         raise MetricError("no comparable pairs at this horizon")
-    return float(np.sum(w * (higher + 0.5 * (at_least - higher)))) / den
+    return float(np.sum(w * (higher + 0.5 * tied))) / den
 
 
-def auc_ipcw(surv_probs, times, events, g_curve, horizon):
+def auc_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     """IPCW-adjusted area under the ROC curve at a horizon.
 
     Cases are observed events with T <= horizon, weighted by
@@ -115,7 +165,8 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon):
     are swept over the distinct predicted values and the (FPR, TPR) curve
     is integrated by trapezoid, which credits prediction ties by half.
     """
-    pi, times, _, g_left, cases = _ipcw_inputs(surv_probs, times, events, g_curve, horizon)
+    pi, times, _, sample, cases = _ipcw_inputs(surv_probs, times, events, g_curve, horizon,
+                                               sample)
     n = times.size
     controls = times > horizon
     if not np.any(cases) or not np.any(controls):
@@ -125,7 +176,7 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon):
     order = np.argsort(risk[cases])
     r_case = risk[cases][order]
     # w_tail[k]: total weight of the cases from sorted position k on
-    w_case = 1.0 / (n * g_left[cases][order])
+    w_case = 1.0 / (n * sample.g_left[cases][order])
     w_tail = np.append(np.cumsum(w_case[::-1])[::-1], 0.0)
     r_ctrl = np.sort(risk[controls])
 
@@ -140,7 +191,8 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon):
     return float(np.trapezoid(se, fpr))
 
 
-def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS):
+def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *,
+                     sample=None):
     """Equal-mass quantile bins of the predicted survival probability.
 
     Returns one (mean_predicted, km_observed, size, defined) tuple per bin:
@@ -157,12 +209,13 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
     if pi.size < n_bins:
         raise MetricError(f"need at least {n_bins} records for {n_bins} bins")
 
-    order = np.argsort(pi, kind="stable")
+    sample = _Sample(times).at(pi) if sample is None else sample
+    order = sample.pi_order
     bins = np.array_split(order, n_bins)
     sizes = np.array([idx.size for idx in bins])
     in_bin = np.empty(pi.size, dtype=int)
     in_bin[order] = np.repeat(np.arange(n_bins), sizes)
-    km = kaplan_meier_at(times, events, in_bin, horizon)
+    km = kaplan_meier_at(times, events, in_bin, horizon, time_order=sample.time_order)
     # per bin: last follow-up time and the events there
     first = np.cumsum(sizes) - sizes
     t_max = np.maximum.reduceat(times[order], first)
@@ -174,7 +227,7 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
             for b, idx in enumerate(bins)]
 
 
-def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS):
+def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *, sample=None):
     """Expected L1 calibration error at a horizon.
 
     Records are partitioned into equal-mass quantile bins of the predicted
@@ -183,7 +236,7 @@ def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS):
     estimate is undefined at the horizon (follow-up ends earlier with a
     censored subject) are skipped with a warning and the divisor reduced.
     """
-    bins = calibration_bins(surv_probs, times, events, horizon, n_bins)
+    bins = calibration_bins(surv_probs, times, events, horizon, n_bins, sample=sample)
     gaps = [abs(km - mean) for mean, km, _, defined in bins if defined]
     if len(gaps) < len(bins):
         warnings.warn(f"ece: skipped {len(bins) - len(gaps)} bin(s) with undefined "
@@ -193,11 +246,11 @@ def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS):
     return float(np.sum(gaps) / len(gaps))
 
 
-def brier_ipcw(surv_probs, times, events, g_curve, horizon):
+def brier_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     """IPCW Brier score at a horizon:
     mean of pi^2 * 1{T<=t, event}/G(T-) + (1-pi)^2 * 1{T>t}/G(t)."""
-    pi, times, events, g_left, cases = _ipcw_inputs(surv_probs, times, events, g_curve,
-                                                    horizon, probabilities=True)
+    pi, times, events, sample, cases = _ipcw_inputs(surv_probs, times, events, g_curve,
+                                                    horizon, sample, probabilities=True)
     g_t = g_curve(horizon)
     if g_t <= 0:
         raise MetricError("horizon beyond censoring follow-up (G(t) = 0)")
@@ -206,7 +259,7 @@ def brier_ipcw(surv_probs, times, events, g_curve, horizon):
                       "weight denominator", stacklevel=2)
     late = times > horizon
     terms = np.zeros_like(pi)
-    terms[cases] = pi[cases] ** 2 / g_left[cases]
+    terms[cases] = pi[cases] ** 2 / sample.g_left[cases]
     terms[late] += (1.0 - pi[late]) ** 2 / (g_t if g_t > MIN_IPCW_DENOM else np.inf)
     return float(terms.mean())
 
@@ -254,6 +307,7 @@ class MetricRow:
     estimate: float
     se: float
     n: int
+    records: int
 
 
 METRIC_NAMES = ("concordance_td", "auc_ipcw", "ece", "brier_ipcw")
@@ -261,21 +315,22 @@ METRIC_NAMES = ("concordance_td", "auc_ipcw", "ece", "brier_ipcw")
 
 def _sample_metrics(surv_matrix, times, events, horizons):
     """Every metric at every horizon on one sample, all sharing one
-    censoring fit: a (n_horizons, n_metrics) array, NaN where undefined."""
+    censoring fit, one time order and one G(T-) per record, and at each
+    horizon one prediction order: a (n_horizons, n_metrics) array, NaN
+    where undefined."""
     g = censoring_km(times, events)
+    sample = _Sample(times, g)
     values = np.full((len(horizons), len(METRIC_NAMES)), np.nan)
     for h_idx, horizon in enumerate(horizons):
         pi = surv_matrix[:, h_idx]
-        for m_idx, name in enumerate(METRIC_NAMES):
+        ranked = sample.at(pi)
+        for m_idx, score in enumerate((  # in METRIC_NAMES order
+                lambda: concordance_td(pi, times, events, g, horizon, sample=ranked),
+                lambda: auc_ipcw(pi, times, events, g, horizon, sample=ranked),
+                lambda: ece(pi, times, events, horizon, sample=ranked),
+                lambda: brier_ipcw(pi, times, events, g, horizon, sample=ranked))):
             try:
-                if name == "concordance_td":
-                    values[h_idx, m_idx] = concordance_td(pi, times, events, g, horizon)
-                elif name == "auc_ipcw":
-                    values[h_idx, m_idx] = auc_ipcw(pi, times, events, g, horizon)
-                elif name == "ece":
-                    values[h_idx, m_idx] = ece(pi, times, events, horizon)
-                else:
-                    values[h_idx, m_idx] = brier_ipcw(pi, times, events, g, horizon)
+                values[h_idx, m_idx] = score()
             except MetricError:
                 continue
     return values
@@ -294,7 +349,7 @@ def _stratum_metrics(surv_matrix, times, events, horizons, group,
     except MetricError:
         se, defined = np.full(estimate.shape, np.nan), np.zeros(estimate.shape, dtype=int)
     return [MetricRow(name, float(horizon), group, float(estimate[h_idx, m_idx]),
-                      float(se[h_idx, m_idx]), int(defined[h_idx, m_idx]))
+                      float(se[h_idx, m_idx]), int(defined[h_idx, m_idx]), len(times))
             for h_idx, horizon in enumerate(horizons)
             for m_idx, name in enumerate(METRIC_NAMES)]
 
@@ -305,9 +360,10 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     group. Each estimate is computed on the full stratum; its standard
     error and n (the bootstrap replicates that define it) come from
     n_replicates resamples of the stratum, each stratum and resample with
-    its own censoring fit. Groups below MIN_GROUP_SIZE records get NaN
-    estimates and n=0. Returns a list of MetricRow; raises MetricError on
-    a prediction that is not a probability."""
+    its own censoring fit; records is the stratum's size. Groups below
+    MIN_GROUP_SIZE records get NaN estimates and n=0. Returns a list of
+    MetricRow; raises MetricError on a prediction that is not a
+    probability."""
     surv_matrix = np.asarray(surv_matrix, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
@@ -321,8 +377,9 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
         groups = np.asarray(groups)
         for label in sorted(set(groups.tolist())):
             mask = groups == label
-            if mask.sum() < MIN_GROUP_SIZE:
-                rows.extend(MetricRow(name, float(h), str(label), np.nan, np.nan, 0)
+            records = int(mask.sum())
+            if records < MIN_GROUP_SIZE:
+                rows.extend(MetricRow(name, float(h), str(label), np.nan, np.nan, 0, records)
                             for h in horizons for name in METRIC_NAMES)
                 continue
             rows.extend(_stratum_metrics(

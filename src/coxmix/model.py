@@ -55,6 +55,10 @@ class DcmConfig:
             raise ModelError("n_clusters must be >= 1")
         if self.batch_size < 2 * self.n_clusters:
             raise ModelError("batch_size must be at least 2 * n_clusters")
+        if self.max_epochs < 1 or self.patience < 1:
+            raise ModelError("max_epochs and patience must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ModelError(f"lr must be finite and positive, got {self.lr}")
 
 
 class DcmModel:

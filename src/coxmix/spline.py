@@ -160,8 +160,10 @@ def spline_to_dict(s):
 
 def spline_from_dict(d):
     """Inverse of ``spline_to_dict``; other keys are ignored. Raises
-    ValueError unless the knots are finite and strictly increase and the
-    values never increase and lie in [0, 1]."""
+    ValueError unless the knots are finite and strictly increase, the
+    values never increase and lie in [0, 1], and the secants, tail hazard
+    and coefficient table derived from them are finite (knots closer than
+    a float can divide by are not)."""
     knots = np.asarray(d["knots"], dtype=float)
     values = np.asarray(d["values"], dtype=float)
     if (knots.ndim != 1 or knots.size == 0 or values.shape != knots.shape
@@ -169,4 +171,10 @@ def spline_from_dict(d):
         raise ValueError("spline knots must be finite and strictly increasing")
     if not (np.all((values >= 0) & (values <= 1)) and np.all(np.diff(values) <= 0)):
         raise ValueError("spline values must lie in [0, 1] and never increase")
-    return SplineSurvivalCurve(knots=knots, values=values)
+    with np.errstate(all="ignore"):  # an overflow is rejected below, not warned about
+        s = SplineSurvivalCurve(knots=knots, values=values)
+        secants = np.diff(values) / np.diff(knots)
+    if not (np.all(np.isfinite(secants)) and np.isfinite(s.tail_hazard)
+            and (s._coef is None or np.all(np.isfinite(s._coef)))):
+        raise ValueError("spline knots too close: the derived curve is not finite")
+    return s

@@ -242,6 +242,29 @@ def exp_spline(rate=1.0, t_max=6.0, step=0.1):
     return fit_spline(curve)
 
 
+def metrics_called_alone(surv_matrix, times, events, horizons):
+    """Reference for ``metrics._sample_metrics``: every public metric at
+    every horizon, each called alone on its arguments with one censoring
+    fit, so each sorts and looks up G(T-) for itself; NaN where a metric
+    raises MetricError."""
+    from coxmix.estimators import censoring_km
+    from coxmix.metrics import (
+        METRIC_NAMES, MetricError, auc_ipcw, brier_ipcw, concordance_td, ece)
+    g = censoring_km(times, events)
+    calls = {"concordance_td": lambda pi, h: concordance_td(pi, times, events, g, h),
+             "auc_ipcw": lambda pi, h: auc_ipcw(pi, times, events, g, h),
+             "ece": lambda pi, h: ece(pi, times, events, h),
+             "brier_ipcw": lambda pi, h: brier_ipcw(pi, times, events, g, h)}
+    values = np.full((len(horizons), len(METRIC_NAMES)), np.nan)
+    for h_idx, horizon in enumerate(horizons):
+        for m_idx, name in enumerate(METRIC_NAMES):
+            try:
+                values[h_idx, m_idx] = calls[name](surv_matrix[:, h_idx], horizon)
+            except MetricError:
+                pass
+    return values
+
+
 # ---- shared synthetic fixtures ------------------------------------------
 
 PH_CONFIG = SynthConfig(

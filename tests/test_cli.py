@@ -100,6 +100,16 @@ class TestTrain:
         assert "error" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--lr", "-0.01"]])
+    def test_untrainable_values_fail(self, cohort_dir, tmp_path, capsys, flag):
+        # --epochs 0 used to save an untrained model, --lr -0.01 to train
+        out = tmp_path / "o"
+        code = run(["train", "--data", str(cohort_dir / "cohort.csv"), "--group-col", "group",
+                    "--k", "2", "--layers", "8", *flag, "--out", str(out)])
+        assert code == 1
+        assert "must be" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 class TestPredict:
     def test_outputs(self, cohort_dir, model_dir, tmp_path):
@@ -146,7 +156,7 @@ class TestEval:
                     "--dump-baselines", "--out", str(tmp_path)])
         assert code == 0
         report = read_csv(tmp_path / "report.csv")
-        assert report[0] == ["metric", "horizon", "group", "estimate", "se", "n"]
+        assert report[0] == ["metric", "horizon", "group", "estimate", "se", "n", "records"]
         groups = {r[2] for r in report[1:]}
         assert groups == {"population", "pos", "neg"}
         cal = read_csv(tmp_path / "calibration_bins.csv")
@@ -155,7 +165,9 @@ class TestEval:
         assert (tmp_path / "baseline_1.csv").exists()
         js = json.loads((tmp_path / "report.json").read_text())
         assert all(set(r) == {"metric", "horizon", "group", "estimate",
-                              "se", "n"} for r in js)
+                              "se", "n", "records"} for r in js)
+        n_rows = len(read_csv(cohort_dir / "cohort.csv")) - 1
+        assert {r["records"] for r in js if r["group"] == "population"} == {n_rows}
 
 
 class TestCv:
@@ -183,6 +195,20 @@ class TestCv:
         assert code == 0
         assert calls.count("k_fold_split") == 1
         assert calls.count("standardize") == 5
+
+
+@pytest.mark.parametrize("command", ["eval", "cv"])
+def test_negative_bootstrap_rejected(cohort_dir, model_dir, tmp_path, capsys, command):
+    """--bootstrap -3 stops eval and cv before any output; it used to write
+    a report with blank SEs."""
+    args = {"cv": ["--k", "2", "--layers", "8", "--epochs", "1", "--folds", "2"]}.get(
+        command, ["--model", str(model_dir / "model.json")])
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit):
+        run([command, "--data", str(cohort_dir / "cohort.csv"), "--group-col", "group",
+             *args, "--horizons", "q50", "--bootstrap", "-3", "--out", str(out)])
+    assert "--bootstrap: must be 0 or more" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestNanPredictions:

@@ -329,6 +329,24 @@ class TestBootstrap:
             bootstrap_se(broken, 10, n_replicates=5, seed=0)
 
 
+def test_one_censoring_fit_and_one_g_lookup_per_sample(monkeypatch):
+    """All metrics at all horizons of one sample share one censoring fit
+    and one G(T-) lookup; each IPCW metric used to look it up again."""
+    rng = np.random.default_rng(3)
+    times = rng.integers(1, 30, 300).astype(float)
+    events = (rng.random(300) < 0.7).astype(int)
+    surv = np.round(rng.random((300, 3)), 2)
+    calls = []
+    fit, left = metrics_mod.censoring_km, StepSurvivalCurve.eval_left
+    monkeypatch.setattr(metrics_mod, "censoring_km",
+                        lambda t, e: calls.append("censoring_km") or fit(t, e))
+    monkeypatch.setattr(StepSurvivalCurve, "eval_left",
+                        lambda self, t: calls.append("eval_left") or left(self, t))
+    values = metrics_mod._sample_metrics(surv, times, events, [5.0, 10.0, 20.0])
+    assert np.isfinite(values).all()
+    assert calls == ["censoring_km", "eval_left"]
+
+
 class TestEvaluateByGroup:
     def make_population(self, seed=0, n=600):
         rng = np.random.default_rng(seed)
@@ -355,7 +373,8 @@ class TestEvaluateByGroup:
                                  groups=groups, n_replicates=10)
         tiny = [r for r in rows if r.group == "tiny"]
         assert len(tiny) == 4
-        assert all(np.isnan(r.estimate) and r.n == 0 for r in tiny)
+        assert all(np.isnan(r.estimate) and r.n == 0 and r.records == 5 for r in tiny)
+        assert {r.records for r in rows if r.group == "big"} == {len(times) - 5}
         assert MIN_GROUP_SIZE == 20
 
     def test_detects_miscalibrated_group(self):

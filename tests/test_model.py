@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -244,6 +245,19 @@ class TestPersistence:
         with pytest.raises(ModelError):
             DcmModel.load(path)
 
+    def test_subnormal_knot_spacing_raises_model_error(self, saved_model, tmp_path):
+        # the knots pass the increasing check, but the derived tail hazard
+        # and coefficient table used to be inf and NaN
+        _, payload = saved_model
+        payload = json.loads(json.dumps(payload))
+        payload["splines"][0] = {"knots": [0.0, 1e-320], "values": [1.0, 0.5]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="not finite"):
+                DcmModel.load(path)
+
     def test_round_trip(self, tmp_path):
         ds, _ = generate_cohort(SEPARATED_CONFIG)
         cfg = DcmConfig(n_clusters=2, hidden_dims=(16,), max_epochs=3, seed=0)
@@ -429,3 +443,11 @@ class TestFit:
             DcmConfig(n_clusters=0)
         with pytest.raises(ModelError):
             DcmConfig(n_clusters=10, batch_size=12)
+
+    @pytest.mark.parametrize("bad", [{"max_epochs": 0}, {"patience": 0}, {"lr": -0.01},
+                                     {"lr": 0.0}, {"lr": np.nan}, {"lr": np.inf}])
+    def test_config_rejects_untrainable_values(self, bad):
+        # max_epochs 0 used to fit nothing, patience 0 to act as 1, and a
+        # non-positive or non-finite lr to train anyway
+        with pytest.raises(ModelError):
+            DcmConfig(**bad)

@@ -4,13 +4,17 @@ random data with tied times, tied predictions and random censoring; the
 range and monotonicity of the mixture's survival predictions; the
 stratified partial likelihood against one likelihood per cluster; the
 baseline table against direct spline evaluation; the spline's slope
-outside its knots; and the spline against scipy's PchipInterpolator
-between them."""
+outside its knots; the spline against scipy's PchipInterpolator
+between them; and the metrics on one shared sample against each metric
+called alone."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxmix import metrics
 from coxmix.estimators import breslow, censoring_km, kaplan_meier, kaplan_meier_at
 from coxmix.metrics import (
     MIN_IPCW_DENOM, MetricError, auc_ipcw, brier_ipcw, concordance_td, ece,
@@ -23,7 +27,7 @@ from coxmix.spline import (
 )
 from conftest import (
     brute_force_breslow, brute_force_km, brute_force_partial_likelihood, ipcw_pair_auc,
-    ipcw_pair_concordance, per_cluster_q_hat,
+    ipcw_pair_concordance, metrics_called_alone, per_cluster_q_hat,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -120,6 +124,34 @@ def test_metrics_invariant_to_row_order(cohort):
         if values[0] is not None:
             np.testing.assert_allclose(values[1], values[0], rtol=1e-12, atol=1e-15,
                                        err_msg=fn.__name__)
+
+
+@SETTINGS
+@given(cohorts(min_size=20, max_size=80), st.integers(1, 3))
+def test_shared_sample_matches_metrics_called_alone(cohort, n_horizons):
+    """One sample scored with one censoring fit, time order and G(T-), and
+    one prediction order per horizon, gives every metric's bits of the
+    metric called alone, on tied times, tied predictions and censoring.
+    kaplan_meier_at keeps its bits given the time order, and the stable
+    order and dense ranks are numpy's."""
+    _, times, events, _, rng = cohort
+    surv = np.round(rng.random((times.size, n_horizons)), rng.integers(1, 3))
+    horizons = [float(t) for t in rng.choice(times, n_horizons)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ECE's skipped-bin warning
+        got = metrics._sample_metrics(surv, times, events, horizons)
+        want = metrics_called_alone(surv, times, events, horizons)
+    assert np.array_equal(got, want, equal_nan=True)
+
+    for x in (times, surv[:, 0]):
+        order, ranks = metrics._stable_order(x)
+        assert np.array_equal(order, np.argsort(x, kind="stable"))
+        assert np.array_equal(ranks, np.unique(x, return_inverse=True)[1])
+    order = np.argsort(times, kind="stable")
+    groups = rng.integers(0, 5, times.size)
+    for t in horizons:
+        assert (kaplan_meier_at(times, events, groups, t, time_order=order).tobytes()
+                == kaplan_meier_at(times, events, groups, t).tobytes())
 
 
 @SETTINGS

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,13 @@ class TestSerialization:
                                    atol=1e-14)
         assert s2.tail_hazard == s.tail_hazard
         assert s2.knots.size == s.knots.size
+
+    @pytest.mark.parametrize("knots, values", [
+        ([0.0, 1e-320], [1.0, 0.5]),      # the secant overflows
+        ([0.0, 1e-308], [1e-9, 1e-10]),   # a finite secant, an infinite tail hazard
+    ])
+    def test_non_finite_derived_curve_rejected_without_warning(self, knots, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                spline_from_dict({"knots": knots, "values": values})
