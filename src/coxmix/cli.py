@@ -68,7 +68,7 @@ def _load_dataset(args):
     return load_csv(
         args.data, time_col=args.time_col, event_col=args.event_col,
         group_col=args.group_col, drop_missing=args.drop_missing,
-        drop_columns=tuple(args.drop_columns.split(",")) if args.drop_columns else (),
+        drop_columns=tuple(filter(None, args.drop_columns.split(","))),
     )
 
 
@@ -194,13 +194,6 @@ def _write_report(tracker, rows):
     _write_json(tracker.path("report.json"), [dict(zip(header, row)) for row in table])
 
 
-def _calibration_table(surv, times, events, horizons):
-    return [[float(h), b, mean, km, size]
-            for h_idx, h in enumerate(horizons)
-            for b, (mean, km, size, _) in enumerate(
-                metrics_mod.calibration_bins(surv[:, h_idx], times, events, h))]
-
-
 def cmd_eval(args, tracker):
     model = DcmModel.load(args.model)
     ds = _load_dataset(args)
@@ -212,7 +205,10 @@ def cmd_eval(args, tracker):
     _write_report(tracker, rows)
     _write_csv(tracker.path("calibration_bins.csv"),
                ["horizon", "bin", "mean_predicted", "km_observed", "n"],
-               _calibration_table(surv, ds.times, ds.events, horizons))
+               [[float(h), b, mean, km, size]
+                for h_idx, h in enumerate(horizons)
+                for b, (mean, km, size, _) in enumerate(
+                    metrics_mod.calibration_bins(surv[:, h_idx], ds.times, ds.events, h))])
     if args.dump_baselines:
         for k, bl in enumerate(model.baselines):
             grid = np.linspace(bl.knots[0], bl.knots[-1], 200)
@@ -252,14 +248,12 @@ def cmd_cv(args, tracker):
 
     if args.grid:
         g = metrics_mod.censoring_km(ds.times, ds.events)
-        sample = metrics_mod._Sample(ds.times, g)  # every configuration shares G(T-)
         results = []
         for k, layers, width in _GRID:
             cfg = lambda fold, k=k, hidden=(width,) * layers: _dcm_config(
                 args, fold, n_clusters=k, hidden_dims=hidden)
             surv = _run_cv(ds, horizons, cfg, folds)
-            briers = [metrics_mod.brier_ipcw(surv[:, i], ds.times, ds.events, g, h,
-                                             sample=sample)
+            briers = [metrics_mod.brier_ipcw(surv[:, i], ds.times, ds.events, g, h)
                       for i, h in enumerate(horizons)]
             results.append(((k, layers, width), float(np.mean(briers)), surv))
         results.sort(key=lambda r: (r[1], r[0]))

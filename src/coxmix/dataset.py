@@ -89,10 +89,11 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
              drop_columns=()):
     """Load a survival dataset from a comma-separated file with a header row.
 
-    All columns other than the time, event and group columns are treated as
-    numeric features. Rows with missing or non-numeric values raise a
-    DatasetError naming the offending row unless drop_missing is set, in
-    which case they are dropped.
+    All columns other than the time, event, group and drop_columns columns
+    are treated as numeric features. Column names must be unique and every
+    drop_columns name must be in the header. Rows with missing or
+    non-numeric values raise a DatasetError naming the offending row unless
+    drop_missing is set, in which case they are dropped.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -102,6 +103,12 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
             raise DatasetError(f"{path}: empty file") from None
         rows = list(reader)
 
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise DatasetError(f"{path}: repeated column name(s) {repeated}")
+    unknown = [c for c in drop_columns if c not in header]
+    if unknown:
+        raise DatasetError(f"{path}: drop_columns not in the header: {unknown}")
     for col in (time_col, event_col):
         if col not in header:
             raise DatasetError(f"{path}: missing required column {col!r}")

@@ -100,13 +100,15 @@ def kaplan_meier_at(times, events, groups, t, *, time_order=None):
     for every k, the value kaplan_meier(times[groups == k],
     events[groups == k])(t), computed in one pass over all records.
     ``time_order``, if given, is np.argsort(times, kind="stable"), which
-    saves a sort and leaves every bit of the result unchanged."""
-    groups = np.asarray(groups, dtype=int)
+    saves a sort and leaves every bit of the result unchanged. Integer
+    labels keep their type: numpy sorts 8- and 16-bit ones stably by radix."""
+    groups = np.asarray(groups)
+    groups = groups if groups.dtype.kind in "iu" else groups.astype(int)
     g, knots, inc = _km_increments(times, events, groups, time_order)
     sel = knots <= t
     # bincount adds each group's increments in time order, the order of
     # kaplan_meier's cumulative sum
-    return np.exp(-np.bincount(g[sel], inc[sel], minlength=groups.max() + 1))
+    return np.exp(-np.bincount(g[sel], inc[sel], minlength=int(groups.max()) + 1))
 
 
 def censoring_km(times, events):

@@ -69,59 +69,48 @@ def _stable_order(x):
 
 
 class _Sample:
-    """The sort work every metric at every horizon shares on one sample
-    (a stratum or one bootstrap resample of it): the stable time order, its
-    inverse (each record's time position), the sorted times and, given the
-    censoring curve, each record's G(T-) from one searchsorted over the
-    sorted times, scattered back to record order. ``at(pi)`` adds one
-    horizon's predictions: their stable order and their dense ranks. A
-    metric given ``sample=`` trusts it to describe the times, censoring
-    curve and predictions it is called with."""
+    """One sample (a stratum or one bootstrap resample of it) as every
+    metric reads it: its times, events and censoring curve, the stable time
+    order, its inverse (each record's time position), the sorted times and,
+    given the curve, each record's G(T-) from one searchsorted over the
+    sorted times, scattered back to record order. ``at`` adds one horizon's
+    predictions. A metric given ``sample=`` reads everything from it."""
 
-    def __init__(self, times, g_curve=None):
-        self.time_order, _ = _stable_order(times)
+    def __init__(self, times, events, g_curve=None):
+        self.times = np.asarray(times, dtype=float)
+        self.events = np.asarray(events, dtype=int)
+        self.g_curve = g_curve
+        self.time_order, _ = _stable_order(self.times)
         self.time_pos = np.empty_like(self.time_order)
-        self.time_pos[self.time_order] = np.arange(times.size)
-        self.sorted_times = times[self.time_order]
-        self.g_left = self.pi_order = self.ranks = None
+        self.time_pos[self.time_order] = np.arange(self.times.size)
+        self.sorted_times = self.times[self.time_order]
         if g_curve is not None:
-            self.g_left = np.empty(times.size)
+            self.g_left = np.empty(self.times.size)
             self.g_left[self.time_order] = g_curve.eval_left(self.sorted_times)
 
-    def at(self, pi):
+    def at(self, surv_probs, probabilities):
+        """This sample with one horizon's checked predictions pi, ordered and ranked."""
         out = copy.copy(self)
-        out.pi_order, out.ranks = _stable_order(pi)
+        out.pi = _check_predictions(surv_probs, "surv_probs", probabilities)
+        out.pi_order, out.ranks = _stable_order(out.pi)
         return out
+
+    def cases(self, horizon):
+        """The IPCW cases: events by the horizon with G(T-) > MIN_IPCW_DENOM."""
+        return (self.events == 1) & (self.times <= horizon) & (self.g_left > MIN_IPCW_DENOM)
 
 
 def _check_predictions(pi, what, probabilities):
-    """MetricError unless every entry of ``pi`` is finite and, if read as
-    survival ``probabilities`` (Brier, calibration, the report), in [0, 1];
-    the rank metrics (concordance, AUC) take any finite score."""
+    """``pi`` as floats; MetricError unless all are finite and, if read as survival
+    ``probabilities`` (Brier, calibration, the report), in [0, 1]. The rank
+    metrics (concordance, AUC) take any finite score."""
+    pi = np.asarray(pi, dtype=float)
     ok = (pi >= 0.0) & (pi <= 1.0) if probabilities else np.isfinite(pi)
     if not ok.all():
         problem = ("NaN predictions" if np.isnan(pi).any() else
                    "predictions outside [0, 1]" if probabilities else "infinite predictions")
         raise MetricError(f"{what} contains {problem}")
-
-
-def _ipcw_inputs(surv_probs, times, events, g_curve, horizon, sample,
-                 ranked=False, probabilities=False):
-    """The arrays an IPCW metric scores, as (pi, times, events, sample,
-    cases): the shared ``_Sample`` (built here when None, ``ranked`` with
-    the predictions if asked), whose g_left holds the censoring left limit
-    G(T-) of every record, and the cases, observed events by the horizon
-    with G(T-) > MIN_IPCW_DENOM. Raises MetricError on predictions
-    ``_check_predictions`` rejects."""
-    pi = np.asarray(surv_probs, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
-    _check_predictions(pi, "surv_probs", probabilities)
-    if sample is None:
-        sample = _Sample(times, g_curve)
-        sample = sample.at(pi) if ranked else sample
-    cases = (events == 1) & (times <= horizon) & (sample.g_left > MIN_IPCW_DENOM)
-    return pi, times, events, sample, cases
+    return pi
 
 
 def concordance_td(surv_probs, times, events, g_curve, horizon, *, sample=None):
@@ -133,12 +122,12 @@ def concordance_td(surv_probs, times, events, g_curve, horizon, *, sample=None):
     in time are excluded. Pairs are counted over time-sorted records
     (Uno et al., Stat Med 2011) without forming the n x n pairs.
     """
-    _, times, _, sample, cases = _ipcw_inputs(surv_probs, times, events, g_curve, horizon,
-                                              sample, ranked=True)
-    n = times.size
+    if sample is None:
+        sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=False)
+    n, cases = sample.times.size, sample.cases(horizon)
     # cases in time order, and the records not later than each
     by_time = sample.time_order[cases[sample.time_order]]
-    prefix = np.searchsorted(sample.sorted_times, times[by_time], side="right")
+    prefix = np.searchsorted(sample.sorted_times, sample.times[by_time], side="right")
     r = sample.ranks[by_time]
     # of the later records, those predicted to survive longer, and those
     # tied in prediction, counted in the sorted (rank, time position) keys
@@ -161,34 +150,26 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
 
     Cases are observed events with T <= horizon, weighted by
     delta / (n * G(T-)); controls are records with T > horizon
-    (unweighted, per the specificity definition). Sensitivity/specificity
-    are swept over the distinct predicted values and the (FPR, TPR) curve
-    is integrated by trapezoid, which credits prediction ties by half.
+    (unweighted, per the specificity definition). The area is the weighted
+    Mann-Whitney count of (case, control) pairs in which the case has the
+    higher risk 1 - pi; ties in risk count half.
     """
-    pi, times, _, sample, cases = _ipcw_inputs(surv_probs, times, events, g_curve, horizon,
-                                               sample)
-    n = times.size
-    controls = times > horizon
+    if sample is None:
+        sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=False)
+    n, cases, controls = sample.times.size, sample.cases(horizon), sample.times > horizon
     if not np.any(cases) or not np.any(controls):
         raise MetricError("need at least one case and one control at this horizon")
-
-    risk = 1.0 - pi  # higher risk = predicted earlier event
-    order = np.argsort(risk[cases])
-    r_case = risk[cases][order]
-    # w_tail[k]: total weight of the cases from sorted position k on
-    w_case = 1.0 / (n * sample.g_left[cases][order])
-    w_tail = np.append(np.cumsum(w_case[::-1])[::-1], 0.0)
-    r_ctrl = np.sort(risk[controls])
-
-    # sweep from high threshold (Se=0, FPR=0) to low (Se=1, FPR=1);
-    # sensitivity is the weight of cases with risk > c, FPR the share of
-    # controls with risk > c
-    cs = np.concatenate([np.unique(risk)[::-1], [-np.inf]])
-    se = w_tail[np.searchsorted(r_case, cs, side="right")] / w_tail[0]
-    fpr = (r_ctrl.size - np.searchsorted(r_ctrl, cs, side="right")) / r_ctrl.size
-    se = np.concatenate([[0.0], se])
-    fpr = np.concatenate([[0.0], fpr])
-    return float(np.trapezoid(se, fpr))
+    # dense ranks of the risk, ascending along the reversed prediction
+    # order: predictions whose 1 - pi round to the same float tie
+    by_risk = sample.pi_order[::-1]
+    risk = 1.0 - sample.pi[by_risk]
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[by_risk] = np.cumsum(np.r_[False, risk[1:] != risk[:-1]])
+    # per risk rank, the controls below it plus half those tied with it
+    tied = np.bincount(ranks[controls], minlength=n)
+    wins = np.cumsum(tied) - 0.5 * tied
+    r, w = ranks[cases], 1.0 / (n * sample.g_left[cases])
+    return float(np.sum(w * wins[r])) / (float(np.sum(w)) * np.count_nonzero(controls))
 
 
 def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *,
@@ -202,18 +183,15 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
     subject and the curve has not reached zero. Predictions that are not
     probabilities (NaN, +-inf, outside [0, 1]) raise MetricError.
     """
-    pi = np.asarray(surv_probs, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
-    _check_predictions(pi, "surv_probs", probabilities=True)
+    if sample is None:
+        sample = _Sample(times, events).at(surv_probs, probabilities=True)
+    pi, times, events, order = sample.pi, sample.times, sample.events, sample.pi_order
     if pi.size < n_bins:
         raise MetricError(f"need at least {n_bins} records for {n_bins} bins")
 
-    sample = _Sample(times).at(pi) if sample is None else sample
-    order = sample.pi_order
     bins = np.array_split(order, n_bins)
     sizes = np.array([idx.size for idx in bins])
-    in_bin = np.empty(pi.size, dtype=int)
+    in_bin = np.empty(pi.size, dtype=np.min_scalar_type(n_bins - 1))
     in_bin[order] = np.repeat(np.arange(n_bins), sizes)
     km = kaplan_meier_at(times, events, in_bin, horizon, time_order=sample.time_order)
     # per bin: last follow-up time and the events there
@@ -249,12 +227,13 @@ def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *, sample=N
 def brier_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     """IPCW Brier score at a horizon:
     mean of pi^2 * 1{T<=t, event}/G(T-) + (1-pi)^2 * 1{T>t}/G(t)."""
-    pi, times, events, sample, cases = _ipcw_inputs(surv_probs, times, events, g_curve,
-                                                    horizon, sample, probabilities=True)
-    g_t = g_curve(horizon)
+    if sample is None:
+        sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=True)
+    pi, times, cases = sample.pi, sample.times, sample.cases(horizon)
+    g_t = sample.g_curve(horizon)
     if g_t <= 0:
         raise MetricError("horizon beyond censoring follow-up (G(t) = 0)")
-    if np.any((events == 1) & (times <= horizon) & ~cases):
+    if np.any((sample.events == 1) & (times <= horizon) & ~cases):
         warnings.warn("brier_ipcw: dropped record(s) with near-zero censoring "
                       "weight denominator", stacklevel=2)
     late = times > horizon
@@ -319,11 +298,11 @@ def _sample_metrics(surv_matrix, times, events, horizons):
     horizon one prediction order: a (n_horizons, n_metrics) array, NaN
     where undefined."""
     g = censoring_km(times, events)
-    sample = _Sample(times, g)
+    sample = _Sample(times, events, g)
     values = np.full((len(horizons), len(METRIC_NAMES)), np.nan)
     for h_idx, horizon in enumerate(horizons):
         pi = surv_matrix[:, h_idx]
-        ranked = sample.at(pi)
+        ranked = sample.at(pi, probabilities=True)
         for m_idx, score in enumerate((  # in METRIC_NAMES order
                 lambda: concordance_td(pi, times, events, g, horizon, sample=ranked),
                 lambda: auc_ipcw(pi, times, events, g, horizon, sample=ranked),
@@ -364,12 +343,11 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     MIN_GROUP_SIZE records get NaN estimates and n=0. Returns a list of
     MetricRow; raises MetricError on a prediction that is not a
     probability."""
-    surv_matrix = np.asarray(surv_matrix, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
-    if surv_matrix.shape != (times.size, len(horizons)):
+    if np.shape(surv_matrix) != (times.size, len(horizons)):
         raise MetricError("surv_matrix must be (n_records, n_horizons)")
-    _check_predictions(surv_matrix, "surv_matrix", probabilities=True)  # before any scoring
+    surv_matrix = _check_predictions(surv_matrix, "surv_matrix", probabilities=True)
 
     rows = _stratum_metrics(surv_matrix, times, events, horizons,
                             "population", n_replicates, seed)

@@ -45,6 +45,8 @@ class SynthConfig:
     with_groups: bool = False  # label rows by the sign of the first covariate
 
     def __post_init__(self):
+        if self.n < 1:
+            raise SynthError(f"need at least one record, got n={self.n}")
         if not 0.0 <= self.censoring_fraction <= 0.95:
             raise SynthError("censoring fraction must be in [0, 0.95]")
         if len(self.clusters) < 1:

@@ -92,6 +92,22 @@ class TestTrain:
         model = json.loads((tmp_path / "model.json").read_text())
         assert model["feature_names"] == ["x0", "x1"]
 
+    def test_drop_columns_trailing_comma(self, cohort_dir, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["train", "--data", str(cohort_dir / "cohort.csv"), "--group-col", "group",
+             "--drop-columns", "x2,", "--out", str(tmp_path)])
+        assert cli._load_dataset(args).feature_names == ("x0", "x1")
+
+    def test_unknown_drop_column_fails(self, cohort_dir, tmp_path, capsys):
+        # used to exit 0 and train on every column
+        out = tmp_path / "o"
+        code = run(["train", "--data", str(cohort_dir / "cohort.csv"),
+                    "--group-col", "group", "--drop-columns", "x9",
+                    "--k", "2", "--layers", "8", "--epochs", "1", "--out", str(out)])
+        assert code == 1
+        assert "x9" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_missing_file_nonzero_exit_and_cleanup(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = run(["train", "--data", str(tmp_path / "nope.csv"),

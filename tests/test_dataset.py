@@ -44,6 +44,17 @@ class TestLoadCsv:
         ds = load_csv(path, "time", "event", drop_columns=("id",))
         assert ds.feature_names == ("x",)
 
+    def test_repeated_column_names_rejected(self, tmp_path):
+        # both x features used to be read from the first x column
+        path = write_csv(tmp_path, "x,x,time,event\n1,10,2,1\n2,20,3,0\n3,30,4,1\n")
+        with pytest.raises(DatasetError, match="repeated column.*'x'"):
+            load_csv(path, "time", "event")
+
+    def test_unknown_drop_column_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "id,x,time,event\nA,1,2,1\nB,2,3,0\n")
+        with pytest.raises(DatasetError, match="'x9'"):
+            load_csv(path, "time", "event", drop_columns=("id", "x9"))
+
     def test_missing_value_names_row(self, tmp_path):
         path = write_csv(tmp_path, "x,time,event\n1,2,1\n,3,0\n")
         with pytest.raises(DatasetError, match="row 3"):

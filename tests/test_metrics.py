@@ -6,10 +6,10 @@ import pytest
 from coxmix import metrics as metrics_mod
 from coxmix.estimators import StepSurvivalCurve, censoring_km
 from coxmix.metrics import (
-    MIN_GROUP_SIZE, MetricError, auc_ipcw, bootstrap_se, brier_ipcw, calibration_bins,
+    MIN_GROUP_SIZE, MIN_IPCW_DENOM, MetricError, auc_ipcw, bootstrap_se, brier_ipcw, calibration_bins,
     concordance_td, ece, evaluate_by_group,
 )
-from conftest import naive_auc, naive_concordance
+from conftest import ipcw_pair_auc, naive_auc, naive_concordance
 
 
 def flat_g():
@@ -158,6 +158,21 @@ class TestAuc:
         times = np.array([1.0, 3.0])
         events = np.array([1, 1])
         np.testing.assert_allclose(auc_ipcw(pi, times, events, flat_g(), 2.0), 0.5)
+
+    def test_predictions_with_equal_risk_tie(self):
+        # 0, 1e-17 and 5e-324 are distinct predictions, but 1 - pi is 1.0
+        # for each, so every pair among them is a tie in risk
+        tiny = [0.0, 1e-17, 5e-324]
+        pi = np.array(tiny + [0.4] + tiny + [0.7, 0.2] + tiny + [0.9, 0.5])
+        times = np.array([1.0, 1.5, 2.0, 2.5, 2.5, 3.0, 1.2, 3.2, 4.0,
+                          5.0, 6.0, 7.0, 8.0, 9.0])
+        events = np.array([1, 1, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0])
+        assert np.all(1.0 - pi[pi < 1e-16] == 1.0)
+        g = censoring_km(times, events)
+        for horizon in (3.0, 3.5, 4.0):
+            np.testing.assert_allclose(
+                auc_ipcw(pi, times, events, g, horizon),
+                ipcw_pair_auc(pi, times, events, horizon, MIN_IPCW_DENOM), rtol=1e-12)
 
     def test_needs_cases_and_controls(self):
         with pytest.raises(MetricError):

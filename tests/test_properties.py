@@ -106,6 +106,13 @@ def test_grouped_km_equals_one_fit_per_group(cohort, n_groups):
         mask = groups == k
         want = kaplan_meier(times[mask], events[mask])(horizon) if mask.any() else 1.0
         assert got[k] == want
+    # uint8 labels, sorted by radix rather than timsort, give the same bits,
+    # also with the label 255
+    assert (kaplan_meier_at(times, events, groups.astype(np.uint8), horizon).tobytes()
+            == got.tobytes())
+    wide = np.where(groups == groups.max(), 255, groups)
+    got = kaplan_meier_at(times, events, wide.astype(np.uint8), horizon)
+    assert got.tobytes() == kaplan_meier_at(times, events, wide, horizon).tobytes()
 
 
 @SETTINGS

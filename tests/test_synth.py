@@ -77,6 +77,9 @@ class TestGenerate:
         with pytest.raises(SynthError):
             SynthConfig(n=10, clusters=(exponential_cluster(1.0, (0.0,)),),
                         gating=((0.0,), (0.0,)))
+        with pytest.raises(SynthError, match="at least one record"):  # was a header-only cohort
+            SynthConfig(n=0, clusters=(exponential_cluster(1.0, (0.0,)),),
+                        gating=((0.0,),), censoring_fraction=0.3)
 
 
 class TestLatentStructure:
