@@ -6,7 +6,7 @@
 import numpy as np
 
 from coxmix.estimators import breslow, censoring_km, kaplan_meier
-from coxmix.spline import density_given_cluster, fit_spline, spline_derivative
+from coxmix.spline import density_given_cluster, fit_spline, spline_value_and_slope
 
 rng = np.random.default_rng(0)
 
@@ -42,14 +42,14 @@ for t in (0.25, 0.5, 1.0, 1.5):
 spline = fit_spline(base)
 f = 0.8 * 0.5  # an individual with x = 0.5
 t_eval = np.array([0.3, 0.6, 1.2])
+s0, ds0 = spline_value_and_slope(spline, t_eval)  # one interval lookup for both
 print("\nspline-smoothed baseline and implied density at f =", round(f, 2))
 print("   t    S0(t)    dS0/dt    density")
-for t, s0, ds, dens in zip(t_eval, spline(t_eval), spline_derivative(spline, t_eval),
-                           density_given_cluster(spline, f, t_eval)):
-    print(f"  {t:4.2f}  {s0:6.3f}  {ds:8.4f}  {dens:7.4f}")
+for t, s, ds, dens in zip(t_eval, s0, ds0, density_given_cluster(np.exp(f), s0, ds0)):
+    print(f"  {t:4.2f}  {s:6.3f}  {ds:8.4f}  {dens:7.4f}")
 
 # Sanity check: the density integrates to the event probability.
 tt = np.linspace(1e-4, 6.0, 5000)
-integral = np.trapezoid(density_given_cluster(spline, f, tt), tt)
+integral = np.trapezoid(density_given_cluster(np.exp(f), *spline_value_and_slope(spline, tt)), tt)
 print(f"\nintegral of the density over [0, 6]: {integral:.3f} "
       f"(expected {1 - spline(6.0) ** np.exp(f):.3f})")

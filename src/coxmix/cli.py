@@ -24,12 +24,17 @@ from coxmix.model import DcmConfig, DcmModel, fit
 
 
 class _OutputTracker:
-    """Records files written by a command so they can be removed if a
-    later step fails."""
+    """Records the files a command writes and the directories it creates
+    for them, so they can be removed if a later step fails."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.written = []
+        self.made = []  # missing directories on the way to out_dir, deepest first
+        d = os.path.abspath(out_dir)
+        while not os.path.exists(d):
+            self.made.append(d)
+            d = os.path.dirname(d)
         os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name):
@@ -41,6 +46,10 @@ class _OutputTracker:
         for p in self.written:
             if os.path.exists(p):
                 os.remove(p)
+        for d in self.made:
+            if os.listdir(d):
+                break  # a directory that holds anything is kept, and so are its parents
+            os.rmdir(d)
 
 
 def _write_json(path, payload):
@@ -213,7 +222,7 @@ def cmd_eval(args, tracker):
         for k, bl in enumerate(model.baselines):
             grid = np.linspace(bl.knots[0], bl.knots[-1], 200)
             _write_csv(tracker.path(f"baseline_{k}.csv"), ["time", "survival"],
-                       [[float(t), float(bl(t))] for t in grid])
+                       zip(grid.tolist(), bl(grid).tolist()))
     _echo_config(tracker, args, {"horizons": horizons})
 
 

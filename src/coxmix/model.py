@@ -5,9 +5,11 @@ Each EM sweep alternates, per minibatch, a posterior (E) step using the
 current spline baselines, a categorical draw of hard assignments, and one
 Adam step on the hard-assignment objective; once per epoch the per-cluster
 Breslow baselines are recomputed over the full training data and re-splined.
-The baselines are fixed between refreshes, so each training row's spline
-terms are evaluated once per refresh into a baseline table that the
-minibatch E-steps read.
+Every posterior reads the baselines through a baseline table: each row's
+S0 and dS0/dt under every cluster's spline. The baselines are fixed between
+refreshes, so the training rows' table is built once per refresh and the
+minibatch E-steps gather their rows from it; the validation objective and
+a bare ``e_step`` build one for their own rows.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from coxmix import neural, objective
 from coxmix.dataset import atomic_write
 from coxmix.estimators import breslow, kaplan_meier
 from coxmix.spline import (
-    EPS_DENSITY, density_given_cluster, event_density, fit_spline, spline_derivative,
-    spline_eval, spline_from_dict, spline_to_dict,
+    EPS_DENSITY, density_given_cluster, fit_spline, spline_eval, spline_from_dict,
+    spline_to_dict, spline_value_and_slope,
 )
 
 MODEL_FORMAT_VERSION = 2  # version 1 files still load: they hold every version-2 key
@@ -225,49 +227,40 @@ def _array(value, shape, what):
 # -- EM steps ------------------------------------------------------------
 
 
-def baseline_table(baselines, times, events):
-    """Every row's spline terms under each cluster's baseline: S0_k(t_i) for
-    all rows and dS0_k/dt(t_i) for event rows (0 for censored rows), as two
-    (N, K) arrays. Rows gathered from it stand in for the splines in
-    ``cluster_log_densities``."""
+def baseline_table(baselines, times):
+    """Every row's spline terms under each cluster's baseline, S0_k(t_i) and
+    dS0_k/dt(t_i), as two (N, K) arrays filled one curve at a time with one
+    interval lookup per curve. Every posterior reads its rows from one."""
     times = np.asarray(times, dtype=float)
-    ev = np.asarray(events, dtype=int) == 1
-    s0 = np.column_stack([spline_eval(bl, times) for bl in baselines])
-    ds0 = np.zeros_like(s0)
-    ds0[ev] = np.column_stack([spline_derivative(bl, times[ev]) for bl in baselines])
+    s0 = np.empty((times.size, len(baselines)))
+    ds0 = np.empty_like(s0)
+    for k, bl in enumerate(baselines):
+        s0[:, k], ds0[:, k] = spline_value_and_slope(bl, times)
     return s0, ds0
 
 
-def cluster_log_densities(baselines, log_hazards, times, events, table=None):
+def cluster_log_densities(log_hazards, events, table):
     """Per-row, per-cluster log likelihood terms: log density for events,
-    exp(f_k) * log S_k(t) for censored rows. Shape (N, K). With ``table``,
-    the rows' (S0, dS0) from ``baseline_table``, no spline is evaluated;
-    without it each row's spline terms are evaluated for its own case only.
-    Both give the same bits."""
+    exp(f_k) * log S_k(t) for censored rows. Shape (N, K). ``table`` holds
+    the rows' (S0, dS0) from ``baseline_table``."""
     f = np.asarray(log_hazards, dtype=float)
     if not np.all(np.isfinite(f)):
         raise ModelError("non-finite log hazard")
     ev = np.asarray(events, dtype=int) == 1
+    s0, ds0 = table
     out = np.empty(f.shape)
-    if table is not None:
-        s0, ds0 = table
-        out[ev] = np.log(event_density(np.exp(f[ev]), s0[ev], ds0[ev]))
-        out[~ev] = np.exp(f[~ev]) * np.log(s0[~ev])
-        return out
-    times = np.asarray(times, dtype=float)
-    for c, bl in enumerate(baselines):
-        out[ev, c] = np.log(density_given_cluster(bl, f[ev, c], times[ev]))
-        out[~ev, c] = np.exp(f[~ev, c]) * np.log(spline_eval(bl, times[~ev]))
+    out[ev] = np.log(density_given_cluster(np.exp(f[ev]), s0[ev], ds0[ev]))
+    out[~ev] = np.exp(f[~ev]) * np.log(s0[~ev])
     return out
 
 
-def _posterior(model, f, g, times, events, table=None):
+def _posterior(f, g, events, table):
     """Log joint weights log(p(t, delta | k, x) * gate_k(x)), shape (N, K),
     and the posterior responsibilities: density^delta *
     conditional-survival^(1-delta) * gate, each row shifted by its max,
     exponentiated, floored at EPS_DENSITY and normalized."""
     z = g - g.max(axis=1, keepdims=True)
-    log_joint = cluster_log_densities(model.baselines, f, times, events, table) + (
+    log_joint = cluster_log_densities(f, events, table) + (
         z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
     w = np.maximum(np.exp(log_joint - log_joint.max(axis=1, keepdims=True)), EPS_DENSITY)
     w[~np.all(np.isfinite(w), axis=1)] = 1.0
@@ -282,9 +275,11 @@ def _q_loss(log_joint, gamma):
 def e_step(model, x, times, events, heads=None, table=None):
     """Posterior cluster responsibilities for a batch of rows x. ``heads``:
     the batch's (log hazards, gating logits) when the encoder has already
-    run on x; ``table``: the batch's rows of a ``baseline_table``."""
+    run on x; ``table``: the batch's rows of a ``baseline_table``, built
+    for ``times`` when not given."""
     f, g = model._heads_out(x) if heads is None else heads
-    return _posterior(model, f, g, times, events, table)[1]
+    table = baseline_table(model.baselines, times) if table is None else table
+    return _posterior(f, g, events, table)[1]
 
 
 def sample_assignments(gamma, rng):
@@ -327,7 +322,8 @@ def expected_q_loss(model, x, times, events):
     """Soft-count EM objective on held-out data (negated, a loss): the
     posterior-weighted complete-data log likelihood, averaged per row.
     Deterministic; used for epoch monitoring and early stopping."""
-    return _q_loss(*_posterior(model, *model._heads_out(x), times, events))
+    return _q_loss(*_posterior(*model._heads_out(x), events,
+                               baseline_table(model.baselines, times)))
 
 
 def _refresh_phase(model, x, times, events, table, rng):
@@ -338,10 +334,10 @@ def _refresh_phase(model, x, times, events, table, rng):
     until the next epoch, they stop the allocator from handing the freed
     encoder activations back, which raises peak memory."""
     f, g = model._heads_out(x)
-    zeta = sample_assignments(_posterior(model, f, g, times, events, table)[1], rng)
+    zeta = sample_assignments(_posterior(f, g, events, table)[1], rng)
     starved = update_baselines(model, f, times, events, zeta)
-    table = baseline_table(model.baselines, times, events)
-    return starved, _q_loss(*_posterior(model, f, g, times, events, table)), table
+    table = baseline_table(model.baselines, times)
+    return starved, _q_loss(*_posterior(f, g, events, table)), table
 
 
 def fit(dataset, config):
@@ -382,7 +378,7 @@ def fit(dataset, config):
                      standardization=dataset.standardization,
                      feature_names=dataset.feature_names)
     adam = neural.AdamState.create(params, heads, config.lr)
-    table = tuple(np.repeat(c, config.n_clusters, axis=1) for c in baseline_table([pooled], tt, et))
+    table = tuple(np.repeat(c, config.n_clusters, axis=1) for c in baseline_table([pooled], tt))
 
     best = (np.inf, None, None)
     stale = 0

@@ -90,64 +90,55 @@ def fit_spline(curve):
     return SplineSurvivalCurve(knots=kt, values=sv)
 
 
-def _piecewise(s, t, nu):
-    """Unclamped S(t) (nu=0) or dS/dt (nu=1) as a 1-d array: 1 or 0 before
-    the first knot; between knots the monotone cubic's value or slope (the
-    knot value or 0 for a single knot); past the last knot the
-    exponential constant-hazard tail or its slope -tail_hazard * tail."""
+def _piecewise(s, t):
+    """Unclamped S(t) and dS/dt as two 1-d arrays, from one interval
+    lookup: 1 and 0 before the first knot; between knots the monotone
+    cubic's value and slope (the knot value and 0 for a single knot); past
+    the last knot the exponential constant-hazard tail and its slope
+    -tail_hazard * tail."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t)
+    val, slope = np.empty_like(t), np.empty_like(t)
     lo, hi = s.knots[0], s.knots[-1]
     before, after = t < lo, t > hi
     mid = ~(before | after)  # a NaN time lands here and evaluates to NaN
-    out[before] = 1.0 - nu
+    val[before], slope[before] = 1.0, 0.0
     if np.any(after):
         tail = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * (t[after] - hi))
-        out[after] = tail if nu == 0 else -s.tail_hazard * tail
+        val[after], slope[after] = tail, -s.tail_hazard * tail
     if np.any(mid):
         if s._coef is None:  # a single knot
-            out[mid] = s.values[-1] if nu == 0 else 0.0
+            val[mid], slope[mid] = s.values[-1], 0.0
         else:
             i = np.clip(np.searchsorted(s.knots, t[mid], "right") - 1, 0, s.knots.size - 2)
             x, (a, b, c, y0) = t[mid] - s.knots[i], s._coef.take(i, axis=1)
             x2 = x * x  # terms summed in scipy PPoly's order, so its bits are kept
-            out[mid] = (y0 + c * x + b * x2 + a * (x2 * x) if nu == 0
-                        else c + b * x * 2 + a * x2 * 3)
-    return out
+            val[mid] = y0 + c * x + b * x2 + a * (x2 * x)
+            slope[mid] = c + b * x * 2 + a * x2 * 3
+    return val, slope
+
+
+def spline_value_and_slope(s, t):
+    """S(t) and dS/dt as two 1-d arrays from one interval lookup. S is
+    clipped to [EPS_SURVIVAL, 1] (the interpolant never overshoots the knot
+    values, so the clip only guards the floor); dS/dt is clamped to at most
+    -EPS_DENSITY, so the implied event density is strictly positive."""
+    val, slope = _piecewise(s, t)
+    return np.clip(val, EPS_SURVIVAL, 1.0, out=val), np.minimum(slope, -EPS_DENSITY, out=slope)
 
 
 def spline_eval(s, t):
-    """Clamped spline survival value at t (scalar or array).
-
-    1 before the first knot; exponential constant-hazard tail after the
-    last knot; in between, the monotone cubic clipped to [EPS_SURVIVAL, 1]
-    (the interpolant never overshoots the knot values, so the clip only
-    guards the floor).
-    """
-    out = np.clip(_piecewise(s, t, 0), EPS_SURVIVAL, 1.0)
+    """Clamped spline survival value at t (scalar or array): 1 before the
+    first knot, the exponential constant-hazard tail after the last, the
+    monotone cubic in between; clamped as by ``spline_value_and_slope``."""
+    out = spline_value_and_slope(s, t)[0]
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def spline_derivative(s, t):
-    """Analytic derivative dS/dt, clamped to at most -EPS_DENSITY so the
-    implied event density is strictly positive."""
-    out = np.minimum(_piecewise(s, t, 1), -EPS_DENSITY)
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def density_given_cluster(s, log_hazard, t):
-    """Event density at t for an individual with the given log hazard
-    ratio, under this baseline: -exp(f) * S(t|x)/S0(t) * dS0/dt where
-    S(t|x) = S0(t)^exp(f). Floored at EPS_DENSITY."""
-    if not np.all(np.isfinite(log_hazard)):
-        raise ValueError("non-finite log hazard")
-    return event_density(np.exp(log_hazard), spline_eval(s, t), spline_derivative(s, t))
-
-
-def event_density(ef, s0, ds0):
-    """The density of ``density_given_cluster`` from the hazard ratio ef =
-    exp(f) and the baseline's value s0 and slope ds0 at the event time:
-    -ef * S0^ef / S0 * dS0/dt, floored at EPS_DENSITY. Elementwise."""
+def density_given_cluster(ef, s0, ds0):
+    """Event density at an event time for an individual with hazard ratio
+    ef = exp(f), from the baseline's value s0 and slope ds0 there:
+    -ef * S(t|x)/S0(t) * dS0/dt where S(t|x) = S0(t)^ef. Floored at
+    EPS_DENSITY. Elementwise."""
     return np.maximum(-ef * np.power(s0, ef) / s0 * ds0, EPS_DENSITY)
 
 

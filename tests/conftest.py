@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coxmix.estimators import StepSurvivalCurve
-from coxmix.spline import fit_spline
+from coxmix.spline import density_given_cluster, fit_spline, spline_eval, spline_value_and_slope
 from coxmix.synth import ClusterSpec, SynthConfig
 
 
@@ -240,6 +240,20 @@ def exp_spline(rate=1.0, t_max=6.0, step=0.1):
     t = np.arange(step, t_max + step / 2, step)
     curve = StepSurvivalCurve(knot_times=t, cum_hazard=rate * t)
     return fit_spline(curve)
+
+
+def per_row_log_densities(baselines, log_hazards, times, events):
+    """Reference for ``model.cluster_log_densities``: no baseline table, but
+    each cluster's spline evaluated, one cluster at a time, on the event
+    rows alone (value and slope) and on the censored rows alone (value)."""
+    f = np.asarray(log_hazards, dtype=float)
+    ev = np.asarray(events) == 1
+    out = np.empty(f.shape)
+    for c, bl in enumerate(baselines):
+        s0, ds0 = spline_value_and_slope(bl, times[ev])
+        out[ev, c] = np.log(density_given_cluster(np.exp(f[ev, c]), s0, ds0))
+        out[~ev, c] = np.exp(f[~ev, c]) * np.log(spline_eval(bl, times[~ev]))
+    return out
 
 
 def metrics_called_alone(surv_matrix, times, events, horizons):

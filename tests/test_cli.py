@@ -106,7 +106,7 @@ class TestTrain:
                     "--k", "2", "--layers", "8", "--epochs", "1", "--out", str(out)])
         assert code == 1
         assert "x9" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()  # the --out directory it made is removed too
 
     def test_missing_file_nonzero_exit_and_cleanup(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -114,7 +114,7 @@ class TestTrain:
                     "--out", str(out)])
         assert code == 1
         assert "error" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()  # the --out directory it made is removed too
 
     @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--lr", "-0.01"]])
     def test_untrainable_values_fail(self, cohort_dir, tmp_path, capsys, flag):
@@ -124,7 +124,7 @@ class TestTrain:
                     "--k", "2", "--layers", "8", *flag, "--out", str(out)])
         assert code == 1
         assert "must be" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()  # the --out directory it made is removed too
 
 
 class TestPredict:
@@ -283,7 +283,7 @@ def test_horizons_must_be_given_and_finite(cohort_dir, model_dir, tmp_path, caps
                 *args, "--horizons", spec, "--out", str(out)])
     assert code == 1
     assert "--horizons needs at least one finite time" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()  # the --out directory it made is removed too
 
 
 def test_runs_without_scipy(tmp_path):
@@ -332,6 +332,22 @@ class TestAtomicWrites:
             cli._write_csv(str(target), ["a", "b"], rows())
         assert target.read_text() == "kept\n"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+
+class TestFailedCommandDirectories:
+    """A failed command removes the directories it made for --out, deepest
+    first, while they are empty; they used to be left behind empty."""
+
+    def test_nested_new_out_removed(self, tmp_path, capsys):
+        assert run(["synth", "--n", "0", "--out", str(tmp_path / "od" / "a" / "b")]) == 1
+        assert "error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_existing_directories_kept(self, tmp_path):
+        (tmp_path / "od").mkdir()
+        assert run(["synth", "--n", "0", "--out", str(tmp_path / "od")]) == 1
+        assert run(["synth", "--n", "0", "--out", str(tmp_path / "od" / "new")]) == 1
+        assert os.listdir(tmp_path) == ["od"] and os.listdir(tmp_path / "od") == []
 
 
 class TestParser:

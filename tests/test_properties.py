@@ -23,11 +23,12 @@ from coxmix.model import DcmConfig, DcmModel, baseline_table, cluster_log_densit
 from coxmix.neural import init_params
 from coxmix.objective import partial_log_likelihood, q_hat
 from coxmix.spline import (
-    EPS_DENSITY, EPS_SURVIVAL, fit_spline, spline_derivative, spline_eval, spline_from_dict,
+    EPS_DENSITY, EPS_SURVIVAL, fit_spline, spline_eval, spline_from_dict,
+    spline_value_and_slope,
 )
 from conftest import (
     brute_force_breslow, brute_force_km, brute_force_partial_likelihood, ipcw_pair_auc,
-    ipcw_pair_concordance, metrics_called_alone, per_cluster_q_hat,
+    ipcw_pair_concordance, metrics_called_alone, per_cluster_q_hat, per_row_log_densities,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -262,19 +263,19 @@ def baselines(draw, cohort):
 @given(st.data(), cohorts(min_size=1))
 def test_table_log_densities_equal_direct(data, cohort):
     """Rows gathered from a baseline table (a minibatch, repeats allowed) give
-    the bits of evaluating the splines on those rows: times from 0 to past
-    every last knot, tied, events and censored rows."""
+    the bits of evaluating each spline on those rows alone, per cluster and
+    per case: times from 0 to past every last knot, tied, events and
+    censored rows."""
     _, _, _, _, rng = cohort
     bls = [data.draw(baselines(cohort)) for _ in range(data.draw(st.integers(1, 4)))]
     n = data.draw(st.integers(1, 60))
     times = rng.integers(0, 24, size=n) / 2.0
     events = (rng.random(n) < 0.6).astype(int)
-    table = baseline_table(bls, times, events)
+    table = baseline_table(bls, times)
     rows = rng.integers(0, n, size=data.draw(st.integers(1, 40)))
     f = rng.normal(scale=2.0, size=(rows.size, len(bls)))
-    direct = cluster_log_densities(bls, f, times[rows], events[rows])
-    gathered = cluster_log_densities(bls, f, times[rows], events[rows],
-                                     table=(table[0][rows], table[1][rows]))
+    direct = per_row_log_densities(bls, f, times[rows], events[rows])
+    gathered = cluster_log_densities(f, events[rows], (table[0][rows], table[1][rows]))
     assert np.array_equal(gathered, direct)
 
 
@@ -287,12 +288,12 @@ def test_spline_slope_outside_knots(data, cohort):
     bl = data.draw(baselines(cohort))
     rng = cohort[4]
     after = bl.knots[-1] + rng.exponential(data.draw(st.sampled_from([0.5, 5.0, 50.0])), 30)
-    s, ds = spline_eval(bl, after), spline_derivative(bl, after)
+    s, ds = spline_value_and_slope(bl, after)
     free = s > EPS_SURVIVAL
     assert np.array_equal(ds[free], np.minimum(-bl.tail_hazard * s[free], -EPS_DENSITY))
     before = bl.knots[0] - rng.uniform(1e-6, 5.0, 30)
     assert np.all(spline_eval(bl, before) == 1.0)
-    assert np.all(spline_derivative(bl, before) == -EPS_DENSITY)
+    assert np.all(spline_value_and_slope(bl, before)[1] == -EPS_DENSITY)
 
 
 @st.composite
@@ -317,7 +318,7 @@ def monotone_curves(draw):
 @SETTINGS
 @given(monotone_curves(), st.integers(0, 2 ** 32 - 1))
 def test_spline_matches_scipy_pchip(curve, seed):
-    """spline_eval and spline_derivative agree with scipy's PchipInterpolator,
+    """spline_eval and spline_value_and_slope agree with scipy's PchipInterpolator,
     clamped the same way, within 1e-12 relative to the curve's scale, at the
     knots, between them, before the first (S = 1) and past the last knot
     (the constant-hazard tail at the last interval's log-secant)."""
@@ -340,7 +341,9 @@ def test_spline_matches_scipy_pchip(curve, seed):
         ds_ref = np.where(q < lo, 0.0, np.where(q > hi, -tail * tail_s, pchip(q, 1)))
     s_ref = np.clip(s_ref, EPS_SURVIVAL, 1.0)
     ds_ref = np.minimum(ds_ref, -EPS_DENSITY)
-    for got, ref in ((spline_eval(bl, q), s_ref), (spline_derivative(bl, q), ds_ref)):
+    s, ds = spline_value_and_slope(bl, q)
+    assert np.array_equal(spline_eval(bl, q), s)
+    for got, ref in ((s, s_ref), (ds, ds_ref)):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
     # every knot but the last starts its interval, where the cubic is its value
     assert np.array_equal(spline_eval(bl, knots[:-1]), np.clip(values[:-1], EPS_SURVIVAL, 1))

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from coxmix.estimators import StepSurvivalCurve
+from coxmix.model import ModelError, cluster_log_densities
 from coxmix.spline import (
     EPS_DENSITY, EPS_SURVIVAL, density_given_cluster, fit_spline,
-    spline_derivative, spline_eval, spline_from_dict, spline_to_dict,
+    spline_eval, spline_from_dict, spline_to_dict, spline_value_and_slope,
 )
 from conftest import exp_spline
+
+
+def density(s, f, t):
+    """The event density at t under baseline s for log hazard f."""
+    return density_given_cluster(np.exp(f), *spline_value_and_slope(s, t))
 
 
 class TestFitEval:
@@ -75,23 +81,23 @@ class TestDerivative:
         grid = np.arange(0.3, 7.5, 0.17)
         h = 1e-6
         fd = (spline_eval(s, grid + h) - spline_eval(s, grid - h)) / (2 * h)
-        an = spline_derivative(s, grid)
+        an = spline_value_and_slope(s, grid)[1]
         np.testing.assert_allclose(an, fd, rtol=1e-4, atol=1e-7)
 
     def test_exponential_derivative_accuracy(self):
         s = exp_spline(rate=1.0)
-        d = spline_derivative(s, 1.0)
+        d = spline_value_and_slope(s, 1.0)[1]
         assert abs(d - (-np.exp(-1.0))) / np.exp(-1.0) < 1e-2
 
     def test_strictly_negative(self):
         s = exp_spline()
         grid = np.linspace(0.05, 10.0, 500)
-        assert np.all(spline_derivative(s, grid) <= -EPS_DENSITY)
+        assert np.all(spline_value_and_slope(s, grid)[1] <= -EPS_DENSITY)
 
     def test_tail_derivative(self):
         s = exp_spline(rate=2.0, t_max=4.0)
         t = s.knots[-1] + 1.0
-        np.testing.assert_allclose(spline_derivative(s, t),
+        np.testing.assert_allclose(spline_value_and_slope(s, t)[1],
                                    -s.tail_hazard * spline_eval(s, t), rtol=1e-10)
 
 
@@ -103,7 +109,7 @@ class TestDensity:
             ef = np.exp(f)
             t = np.array([0.4, 1.0, 2.3])
             expect = ef * np.exp(-ef * t)
-            got = density_given_cluster(s, f, t)
+            got = density(s, f, t)
             np.testing.assert_allclose(got, expect, rtol=2e-2)
 
     def test_integrates_to_event_probability(self):
@@ -111,19 +117,21 @@ class TestDensity:
         s = exp_spline(rate=1.0, t_max=12.0)
         f = 0.3
         grid = np.linspace(1e-4, 10.0, 20000)
-        dens = density_given_cluster(s, f, grid)
+        dens = density(s, f, grid)
         integral = np.trapezoid(dens, grid)
         expect = 1.0 - spline_eval(s, 10.0) ** np.exp(f)
         assert abs(integral - expect) < 2e-2
 
     def test_floor(self):
         s = exp_spline()
-        assert density_given_cluster(s, 0.0, 1e9) >= EPS_DENSITY
+        assert density(s, 0.0, 1e9) >= EPS_DENSITY
 
     def test_rejects_non_finite_hazard(self):
-        s = exp_spline()
-        with pytest.raises(ValueError):
-            density_given_cluster(s, np.nan, 1.0)
+        table = spline_value_and_slope(exp_spline(), np.array([1.0, 2.0]))
+        log_hazards = np.array([[np.nan], [0.0]])  # the NaN is in the event row
+        with pytest.raises(ModelError, match="non-finite log hazard"):
+            cluster_log_densities(log_hazards, np.array([1, 0]),
+                                  tuple(c[:, None] for c in table))
 
 
 class TestSerialization:
