@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from coxmix.model import DcmConfig, DcmModel, fit
 
 
 class _OutputTracker:
-    """Records the files a command writes and the directories it creates
-    for them, so they can be removed if a later step fails."""
+    """Records the files a command writes and the directories ``main``
+    creates for them, so they can be removed if a later step fails."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
@@ -35,7 +35,6 @@ class _OutputTracker:
         while not os.path.exists(d):
             self.made.append(d)
             d = os.path.dirname(d)
-        os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name):
         p = os.path.join(self.out_dir, name)
@@ -47,6 +46,8 @@ class _OutputTracker:
             if os.path.exists(p):
                 os.remove(p)
         for d in self.made:
+            if not os.path.isdir(d):
+                continue  # never made: creating out_dir failed on the way
             if os.listdir(d):
                 break  # a directory that holds anything is kept, and so are its parents
             os.rmdir(d)
@@ -60,10 +61,9 @@ def _write_json(path, payload):
 
 def _write_csv(path, header, rows):
     with atomic_write(path, newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh)  # writes a float, numpy's included, as its repr
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        w.writerows(rows)
 
 
 def _echo_config(tracker, args, extra=None):
@@ -137,29 +137,19 @@ def _synth_config(args):
             raw = json.load(fh)
     else:
         raw = _PRESETS[args.preset]
-    clusters = tuple(
-        synth_mod.ClusterSpec(shape=c["shape"], scale=c["scale"], beta=tuple(c["beta"]))
-        for c in raw["clusters"])
-    return synth_mod.SynthConfig(
-        n=args.n, clusters=clusters,
-        gating=tuple(tuple(row) for row in raw["gating"]),
-        censoring_fraction=args.censoring, seed=args.seed,
-        with_groups=args.with_groups)
+    return replace(synth_mod.config_from_sidecar(raw), n=args.n, seed=args.seed,
+                   censoring_fraction=args.censoring, with_groups=args.with_groups)
 
 
 def cmd_synth(args, tracker):
     config = _synth_config(args)
     ds, sidecar = synth_mod.generate_cohort(config)
-    header = list(ds.feature_names) + ["time", "event"]
+    header = [*ds.feature_names, "time", "event"]
+    columns = [*ds.features.T, ds.times, ds.events]
     if ds.groups is not None:
         header.append("group")
-    rows = []
-    for i in range(len(ds)):
-        row = [float(v) for v in ds.features[i]] + [float(ds.times[i]), int(ds.events[i])]
-        if ds.groups is not None:
-            row.append(ds.groups[i])
-        rows.append(row)
-    _write_csv(tracker.path("cohort.csv"), header, rows)
+        columns.append(ds.groups)
+    _write_csv(tracker.path("cohort.csv"), header, zip(*columns))
     _write_json(tracker.path("sidecar.json"), sidecar)
     _echo_config(tracker, args)
 
@@ -172,11 +162,8 @@ def cmd_train(args, tracker):
     config = _dcm_config(args)
     model = fit(ds_std, config)
     model.save(tracker.path("model.json"))
-    _write_csv(
-        tracker.path("training_log.csv"),
-        ["epoch", "train_q", "val_q", "batch_loss", "starved_clusters"],
-        [[e["epoch"], e["train_q"], e["val_q"], e["batch_loss"], e["starved_clusters"]]
-         for e in model.training_log])
+    log = model.training_log
+    _write_csv(tracker.path("training_log.csv"), log[0].keys(), map(dict.values, log))
     _echo_config(tracker, args, {"effective_dcm_config": asdict(config)})
 
 
@@ -187,18 +174,15 @@ def cmd_predict(args, tracker):
     ds = _load_dataset(args)
     horizons = _resolve_horizons(args.horizons, ds)
     surv = model.predict_dataset(ds, horizons)
-    _write_csv(tracker.path("predictions.csv"),
-               [f"surv_at_{h}" for h in horizons],
-               [list(map(float, row)) for row in surv])
+    _write_csv(tracker.path("predictions.csv"), [f"surv_at_{h}" for h in horizons], surv)
     _echo_config(tracker, args, {"horizons": horizons})
 
 
 def _write_report(tracker, rows):
     """report.csv and report.json, one entry per MetricRow; an undefined
     estimate or SE is a blank cell in the CSV and null in the JSON."""
-    header = ["metric", "horizon", "group", "estimate", "se", "n", "records"]
-    table = [[r.metric, r.horizon, r.group, None if np.isnan(r.estimate) else r.estimate,
-              None if np.isnan(r.se) else r.se, r.n, r.records] for r in rows]
+    header = [f.name for f in fields(metrics_mod.MetricRow)]
+    table = [[None if v != v else v for v in astuple(r)] for r in rows]  # NaN != NaN
     _write_csv(tracker.path("report.csv"), header, table)  # csv writes None as ""
     _write_json(tracker.path("report.json"), [dict(zip(header, row)) for row in table])
 
@@ -214,7 +198,7 @@ def cmd_eval(args, tracker):
     _write_report(tracker, rows)
     _write_csv(tracker.path("calibration_bins.csv"),
                ["horizon", "bin", "mean_predicted", "km_observed", "n"],
-               [[float(h), b, mean, km, size]
+               [[h, b, mean, km, size]
                 for h_idx, h in enumerate(horizons)
                 for b, (mean, km, size, _) in enumerate(
                     metrics_mod.calibration_bins(surv[:, h_idx], ds.times, ds.events, h))])
@@ -222,7 +206,7 @@ def cmd_eval(args, tracker):
         for k, bl in enumerate(model.baselines):
             grid = np.linspace(bl.knots[0], bl.knots[-1], 200)
             _write_csv(tracker.path(f"baseline_{k}.csv"), ["time", "survival"],
-                       zip(grid.tolist(), bl(grid).tolist()))
+                       zip(grid, bl(grid)))
     _echo_config(tracker, args, {"horizons": horizons})
 
 
@@ -294,7 +278,8 @@ def _add_shared(p, data_required=True):
     p.add_argument("--event-col", default="event")
     p.add_argument("--group-col", default=None)
     p.add_argument("--drop-missing", action="store_true",
-                   help="drop rows with missing values instead of failing")
+                   help="drop rows with a missing or non-finite time, event or "
+                        "feature instead of failing")
     p.add_argument("--drop-columns", default="",
                    help="comma-separated columns to exclude from the features")
     p.add_argument("--seed", type=int, default=0)
@@ -372,6 +357,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     tracker = _OutputTracker(args.out)
     try:
+        os.makedirs(args.out, exist_ok=True)
         args.func(args, tracker)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         tracker.cleanup()

@@ -91,71 +91,64 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
 
     All columns other than the time, event, group and drop_columns columns
     are treated as numeric features. Column names must be unique and every
-    drop_columns name must be in the header. Rows with missing or
-    non-numeric values raise a DatasetError naming the offending row unless
-    drop_missing is set, in which case they are dropped.
+    drop_columns name must be in the header. A row whose time, event or a
+    feature is missing, non-numeric or non-finite raises a DatasetError
+    naming the row unless drop_missing is set, in which case it is dropped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:  # one pass: no row is kept as text
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        rows = list(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise DatasetError(f"{path}: repeated column name(s) {repeated}")
+        unknown = [c for c in drop_columns if c not in header]
+        if unknown:
+            raise DatasetError(f"{path}: drop_columns not in the header: {unknown}")
+        for col in (time_col, event_col):
+            if col not in header:
+                raise DatasetError(f"{path}: missing required column {col!r}")
+        if group_col is not None and group_col not in header:
+            raise DatasetError(f"{path}: missing group column {group_col!r}")
 
-    repeated = sorted({c for c in header if header.count(c) > 1})
-    if repeated:
-        raise DatasetError(f"{path}: repeated column name(s) {repeated}")
-    unknown = [c for c in drop_columns if c not in header]
-    if unknown:
-        raise DatasetError(f"{path}: drop_columns not in the header: {unknown}")
-    for col in (time_col, event_col):
-        if col not in header:
-            raise DatasetError(f"{path}: missing required column {col!r}")
-    if group_col is not None and group_col not in header:
-        raise DatasetError(f"{path}: missing group column {group_col!r}")
+        skip = {time_col, event_col, group_col, *drop_columns}
+        feature_names = [c for c in header if c not in skip]
+        numeric = [header.index(c) for c in (time_col, event_col, *feature_names)]
+        group = None if group_col is None else header.index(group_col)
 
-    skip = {time_col, event_col}
-    if group_col is not None:
-        skip.add(group_col)
-    skip.update(drop_columns)
-    feature_names = [c for c in header if c not in skip]
-    col_idx = {c: header.index(c) for c in header}
+        values, groups = [], []  # values: one [time, event, *features] row per record
+        for rownum, row in enumerate(reader, start=2):  # 1-based, header is row 1
+            if len(row) != len(header):
+                raise DatasetError(
+                    f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
+            try:
+                v = [float(row[i]) for i in numeric]
+            except ValueError:
+                v = [math.nan]  # an unparsable cell counts as a non-finite one
+            if not all(map(math.isfinite, v)):
+                if drop_missing:
+                    continue
+                raise DatasetError(
+                    f"{path}: row {rownum} has a missing, non-numeric or non-finite value")
+            if v[1] not in (0.0, 1.0):
+                raise DatasetError(
+                    f"{path}: row {rownum} event value {row[numeric[1]]!r} not in {{0,1}}")
+            if v[0] < 0:
+                raise DatasetError(f"{path}: row {rownum} has negative time")
+            values.append(v)
+            if group is not None:
+                groups.append(row[group])
 
-    feats, times, events, groups = [], [], [], []
-    for rownum, row in enumerate(rows, start=2):  # 1-based, header is row 1
-        if len(row) != len(header):
-            raise DatasetError(f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
-        try:
-            t = float(row[col_idx[time_col]])
-            e = float(row[col_idx[event_col]])
-            x = [float(row[col_idx[c]]) for c in feature_names]
-        except ValueError:
-            if drop_missing:
-                continue
-            raise DatasetError(f"{path}: row {rownum} has a missing or non-numeric value") from None
-        if not (math.isfinite(t) and all(map(math.isfinite, x))):
-            if drop_missing:
-                continue
-            raise DatasetError(f"{path}: row {rownum} has a missing or non-numeric value")
-        if e not in (0.0, 1.0):
-            raise DatasetError(f"{path}: row {rownum} event value {row[col_idx[event_col]]!r} not in {{0,1}}")
-        if t < 0:
-            raise DatasetError(f"{path}: row {rownum} has negative time")
-        feats.append(x)
-        times.append(t)
-        events.append(int(e))
-        if group_col is not None:
-            groups.append(row[col_idx[group_col]])
-
-    if not feats:
+    if not values:
         raise DatasetError(f"{path}: no usable rows")
+    values = np.asarray(values)  # rebound so the row lists are freed
     return SurvivalDataset(
-        features=np.asarray(feats, dtype=float),
-        times=np.asarray(times, dtype=float),
-        events=np.asarray(events, dtype=int),
+        features=values[:, 2:],
+        times=values[:, 0],
+        events=values[:, 1].astype(int),
         feature_names=tuple(feature_names),
-        groups=np.asarray(groups, dtype=object) if group_col is not None else None,
+        groups=None if group is None else np.asarray(groups, dtype=object),
     )
 
 

@@ -31,6 +31,11 @@ class ClusterSpec:
     scale: float
     beta: tuple
 
+    def __post_init__(self):
+        if not all(0 < v < np.inf for v in (self.shape, self.scale)):  # NaN fails too
+            raise SynthError(f"cluster shape and scale must be finite and positive, "
+                             f"got shape={self.shape}, scale={self.scale}")
+
     def baseline_survival(self, t):
         return np.exp(-np.power(np.asarray(t, dtype=float) / self.scale, self.shape))
 
@@ -53,6 +58,10 @@ class SynthConfig:
             raise SynthError("need at least one cluster")
         if len(self.gating) != len(self.clusters):
             raise SynthError("one gating row per cluster required")
+        d = self.n_features
+        if any(len(row) != d for row in (*(c.beta for c in self.clusters), *self.gating)):
+            raise SynthError(f"every beta and gating row needs {d} entries, "
+                             "as many as the first cluster's beta")
 
     @property
     def n_features(self):

@@ -72,6 +72,18 @@ class TestSynth:
         rows = read_csv(tmp_path / "o" / "cohort.csv")
         assert rows[0] == ["x0", "x1", "time", "event"]
 
+    @pytest.mark.parametrize("cluster", [
+        {"shape": 1.0, "scale": 0.0, "beta": [0.5, 0.0]},  # wrote all-zero times
+        {"shape": -1.0, "scale": 2.0, "beta": [0.5, 0.0]},  # generated a cohort
+    ])
+    def test_bad_spec_fails(self, tmp_path, capsys, cluster):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"clusters": [cluster], "gating": [[0.0, 0.0]]}))
+        assert run(["synth", "--n", "30", "--spec", str(spec),
+                    "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("coxmix synth: error: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrain:
     def test_outputs(self, model_dir):
@@ -317,6 +329,13 @@ def test_runs_without_scipy(tmp_path):
     assert (tmp_path / "e" / "report.csv").exists()
 
 
+def test_write_csv_takes_numpy_rows(tmp_path):
+    target = tmp_path / "out.csv"
+    cli._write_csv(str(target), ["a", "b"],
+                   [np.array([0.5, 1.25]), [np.int64(1), np.float64(2.0)]])
+    assert target.read_text() == "a,b\n0.5,1.25\n1,2.0\n"
+
+
 class TestAtomicWrites:
     def test_failed_row_write_leaves_no_partial_file(self, tmp_path):
         def rows():
@@ -348,6 +367,18 @@ class TestFailedCommandDirectories:
         assert run(["synth", "--n", "0", "--out", str(tmp_path / "od")]) == 1
         assert run(["synth", "--n", "0", "--out", str(tmp_path / "od" / "new")]) == 1
         assert os.listdir(tmp_path) == ["od"] and os.listdir(tmp_path / "od") == []
+
+    @pytest.mark.parametrize("out", [("afile",), ("afile", "sub"), ("afile", "sub", "dir"),
+                                     ("new", "a" * 300, "b")],  # "new" is made, then removed
+                             ids=["file", "below_file", "two_below_file", "name_too_long"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, out):
+        # each was a traceback, and the too-long name left "new" behind
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert run(["synth", "--n", "10", "--out", str(tmp_path.joinpath(*out))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("coxmix synth: error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["afile"] and afile.read_text() == "kept\n"
 
 
 class TestParser:

@@ -66,7 +66,8 @@ class TestLoadCsv:
         assert len(ds) == 2
 
     @pytest.mark.parametrize("text", ["x,time,event\n1,2,1\ninf,3,0\n",
-                                      "x,time,event\n1,2,1\n2,nan,0\n"])
+                                      "x,time,event\n1,2,1\n2,nan,0\n",
+                                      "x,time,event\n1,2,1\n2,3,nan\n"])
     def test_non_finite_value_names_row(self, tmp_path, text):
         path = write_csv(tmp_path, text)
         with pytest.raises(DatasetError, match="row 3"):

@@ -80,6 +80,19 @@ class TestGenerate:
         with pytest.raises(SynthError, match="at least one record"):  # was a header-only cohort
             SynthConfig(n=0, clusters=(exponential_cluster(1.0, (0.0,)),),
                         gating=((0.0,),), censoring_fraction=0.3)
+        # scale 0 gave all-zero times; a negative shape generated a cohort
+        for shape, scale in [(1.0, 0.0), (-1.0, 1.0), (0.0, 1.0), (1.0, -2.0),
+                             (np.nan, 1.0), (1.0, np.inf)]:
+            with pytest.raises(SynthError, match="finite and positive"):
+                ClusterSpec(shape=shape, scale=scale, beta=(0.0,))
+        # mismatched widths surfaced as a numpy matmul error
+        one = exponential_cluster(1.0, (0.0,))
+        two = exponential_cluster(1.0, (0.0, 0.0))
+        for clusters, gating in [((one, two), ((0.0,), (0.0,))),
+                                 ((one,), ((0.0, 0.0),)),
+                                 ((one, one), ((0.0,), (0.0, 0.0)))]:
+            with pytest.raises(SynthError, match="1 entries"):
+                SynthConfig(n=10, clusters=clusters, gating=gating)
 
 
 class TestLatentStructure:
