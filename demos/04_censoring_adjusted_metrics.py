@@ -39,9 +39,12 @@ for name, fn in [
 ]:
     print(f"  {name}  {fn(pi_true):7.4f}   {fn(pi_noisy):7.4f}")
 
-# Bootstrap standard errors: the metric closure receives a resampled index
-# array and recomputes everything downstream, the censoring curve included.
-def ctd_on(idx):
+# Bootstrap standard errors: the metric closure receives one resample as
+# record counts (how many times each record was drawn) and recomputes
+# everything downstream of them, the censoring curve included. Here it
+# copies each record out as often as it was drawn.
+def ctd_on(counts):
+    idx = np.repeat(np.arange(len(ds)), counts)
     t, e, p = ds.times[idx], ds.events[idx], pi_true[idx]
     return concordance_td(p, t, e, censoring_km(t, e), horizon)
 

@@ -72,50 +72,61 @@ def _deaths_by_time(times, events, groups, time_order=None):
     return order, g, start, np.add.reduceat(events[order], start)
 
 
-def _km_increments(times, events, groups, time_order=None):
+def _km_increments(times, events, groups, time_order=None, weights=None):
     """The product-limit estimate within each group: for each distinct
     event time of a group, the group, the time and the increment of -log
     survival. Ties: all events at a time share the risk set; same-time
-    censored individuals stay in the risk set."""
+    censored individuals stay in the risk set. ``weights``, if given, are
+    integer record counts: a record of weight w counts as w copies of it,
+    so the increments are those of the expanded records, bit for bit."""
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
     if times.size == 0:
         raise EstimatorError("empty input")
-    order, g, start, deaths = _deaths_by_time(times, events, groups, time_order)
-    at_risk = np.searchsorted(g, g[start], side="right") - start
+    w = np.ones(times.size, dtype=int) if weights is None else np.asarray(weights)
+    order, g, start, deaths = _deaths_by_time(times, events * w, groups, time_order)
+    # the weight from each distinct time to the end of its group
+    before = np.zeros(times.size + 1, dtype=w.dtype)
+    np.cumsum(w[order], out=before[1:])
+    at_risk = before[np.cumsum(np.bincount(g))[g[start]]] - before[start]
     keep = deaths > 0
     first = start[keep]
     with np.errstate(divide="ignore"):  # everyone at risk dies: H = inf
         return g[first], times[order[first]], -np.log1p(-deaths[keep] / at_risk[keep])
 
 
-def kaplan_meier(times, events):
-    """Product-limit survival estimate with knots at distinct event times."""
-    _, knots, inc = _km_increments(times, events, np.zeros(np.size(times), dtype=int))
+def kaplan_meier(times, events, *, weights=None, time_order=None):
+    """Product-limit survival estimate with knots at distinct event times.
+    ``weights`` are integer record counts, and ``time_order`` is
+    np.argsort(times, kind="stable") if given, as in kaplan_meier_at."""
+    _, knots, inc = _km_increments(times, events, np.zeros(np.size(times), dtype=int),
+                                   time_order, weights)
     return StepSurvivalCurve(knot_times=knots, cum_hazard=np.cumsum(inc))
 
 
-def kaplan_meier_at(times, events, groups, t, *, time_order=None):
+def kaplan_meier_at(times, events, groups, t, *, time_order=None, weights=None):
     """Product-limit survival at time t within each group 0..max(groups):
     for every k, the value kaplan_meier(times[groups == k],
     events[groups == k])(t), computed in one pass over all records.
     ``time_order``, if given, is np.argsort(times, kind="stable"), which
-    saves a sort and leaves every bit of the result unchanged. Integer
-    labels keep their type: numpy sorts 8- and 16-bit ones stably by radix."""
+    saves a sort and leaves every bit of the result unchanged. ``weights``
+    are integer record counts. Integer labels keep their type: numpy sorts
+    8- and 16-bit ones stably by radix."""
     groups = np.asarray(groups)
     groups = groups if groups.dtype.kind in "iu" else groups.astype(int)
-    g, knots, inc = _km_increments(times, events, groups, time_order)
+    g, knots, inc = _km_increments(times, events, groups, time_order, weights)
     sel = knots <= t
     # bincount adds each group's increments in time order, the order of
     # kaplan_meier's cumulative sum
     return np.exp(-np.bincount(g[sel], inc[sel], minlength=int(groups.max()) + 1))
 
 
-def censoring_km(times, events):
+def censoring_km(times, events, *, weights=None, time_order=None):
     """Kaplan-Meier estimate of the censoring distribution G: the
-    product-limit curve with the flipped indicator 1-event."""
+    product-limit curve with the flipped indicator 1-event, with the
+    options of kaplan_meier."""
     events = np.asarray(events, dtype=int)
-    return kaplan_meier(times, 1 - events)
+    return kaplan_meier(times, 1 - events, weights=weights, time_order=time_order)
 
 
 def breslow(times, events, log_hazards):

@@ -26,31 +26,93 @@ class MetricError(ValueError):
     pass
 
 
-def _count_later_above(ranks_by_time, prefix, above):
-    """For each query q, the number of records after the first prefix[q]
-    in time order with a rank strictly above above[q], given the records'
-    ranks (integers in [0, n)) in time order. Queries in prefix order keep
-    each level's searchsorted local.
+class _Pairs:
+    """The comparable pairs of one sample at one horizon, for any record
+    weights. For each record with an event by the horizon (a query, in
+    record order), ``weights`` gives the weight of the later records (time
+    above the query's) ranked above it in prediction, tied with it, and in
+    all. Built once per sample and horizon and shared by the bootstrap
+    resamples of the sample.
 
-    Records sorted by time form a merge-sort tree: the prefix of the s
-    records not later than a query splits into one aligned block of 2^k
-    positions per set bit k of s. Within a level the (block, rank) keys are
-    sorted once, so each block count is one searchsorted. O(n log^2 n) time
-    and O(n) memory.
+    Each count is a sum of weights over intervals of the records in a few
+    fixed orders, laid end to end in ``perm``, so a weighting costs one
+    gather, one cumulative sum and one bincount of the interval sums per
+    query. The orders are:
+    - prediction order, for the records ranked above;
+    - (rank, time position) order, for the later records tied in rank;
+    - time order, for the later records;
+    - the levels of a merge-sort tree over the time order, for the records
+      ranked above that are not later. The s records not later than a query
+      split into one aligned block of 2^k positions per set bit k of s;
+      level k sorts the (block, rank) keys of its blocks once, so a block's
+      weight ranked above the query is an interval from the query's
+      searchsorted position to the block's end. A level only holds the
+      positions not later than some query.
+    Queries are built in time order, which keeps each searchsorted local.
+    O(n log^2 n) time and O(n log n) memory to build.
     """
-    n = ranks_by_time.size
-    span = n + 1  # ranks < n, so keys block * span + rank never collide
-    # all records ranked above the query, less those in the prefix's blocks
-    count = n - np.cumsum(np.bincount(ranks_by_time, minlength=n))[above]
-    pos = np.arange(n)
-    for k in range(int(prefix.max(initial=0)).bit_length()):
-        sel = (prefix >> k) & 1 == 1
-        block = (prefix[sel] >> k) - 1
-        keys = np.sort((pos >> k) * span + ranks_by_time)
-        # keys of block b fill positions [b * 2^k, (b + 1) * 2^k)
-        count[sel] -= ((block + 1) << k) - np.searchsorted(
-            keys, block * span + above[sel], side="right")
-    return count
+
+    def __init__(self, sample, horizon):
+        n, by_time, ranks = sample.times.size, sample.time_order, sample.ranks
+        due = sample.due(horizon)
+        self.n_queries = q = due.size
+        slot = np.argsort(sample.time_pos[due])  # record-order slot of each query in time order
+        # records not later than each query (ties in time are not later)
+        prefix = np.searchsorted(sample.sorted_times, sample.times[due[slot]], side="right")
+        above = ranks[due[slot]]
+        at_or_below = np.cumsum(np.bincount(ranks, minlength=n))[above]
+        # the positions not later than some query, in rank order, and the
+        # tree levels that some query uses
+        reach = int(prefix.max(initial=0))
+        by_rank = sample.time_pos[sample.pi_order]
+        by_rank = by_rank[by_rank < reach]
+        levels = [(k, sel) for k in range(reach.bit_length())
+                  if (sel := np.flatnonzero((prefix >> k) & 1)).size]
+        # perm[0] is record n, a sentinel of weight 0, so the cumulative
+        # weight at position p of perm is that of the records before p + 1
+        self.perm = np.empty(1 + 3 * n + len(levels) * by_rank.size, dtype=np.intp)
+        self.perm[0] = n
+        self.slot, self.hi, self.lo = np.empty(
+            (3, 3 * q + sum(sel.size for _, sel in levels)), dtype=np.intp)
+        filled = [1, 0]  # positions in perm and in the intervals
+
+        def add(order, at, start, stop):  # slot at += weight of order[start:stop]
+            p, i = filled
+            self.perm[p:p + order.size] = order
+            self.slot[i:i + at.size] = at
+            self.hi[i:i + at.size] = p - 1 + stop
+            self.lo[i:i + at.size] = p - 1 + start
+            filled[:] = p + order.size, i + at.size
+
+        add(sample.pi_order, slot, at_or_below, n)
+        span = n + 1  # ranks < n and positions <= n, so keys never collide
+        keys = np.sort(ranks * span + sample.time_pos)
+        add(by_time[keys % span], slot + q,
+            np.searchsorted(keys, above * span + prefix), at_or_below)
+        add(by_time, slot + 2 * q, prefix, n)
+        ranks_by_time = ranks[by_time]
+        for k, sel in levels:
+            block = (prefix[sel] >> k) - 1
+            # by (block, rank): a stable radix sort by block of the rank order
+            order = by_rank[np.argsort((by_rank >> k).astype(np.min_scalar_type(n >> k)),
+                                       kind="stable")]
+            keys = (order >> k) * span + ranks_by_time[order]
+            # keys of block b fill positions [b * 2^k, (b + 1) * 2^k); its
+            # records ranked above the query are subtracted: the interval
+            # runs backwards, from the block's end to the query's position
+            add(by_time[order], slot[sel], (block + 1) << k,
+                np.searchsorted(keys, block * span + above[sel], side="right"))
+
+    def weights(self, w):
+        """Per query, the weight of the later records ranked above it, tied
+        with it and in all: a (3, n_queries) array, given record weights w
+        (integer counts)."""
+        c = np.append(w, 0)[self.perm]
+        np.cumsum(c, out=c)  # in place: a fresh array is slower to fill
+        sums = c[self.hi]
+        sums -= c[self.lo]
+        q = self.n_queries
+        return np.bincount(self.slot, sums, minlength=3 * q).reshape(3, q)
 
 
 def _stable_order(x):
@@ -70,34 +132,72 @@ def _stable_order(x):
 
 class _Sample:
     """One sample (a stratum or one bootstrap resample of it) as every
-    metric reads it: its times, events and censoring curve, the stable time
-    order, its inverse (each record's time position), the sorted times and,
-    given the curve, each record's G(T-) from one searchsorted over the
-    sorted times, scattered back to record order. ``at`` adds one horizon's
-    predictions. A metric given ``sample=`` reads everything from it."""
+    metric reads it: its times, events, record weights and censoring curve,
+    the stable time order, its inverse (each record's time position), the
+    sorted times and, given the curve, each record's G(T-) from one
+    searchsorted over the sorted times, scattered back to record order. A
+    record's weight w is its count in the sample: 1 in a stratum, the
+    number of times it was drawn in a resample, which is scored on the
+    stratum's own records. ``at`` adds one horizon's predictions. A metric
+    given ``sample=`` reads everything from it."""
 
     def __init__(self, times, events, g_curve=None):
         self.times = np.asarray(times, dtype=float)
         self.events = np.asarray(events, dtype=int)
-        self.g_curve = g_curve
         self.time_order, _ = _stable_order(self.times)
         self.time_pos = np.empty_like(self.time_order)
         self.time_pos[self.time_order] = np.arange(self.times.size)
         self.sorted_times = self.times[self.time_order]
+        self._weigh(np.ones(self.times.size, dtype=np.intp), g_curve)
+
+    def _weigh(self, w, g_curve):
+        self.w, self.g_curve = w, g_curve
         if g_curve is not None:
             self.g_left = np.empty(self.times.size)
             self.g_left[self.time_order] = g_curve.eval_left(self.sorted_times)
 
     def at(self, surv_probs, probabilities):
-        """This sample with one horizon's checked predictions pi, ordered and ranked."""
+        """This sample with one horizon's checked predictions pi, ordered
+        and ranked."""
         out = copy.copy(self)
         out.pi = _check_predictions(surv_probs, "surv_probs", probabilities)
         out.pi_order, out.ranks = _stable_order(out.pi)
+        out._fixed = {}
         return out
 
+    def resampled(self, counts, like=None):
+        """One bootstrap resample of this sample: record i drawn counts[i]
+        times, with the censoring fit on those draws, or the fit of
+        ``like``, the same resample at another horizon."""
+        out = copy.copy(self)
+        if like is None:
+            out._weigh(counts, censoring_km(self.times, self.events, weights=counts,
+                                            time_order=self.time_order))
+        else:
+            out.w, out.g_curve, out.g_left = like.w, like.g_curve, like.g_left
+        return out
+
+    def fixed(self, key, build):
+        """build(), made once per key: for what depends on the records and
+        predictions but not on their weights, shared with the resamples."""
+        if key not in self._fixed:
+            self._fixed[key] = build()
+        return self._fixed[key]
+
+    def due(self, horizon):
+        """The records with an event by the horizon, in record order."""
+        return self.fixed(("due", horizon), lambda: np.flatnonzero(
+            (self.events == 1) & (self.times <= horizon)))
+
+    def late(self, horizon):
+        """The records with a time past the horizon, in record order."""
+        return self.fixed(("late", horizon), lambda: np.flatnonzero(self.times > horizon))
+
     def cases(self, horizon):
-        """The IPCW cases: events by the horizon with G(T-) > MIN_IPCW_DENOM."""
-        return (self.events == 1) & (self.times <= horizon) & (self.g_left > MIN_IPCW_DENOM)
+        """The IPCW cases, as a mask over due(horizon): the due records in
+        the sample with G(T-) > MIN_IPCW_DENOM."""
+        due = self.due(horizon)
+        return (self.w[due] > 0) & (self.g_left[due] > MIN_IPCW_DENOM)
 
 
 def _check_predictions(pi, what, probabilities):
@@ -124,25 +224,27 @@ def concordance_td(surv_probs, times, events, g_curve, horizon, *, sample=None):
     """
     if sample is None:
         sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=False)
-    n, cases = sample.times.size, sample.cases(horizon)
-    # cases in time order, and the records not later than each
-    by_time = sample.time_order[cases[sample.time_order]]
-    prefix = np.searchsorted(sample.sorted_times, sample.times[by_time], side="right")
-    r = sample.ranks[by_time]
-    # of the later records, those predicted to survive longer, and those
-    # tied in prediction, counted in the sorted (rank, time position) keys
-    higher = _count_later_above(sample.ranks[sample.time_order], prefix, r)
-    keys = np.sort(sample.ranks * (n + 1) + sample.time_pos)
-    tied = (np.searchsorted(keys, r * (n + 1) + n, side="right")
-            - np.searchsorted(keys, r * (n + 1) + prefix))
-    counts = np.empty((3, n), dtype=np.intp)
-    counts[:, by_time] = higher, tied, n - prefix
-    higher, tied, later = counts[:, cases]
-    w = 1.0 / sample.g_left[cases] ** 2
+    pairs = sample.fixed(("pairs", horizon), lambda: _Pairs(sample, horizon))
+    cases = sample.cases(horizon)
+    # of the later records, those predicted to survive longer, those tied
+    # in prediction, and all of them, per case in record order
+    higher, tied, later = pairs.weights(sample.w)[:, cases]
+    cases = sample.due(horizon)[cases]
+    w = sample.w[cases] / sample.g_left[cases] ** 2
     den = float(np.sum(w * later))
     if den == 0:
         raise MetricError("no comparable pairs at this horizon")
     return float(np.sum(w * (higher + 0.5 * tied))) / den
+
+
+def _risk_ranks(sample):
+    """Dense ranks of the risk 1 - pi, ascending along the reversed
+    prediction order: predictions whose 1 - pi round to the same float tie."""
+    by_risk = sample.pi_order[::-1]
+    risk = 1.0 - sample.pi[by_risk]
+    ranks = np.empty(risk.size, dtype=np.intp)
+    ranks[by_risk] = np.cumsum(np.r_[False, risk[1:] != risk[:-1]])
+    return ranks
 
 
 def auc_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
@@ -156,20 +258,17 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     """
     if sample is None:
         sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=False)
-    n, cases, controls = sample.times.size, sample.cases(horizon), sample.times > horizon
-    if not np.any(cases) or not np.any(controls):
+    cases = sample.due(horizon)[sample.cases(horizon)]
+    controls, w = sample.late(horizon), sample.w
+    n_controls = w[controls].sum()
+    if cases.size == 0 or n_controls == 0:
         raise MetricError("need at least one case and one control at this horizon")
-    # dense ranks of the risk, ascending along the reversed prediction
-    # order: predictions whose 1 - pi round to the same float tie
-    by_risk = sample.pi_order[::-1]
-    risk = 1.0 - sample.pi[by_risk]
-    ranks = np.empty(n, dtype=np.intp)
-    ranks[by_risk] = np.cumsum(np.r_[False, risk[1:] != risk[:-1]])
+    ranks = sample.fixed("risk ranks", lambda: _risk_ranks(sample))
     # per risk rank, the controls below it plus half those tied with it
-    tied = np.bincount(ranks[controls], minlength=n)
+    tied = np.bincount(ranks[controls], w[controls], minlength=w.size)
     wins = np.cumsum(tied) - 0.5 * tied
-    r, w = ranks[cases], 1.0 / (n * sample.g_left[cases])
-    return float(np.sum(w * wins[r])) / (float(np.sum(w)) * np.count_nonzero(controls))
+    weight = w[cases] / (w.sum() * sample.g_left[cases])
+    return float(np.sum(weight * wins[ranks[cases]])) / (float(np.sum(weight)) * n_controls)
 
 
 def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *,
@@ -182,30 +281,74 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
     is undefined when follow-up ends before the horizon with a censored
     subject and the curve has not reached zero. Predictions that are not
     probabilities (NaN, +-inf, outside [0, 1]) raise MetricError.
+
+    Records with equal predictions are binned in record order. In a
+    weighted sample (a bootstrap resample) a record of weight w stands for
+    w copies in a row, and one whose copies straddle a bin edge splits
+    them between the bins.
     """
     if sample is None:
         sample = _Sample(times, events).at(surv_probs, probabilities=True)
-    pi, times, events, order = sample.pi, sample.times, sample.events, sample.pi_order
-    if pi.size < n_bins:
+    pi, times, events, w = sample.pi, sample.times, sample.events, sample.w
+    n = int(w.sum())
+    if n < n_bins:
         raise MetricError(f"need at least {n_bins} records for {n_bins} bins")
 
-    bins = np.array_split(order, n_bins)
-    sizes = np.array([idx.size for idx in bins])
-    in_bin = np.empty(pi.size, dtype=np.min_scalar_type(n_bins - 1))
-    in_bin[order] = np.repeat(np.arange(n_bins), sizes)
-    km = kaplan_meier_at(times, events, in_bin, horizon, time_order=sample.time_order)
-    # per bin: last follow-up time and the events there
-    first = np.cumsum(sizes) - sizes
-    t_max = np.maximum.reduceat(times[order], first)
-    last_events = np.add.reduceat(
-        events[order] * (times[order] == np.repeat(t_max, sizes)), first)
+    size, big = divmod(n, n_bins)  # np.array_split's sizes: the first big bins hold one more
+    sizes = np.full(n_bins, size)
+    sizes[:big] += 1
+    edges = np.cumsum(sizes)
+    # in prediction order, record i's copies fill positions [start, end);
+    # it lies in the bin of its first copy, and copies past that bin's edge
+    # make extra pieces of it in the bins after
+    order, w_sorted = sample.pi_order, w[sample.pi_order]
+    end = np.cumsum(w_sorted)
+    start = end - w_sorted
+    bins = np.minimum(np.searchsorted(edges, start, side="right"), n_bins - 1)
+    copies = np.minimum(end, edges[bins]) - start
+    spill = np.flatnonzero(copies < w_sorted)
+    reps = np.searchsorted(edges, end[spill] - 1, side="right") - bins[spill]
+    at = np.repeat(spill, reps)
+    extra_bins = np.repeat(bins[spill] + 1 - np.cumsum(reps) + reps, reps) + np.arange(at.size)
+    extra_copies = np.minimum(end[at], edges[extra_bins]) - edges[extra_bins] + sizes[extra_bins]
+    # each piece's record, bin and copies: the records' first pieces, then
+    # the extra ones, each listed after its record's first piece
+    extra = w.size + np.arange(at.size)
+    rec_of = np.concatenate((order, order[at]))
+    bin_of = np.concatenate((bins, extra_bins))
+    copies_of = np.concatenate((copies, extra_copies))
+    pieces = np.insert(np.arange(w.size), at + 1, extra)  # in prediction order
+    rec, in_bin, k = rec_of[pieces], bin_of[pieces], copies_of[pieces]
+    bounds = np.searchsorted(in_bin, np.arange(n_bins + 1)).tolist()
+    means = k * pi[rec]  # a bin's mean sums its slice, in np.mean's order
+    t = times[rec]
+    t_max = np.maximum.reduceat(np.where(k > 0, t, -np.inf), bounds[:-1])
+    last_events = np.add.reduceat(k * events[rec] * (t == t_max[in_bin]), bounds[:-1])
+    # the pieces in time order (the records' first pieces, by their position
+    # in prediction order) give the per-bin Kaplan-Meier without a sort;
+    # those past the horizon are only at risk, so one row per bin at
+    # t = inf stands for them
+    by_time = sample.fixed("prediction positions by time", lambda: np.argsort(
+        sample.pi_order)[sample.time_order])
+    pieces = np.insert(by_time, sample.time_pos[order[at]] + 1, extra)
+    rec, in_bin, k = rec_of[pieces], bin_of[pieces], copies_of[pieces]
+    cut = np.searchsorted(times[rec], horizon, side="right")
+    late = np.bincount(in_bin[cut:], k[cut:], minlength=n_bins).astype(k.dtype)
+    rec = rec[:cut]
+    km = kaplan_meier_at(
+        np.append(times[rec], np.full(n_bins, np.inf)),
+        np.append(events[rec], np.zeros(n_bins, dtype=int)),
+        np.append(in_bin[:cut], np.arange(n_bins)).astype(np.min_scalar_type(n_bins - 1)),
+        horizon, time_order=np.arange(cut + n_bins), weights=np.append(k[:cut], late))
     # past t_max the curve is flat, so km > 0 there means S(t_max) > 0
-    undefined = (horizon > t_max) & (last_events == 0) & (km > 0)
-    return [(float(pi[idx].mean()), float(km[b]), int(idx.size), not undefined[b])
-            for b, idx in enumerate(bins)]
+    defined = ~((horizon > t_max) & (last_events == 0) & (km > 0))
+    return [(float(np.add.reduce(means[a:b]) / size), km_b, size, ok)
+            for a, b, size, km_b, ok in zip(bounds, bounds[1:], sizes.tolist(), km.tolist(),
+                                            defined.tolist())]
 
 
-def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *, sample=None):
+def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *, sample=None,
+        bins=None):
     """Expected L1 calibration error at a horizon.
 
     Records are partitioned into equal-mass quantile bins of the predicted
@@ -213,8 +356,10 @@ def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *, sample=N
     horizon is compared to the mean prediction. Bins whose Kaplan-Meier
     estimate is undefined at the horizon (follow-up ends earlier with a
     censored subject) are skipped with a warning and the divisor reduced.
+    ``bins``, if given, are calibration_bins of the same arguments.
     """
-    bins = calibration_bins(surv_probs, times, events, horizon, n_bins, sample=sample)
+    if bins is None:
+        bins = calibration_bins(surv_probs, times, events, horizon, n_bins, sample=sample)
     gaps = [abs(km - mean) for mean, km, _, defined in bins if defined]
     if len(gaps) < len(bins):
         warnings.warn(f"ece: skipped {len(bins) - len(gaps)} bin(s) with undefined "
@@ -229,39 +374,43 @@ def brier_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     mean of pi^2 * 1{T<=t, event}/G(T-) + (1-pi)^2 * 1{T>t}/G(t)."""
     if sample is None:
         sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=True)
-    pi, times, cases = sample.pi, sample.times, sample.cases(horizon)
+    pi, w, cases = sample.pi, sample.w, sample.cases(horizon)
     g_t = sample.g_curve(horizon)
     if g_t <= 0:
         raise MetricError("horizon beyond censoring follow-up (G(t) = 0)")
-    if np.any((sample.events == 1) & (times <= horizon) & ~cases):
+    due = sample.due(horizon)
+    if np.count_nonzero(cases) < np.count_nonzero(w[due]):
         warnings.warn("brier_ipcw: dropped record(s) with near-zero censoring "
                       "weight denominator", stacklevel=2)
-    late = times > horizon
+    cases, late = due[cases], sample.late(horizon)
     terms = np.zeros_like(pi)
     terms[cases] = pi[cases] ** 2 / sample.g_left[cases]
-    terms[late] += (1.0 - pi[late]) ** 2 / (g_t if g_t > MIN_IPCW_DENOM else np.inf)
-    return float(terms.mean())
+    terms[late] = (1.0 - pi[late]) ** 2 / (g_t if g_t > MIN_IPCW_DENOM else np.inf)
+    return float(np.sum(w * terms) / w.sum())
 
 
 def bootstrap_se(metric_fn, n_records, n_replicates=100, seed=0):
     """Bootstrap mean and standard error of a metric, or of an array of them.
 
-    ``metric_fn`` receives an index array (a resample of record indices
-    with replacement) and must recompute everything downstream of it, the
-    censoring curve included. It returns a value, or an array of values
-    with NaN where one is undefined on that resample. Replicates where it
-    raises are dropped. Returns (mean, se, used, defined): the mean and SE
-    of each value over the replicates that define it, the number of
-    replicates scored and, per value, the number that define it.
+    Each replicate draws n_records records with replacement, and
+    ``metric_fn`` receives it as a count vector: how many times each record
+    was drawn (np.bincount of the draws, length n_records). It scores the
+    records weighted by their counts and must recompute everything
+    downstream of them, the censoring curve included. It returns a value,
+    or an array of values with NaN where one is undefined on that resample.
+    Replicates where it raises are dropped. Returns (mean, se, used,
+    defined): the mean and SE of each value over the replicates that define
+    it, the number of replicates scored and, per value, the number that
+    define it.
     """
     if n_records < 2:
         raise MetricError("need at least 2 records to bootstrap")
     rng = np.random.default_rng(seed)
     values = []
     for _ in range(n_replicates):
-        idx = rng.integers(0, n_records, size=n_records)
+        counts = np.bincount(rng.integers(0, n_records, size=n_records), minlength=n_records)
         try:
-            values.append(metric_fn(idx))
+            values.append(metric_fn(counts))
         except MetricError:
             continue
     if not values:
@@ -292,22 +441,31 @@ class MetricRow:
 METRIC_NAMES = ("concordance_td", "auc_ipcw", "ece", "brier_ipcw")
 
 
-def _sample_metrics(surv_matrix, times, events, horizons):
-    """Every metric at every horizon on one sample, all sharing one
-    censoring fit, one time order and one G(T-) per record, and at each
-    horizon one prediction order: a (n_horizons, n_metrics) array, NaN
-    where undefined."""
-    g = censoring_km(times, events)
-    sample = _Sample(times, events, g)
+def _stratum_samples(surv_matrix, times, events):
+    """One stratum as one sample per horizon (a column of surv_matrix),
+    all sharing one censoring fit, one time order and one G(T-) per record."""
+    sample = _Sample(times, events, censoring_km(times, events))
+    return [sample.at(pi, probabilities=True) for pi in surv_matrix.T]
+
+
+def _sample_metrics(samples, horizons, counts=None, bins=None):
+    """Every metric at every horizon on one sample, from its per-horizon
+    samples, or on the bootstrap resample of it with record counts
+    ``counts`` and one censoring fit of its own: a (n_horizons, n_metrics)
+    array, NaN where undefined. ``bins`` are the sample's calibration bins
+    per horizon, if already built."""
+    if counts is not None:
+        first = samples[0].resampled(counts)
+        samples = [first] + [s.resampled(counts, like=first) for s in samples[1:]]
     values = np.full((len(horizons), len(METRIC_NAMES)), np.nan)
-    for h_idx, horizon in enumerate(horizons):
-        pi = surv_matrix[:, h_idx]
-        ranked = sample.at(pi, probabilities=True)
+    for h_idx, (horizon, s) in enumerate(zip(horizons, samples)):
+        pi, times, events, g = s.pi, s.times, s.events, s.g_curve
         for m_idx, score in enumerate((  # in METRIC_NAMES order
-                lambda: concordance_td(pi, times, events, g, horizon, sample=ranked),
-                lambda: auc_ipcw(pi, times, events, g, horizon, sample=ranked),
-                lambda: ece(pi, times, events, horizon, sample=ranked),
-                lambda: brier_ipcw(pi, times, events, g, horizon, sample=ranked))):
+                lambda: concordance_td(pi, times, events, g, horizon, sample=s),
+                lambda: auc_ipcw(pi, times, events, g, horizon, sample=s),
+                lambda: ece(pi, times, events, horizon, sample=s,
+                            bins=None if bins is None else bins[h_idx]),
+                lambda: brier_ipcw(pi, times, events, g, horizon, sample=s))):
             try:
                 values[h_idx, m_idx] = score()
             except MetricError:
@@ -316,14 +474,22 @@ def _sample_metrics(surv_matrix, times, events, horizons):
 
 
 def _stratum_metrics(surv_matrix, times, events, horizons, group,
-                     n_replicates, seed):
+                     n_replicates, seed, calibration=None):
     """Estimates on the full stratum, with SEs over bootstrap resamples of
-    it; each resample is drawn and scored once for all metrics."""
-    estimate = _sample_metrics(surv_matrix, times, events, horizons)
+    it; each resample is drawn as record counts and scored once for all
+    metrics on the stratum's records, whose sorts it shares. A
+    ``calibration`` list receives the stratum's calibration bins per
+    horizon, the ones its ECE is computed from."""
+    samples = _stratum_samples(surv_matrix, times, events)
+    bins = None
+    if calibration is not None:
+        bins = [calibration_bins(s.pi, s.times, s.events, h, sample=s)
+                for s, h in zip(samples, horizons)]
+        calibration.extend(bins)
+    estimate = _sample_metrics(samples, horizons, bins=bins)
     try:
         _, se, _, defined = bootstrap_se(
-            lambda idx: _sample_metrics(surv_matrix[idx], times[idx], events[idx],
-                                        horizons),
+            lambda counts: _sample_metrics(samples, horizons, counts),
             len(times), n_replicates, seed)
     except MetricError:
         se, defined = np.full(estimate.shape, np.nan), np.zeros(estimate.shape, dtype=int)
@@ -334,7 +500,7 @@ def _stratum_metrics(surv_matrix, times, events, horizons, group,
 
 
 def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
-                      n_replicates=100, seed=0):
+                      n_replicates=100, seed=0, calibration=None):
     """Every metric at every horizon for the full population and per
     group. Each estimate is computed on the full stratum; its standard
     error and n (the bootstrap replicates that define it) come from
@@ -342,7 +508,9 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     its own censoring fit; records is the stratum's size. Groups below
     MIN_GROUP_SIZE records get NaN estimates and n=0. Returns a list of
     MetricRow; raises MetricError on a prediction that is not a
-    probability."""
+    probability. A ``calibration`` list receives the population's
+    calibration_bins per horizon, the bins its ECE is computed from
+    (MetricError if they cannot be built)."""
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
     if np.shape(surv_matrix) != (times.size, len(horizons)):
@@ -350,7 +518,7 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     surv_matrix = _check_predictions(surv_matrix, "surv_matrix", probabilities=True)
 
     rows = _stratum_metrics(surv_matrix, times, events, horizons,
-                            "population", n_replicates, seed)
+                            "population", n_replicates, seed, calibration)
     if groups is not None:
         groups = np.asarray(groups)
         for label in sorted(set(groups.tolist())):

@@ -143,15 +143,39 @@ def generate_cohort(config):
     return ds, sidecar
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v):
+    return isinstance(v, (list, tuple)) and all(map(_is_number, v))
+
+
+def _entry(table, key, where, kind, check):
+    """table[key]; SynthError naming the entry if it is missing or is not ``kind``."""
+    if not isinstance(table, dict) or key not in table:
+        raise SynthError(f"{where} needs a {key!r} entry")
+    if not check(table[key]):
+        raise SynthError(f"{where} entry {key!r} must be {kind}, got {table[key]!r}")
+    return table[key]
+
+
 def config_from_sidecar(sidecar, n=0, seed=0):
     """Rebuild a SynthConfig carrying the generator parameters of a
-    sidecar (for ground-truth survival evaluation)."""
+    sidecar or a --spec file (for ground-truth survival evaluation).
+    SynthError names an entry that is missing or of the wrong type."""
+    clusters = _entry(sidecar, "clusters", "spec", "a list of clusters",
+                      lambda v: isinstance(v, (list, tuple)))
+    gating = _entry(sidecar, "gating", "spec", "a list of lists of numbers",
+                    lambda v: isinstance(v, (list, tuple)) and all(map(_is_numbers, v)))
     clusters = tuple(
-        ClusterSpec(shape=c["shape"], scale=c["scale"], beta=tuple(c["beta"]))
-        for c in sidecar["clusters"])
+        ClusterSpec(shape=_entry(c, "shape", f"cluster {k}", "a number", _is_number),
+                    scale=_entry(c, "scale", f"cluster {k}", "a number", _is_number),
+                    beta=tuple(_entry(c, "beta", f"cluster {k}", "a list of numbers",
+                                      _is_numbers)))
+        for k, c in enumerate(clusters))
     return SynthConfig(
-        n=max(n, 1), clusters=clusters,
-        gating=tuple(tuple(row) for row in sidecar["gating"]),
+        n=max(n, 1), clusters=clusters, gating=tuple(tuple(row) for row in gating),
         censoring_fraction=0.0, seed=seed)
 
 

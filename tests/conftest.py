@@ -279,6 +279,19 @@ def metrics_called_alone(surv_matrix, times, events, horizons):
     return values
 
 
+def materialised_replicate(surv_matrix, times, events, horizons):
+    """Reference for a bootstrap replicate of ``metrics._sample_metrics``:
+    a bootstrap_se callback that scores the resample given as record counts
+    on its materialised records np.sort(idx) (record i repeated counts[i]
+    times, in record order, the order in which ECE bins records with equal
+    predictions), each metric called alone, so each resample is sorted and
+    fitted from scratch."""
+    def score(counts):
+        idx = np.repeat(np.arange(counts.size), counts)
+        return metrics_called_alone(surv_matrix[idx], times[idx], events[idx], horizons)
+    return score
+
+
 # ---- shared synthetic fixtures ------------------------------------------
 
 PH_CONFIG = SynthConfig(

@@ -84,6 +84,29 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("coxmix synth: error: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec, named", [
+        ({"clusters": [{"shape": 1.0, "scale": 2.0, "beta": [0.5]}]}, "needs a 'gating' entry"),
+        ({"clusters": [{"shape": 1.0, "scale": 2.0, "beta": 0.5}], "gating": [[0.0]]},
+         "'beta' must be a list of numbers, got 0.5"),
+        ({"clusters": [{"scale": 2.0, "beta": [0.5]}], "gating": [[0.0]]},
+         "cluster 0 needs a 'shape' entry"),
+        ({"clusters": [{"shape": "1", "scale": 2.0, "beta": [0.5]}], "gating": [[0.0]]},
+         "'shape' must be a number"),
+        ({"clusters": [{"shape": 1.0, "scale": 2.0, "beta": [0.5]}], "gating": [0.0]},
+         "'gating' must be a list of lists"),
+        ([1, 2], "needs a 'clusters' entry"),
+    ])
+    def test_spec_entry_errors_are_named(self, tmp_path, capsys, spec, named):
+        # a missing gating printed "error: 'gating'", and "beta": 0.5 printed
+        # "'float' object is not iterable"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run(["synth", "--n", "5", "--spec", str(path),
+                    "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("coxmix synth: error: ") and named in err, err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrain:
     def test_outputs(self, model_dir):

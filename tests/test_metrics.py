@@ -229,6 +229,27 @@ class TestEce:
         with pytest.raises(MetricError, match="NaN"):
             calibration_bins(pi, times, events, horizon)
 
+    def test_counts_straddling_bin_edges_split(self):
+        # a resample's record stands for its copies in a row; copies across
+        # a bin edge (here one record spans five bins) split between bins,
+        # and records with equal predictions are binned in record order
+        rng = np.random.default_rng(6)
+        times = rng.integers(1, 9, 30).astype(float)
+        events = (rng.random(30) < 0.7).astype(int)
+        pi = np.round(rng.random(30), 1)
+        counts = rng.integers(0, 3, 30)
+        counts[4] = 9
+        sample = metrics_mod._Sample(times, events, censoring_km(times, events)).at(
+            pi, probabilities=True)
+        idx = np.repeat(np.arange(30), counts)
+        for horizon in (3.0, 6.0):
+            got = calibration_bins(pi, times, events, horizon, n_bins=12,
+                                   sample=sample.resampled(counts))
+            want = calibration_bins(pi[idx], times[idx], events[idx], horizon, n_bins=12)
+            assert [b[1:] for b in got] == [b[1:] for b in want]
+            np.testing.assert_allclose([b[0] for b in got], [b[0] for b in want],
+                                       rtol=1e-15)
+
 
 class TestBrier:
     def test_hand_no_censoring(self):
@@ -282,11 +303,16 @@ class TestBrier:
             brier_ipcw(pi, times, events, censoring_km(times, events), 1.0)
 
 
+def weighted_mean(data):
+    """The mean of a resample given as record counts."""
+    return lambda counts: float(counts @ data) / counts.sum()
+
+
 class TestBootstrap:
     def test_se_matches_analytic_mean(self):
         rng = np.random.default_rng(3)
         data = rng.normal(0, 1, 400)
-        mean, se, used, defined = bootstrap_se(lambda idx: data[idx].mean(),
+        mean, se, used, defined = bootstrap_se(weighted_mean(data),
                                                len(data), n_replicates=500, seed=0)
         analytic = data.std(ddof=1) / np.sqrt(len(data))
         assert used == defined == 500
@@ -297,14 +323,14 @@ class TestBootstrap:
         rng = np.random.default_rng(4)
         small = rng.normal(0, 1, 100)
         big = rng.normal(0, 1, 1600)
-        _, se_small, _, _ = bootstrap_se(lambda i: small[i].mean(), 100, 300, seed=1)
-        _, se_big, _, _ = bootstrap_se(lambda i: big[i].mean(), 1600, 300, seed=1)
+        _, se_small, _, _ = bootstrap_se(weighted_mean(small), 100, 300, seed=1)
+        _, se_big, _, _ = bootstrap_se(weighted_mean(big), 1600, 300, seed=1)
         assert 2.5 < se_small / se_big < 6.0  # expect about 4
 
     def test_failed_replicates_dropped(self):
         calls = {"n": 0}
 
-        def flaky(idx):
+        def flaky(counts):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
                 raise MetricError("bad resample")
@@ -318,35 +344,48 @@ class TestBootstrap:
         # undefined (NaN) values drop out of their own entry only
         rng = np.random.default_rng(5)
         data = rng.normal(0, 1, 50)
+        mean_of = weighted_mean(data)
 
-        def second(idx):
-            if data[idx].mean() > data.mean():
+        def second(counts):
+            if mean_of(counts) > data.mean():
                 raise MetricError("undefined on this resample")
-            return data[idx].max()
+            return data[counts > 0].max()
 
-        def both(idx):
+        def both(counts):
             try:
-                return np.array([data[idx].mean(), second(idx)])
+                return np.array([mean_of(counts), second(counts)])
             except MetricError:
-                return np.array([data[idx].mean(), np.nan])
+                return np.array([mean_of(counts), np.nan])
 
         mean, se, used, defined = bootstrap_se(both, 50, n_replicates=40, seed=3)
         assert used == 40
-        for i, fn in enumerate((lambda idx: data[idx].mean(), second)):
+        for i, fn in enumerate((mean_of, second)):
             m, s, u, d = bootstrap_se(fn, 50, n_replicates=40, seed=3)
             assert (mean[i], se[i], defined[i]) == (m, s, u)
         assert 0 < defined[1] < 40
 
     def test_all_fail_raises(self):
-        def broken(idx):
+        def broken(counts):
             raise MetricError("nope")
         with pytest.raises(MetricError):
             bootstrap_se(broken, 10, n_replicates=5, seed=0)
 
+    def test_counts_are_the_index_draws(self):
+        # replicate b is the multiset of the index stream drawn before
+        # counts replaced index arrays: same generator, same calls
+        seen = []
+        bootstrap_se(lambda counts: seen.append(counts) or 0.0, 37, n_replicates=6, seed=9)
+        rng = np.random.default_rng(9)
+        for counts in seen:
+            idx = rng.integers(0, 37, size=37)
+            assert counts.dtype.kind == "i"
+            assert np.array_equal(counts, np.bincount(idx, minlength=37))
+
 
 def test_one_censoring_fit_and_one_g_lookup_per_sample(monkeypatch):
     """All metrics at all horizons of one sample share one censoring fit
-    and one G(T-) lookup; each IPCW metric used to look it up again."""
+    and one G(T-) lookup; each IPCW metric used to look it up again. A
+    bootstrap resample, scored as record counts, adds one of each."""
     rng = np.random.default_rng(3)
     times = rng.integers(1, 30, 300).astype(float)
     events = (rng.random(300) < 0.7).astype(int)
@@ -354,12 +393,38 @@ def test_one_censoring_fit_and_one_g_lookup_per_sample(monkeypatch):
     calls = []
     fit, left = metrics_mod.censoring_km, StepSurvivalCurve.eval_left
     monkeypatch.setattr(metrics_mod, "censoring_km",
-                        lambda t, e: calls.append("censoring_km") or fit(t, e))
+                        lambda *a, **k: calls.append("censoring_km") or fit(*a, **k))
     monkeypatch.setattr(StepSurvivalCurve, "eval_left",
                         lambda self, t: calls.append("eval_left") or left(self, t))
-    values = metrics_mod._sample_metrics(surv, times, events, [5.0, 10.0, 20.0])
+    samples = metrics_mod._stratum_samples(surv, times, events)
+    values = metrics_mod._sample_metrics(samples, [5.0, 10.0, 20.0])
     assert np.isfinite(values).all()
     assert calls == ["censoring_km", "eval_left"]
+    counts = np.bincount(rng.integers(0, 300, 300), minlength=300)
+    values = metrics_mod._sample_metrics(samples, [5.0, 10.0, 20.0], counts)
+    assert np.isfinite(values).all()
+    assert calls == ["censoring_km", "eval_left"] * 2
+
+
+def test_rank_and_brier_metrics_never_build_the_pair_structure(monkeypatch):
+    """The concordance's pair structure is built lazily: AUC and Brier
+    alone, as cv --grid calls them, never build it."""
+    def refuse(*args):
+        raise AssertionError("pair structure built")
+
+    monkeypatch.setattr(metrics_mod, "_Pairs", refuse)
+    rng = np.random.default_rng(8)
+    times = rng.integers(1, 30, 200).astype(float)
+    events = (rng.random(200) < 0.7).astype(int)
+    pi, g = rng.random(200), censoring_km(times, events)
+    assert 0 < auc_ipcw(pi, times, events, g, 10.0) < 1
+    assert 0 < brier_ipcw(pi, times, events, g, 10.0) < 1
+    sample = metrics_mod._Sample(times, events, g).at(pi, probabilities=True)
+    auc_ipcw(pi, times, events, g, 10.0, sample=sample)
+    brier_ipcw(pi, times, events, g, 10.0, sample=sample.resampled(np.bincount(
+        rng.integers(0, 200, 200), minlength=200)))
+    with pytest.raises(AssertionError, match="pair structure built"):
+        concordance_td(pi, times, events, g, 10.0, sample=sample)
 
 
 class TestEvaluateByGroup:

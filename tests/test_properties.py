@@ -5,8 +5,10 @@ range and monotonicity of the mixture's survival predictions; the
 stratified partial likelihood against one likelihood per cluster; the
 baseline table against direct spline evaluation; the spline's slope
 outside its knots; the spline against scipy's PchipInterpolator
-between them; and the metrics on one shared sample against each metric
-called alone."""
+between them; the metrics on one shared sample against each metric
+called alone; the weighted Kaplan-Meier against the records copied out;
+and bootstrap replicates scored as record counts against the resamples
+copied out and scored from scratch."""
 
 import warnings
 
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from coxmix import metrics
 from coxmix.estimators import breslow, censoring_km, kaplan_meier, kaplan_meier_at
 from coxmix.metrics import (
-    MIN_IPCW_DENOM, MetricError, auc_ipcw, brier_ipcw, concordance_td, ece,
+    MIN_IPCW_DENOM, MetricError, auc_ipcw, bootstrap_se, brier_ipcw, concordance_td, ece,
 )
 from coxmix.model import DcmConfig, DcmModel, baseline_table, cluster_log_densities
 from coxmix.neural import init_params
@@ -28,7 +30,8 @@ from coxmix.spline import (
 )
 from conftest import (
     brute_force_breslow, brute_force_km, brute_force_partial_likelihood, ipcw_pair_auc,
-    ipcw_pair_concordance, metrics_called_alone, per_cluster_q_hat, per_row_log_densities,
+    ipcw_pair_concordance, materialised_replicate, metrics_called_alone, per_cluster_q_hat,
+    per_row_log_densities,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -147,7 +150,7 @@ def test_shared_sample_matches_metrics_called_alone(cohort, n_horizons):
     horizons = [float(t) for t in rng.choice(times, n_horizons)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # ECE's skipped-bin warning
-        got = metrics._sample_metrics(surv, times, events, horizons)
+        got = metrics._sample_metrics(metrics._stratum_samples(surv, times, events), horizons)
         want = metrics_called_alone(surv, times, events, horizons)
     assert np.array_equal(got, want, equal_nan=True)
 
@@ -160,6 +163,57 @@ def test_shared_sample_matches_metrics_called_alone(cohort, n_horizons):
     for t in horizons:
         assert (kaplan_meier_at(times, events, groups, t, time_order=order).tobytes()
                 == kaplan_meier_at(times, events, groups, t).tobytes())
+
+
+@SETTINGS
+@given(cohorts(min_size=1, max_size=60))
+def test_weighted_kaplan_meier_is_the_expanded_records(cohort):
+    """Integer record weights give the bits of the fit on the records
+    copied out that many times, for the curve and the per-group value."""
+    _, times, events, horizon, rng = cohort
+    counts = rng.integers(0, 4, times.size)
+    idx = np.repeat(np.arange(times.size), counts)
+    if idx.size == 0:
+        return
+    for fit in (kaplan_meier, censoring_km):
+        got, want = fit(times, events, weights=counts), fit(times[idx], events[idx])
+        assert got.knot_times.tobytes() == want.knot_times.tobytes()
+        assert got.cum_hazard.tobytes() == want.cum_hazard.tobytes()
+    groups = rng.integers(0, 4, times.size)
+    got = kaplan_meier_at(times, events, groups, horizon, weights=counts,
+                          time_order=np.argsort(times, kind="stable"))
+    want = kaplan_meier_at(times[idx], events[idx], groups[idx], horizon)
+    assert got[:want.size].tobytes() == want.tobytes()
+    assert np.all(got[want.size:] == 1.0)  # labels drawn zero times
+
+
+@SETTINGS
+@given(cohorts(min_size=20, max_size=80), st.integers(1, 3), st.integers(2, 12))
+def test_count_weighted_replicates_match_materialised_resamples(cohort, n_horizons, n_replicates):
+    """Each bootstrap replicate, scored as record counts on the stratum's
+    own records, gives the SE of the replicates materialised as np.sort(idx)
+    and scored from scratch within 1e-12 relative, and the same number of
+    replicates defining each value, on tied times, tied predictions and
+    censoring; the estimates keep the bits of the metrics called alone."""
+    _, times, events, _, rng = cohort
+    surv = np.round(rng.random((times.size, n_horizons)), 2)
+    horizons = [float(t) for t in rng.choice(times, n_horizons)]
+    seed = int(rng.integers(2 ** 31))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ECE's skipped-bin warning
+        rows = metrics.evaluate_by_group(surv, times, events, horizons,
+                                         n_replicates=n_replicates, seed=seed)
+        want = metrics_called_alone(surv, times, events, horizons)
+        _, want_se, used, want_n = bootstrap_se(
+            materialised_replicate(surv, times, events, horizons), times.size,
+            n_replicates, seed)
+    assert used == n_replicates
+    got = np.array([(r.estimate, r.se, r.n) for r in rows]).reshape(*want.shape, 3)
+    assert np.array_equal(got[..., 0], want, equal_nan=True)
+    assert np.array_equal(got[..., 2], want_n)
+    # atol: the SE of replicates that agree to many digits carries their
+    # last-bit rounding, which the two summation orders do not share
+    np.testing.assert_allclose(got[..., 1], want_se, rtol=1e-12, atol=1e-14)
 
 
 @SETTINGS
