@@ -272,8 +272,8 @@ def cmd_cv(args, tracker):
 
 # -- argument parsing --------------------------------------------------------
 
-def _add_shared(p, data_required=True):
-    p.add_argument("--data", required=data_required, help="input CSV path")
+def _add_shared(p):
+    p.add_argument("--data", required=True, help="input CSV path")
     p.add_argument("--time-col", default="time")
     p.add_argument("--event-col", default="event")
     p.add_argument("--group-col", default=None)

@@ -77,13 +77,16 @@ def _km_increments(times, events, groups, time_order=None, weights=None):
     event time of a group, the group, the time and the increment of -log
     survival. Ties: all events at a time share the risk set; same-time
     censored individuals stay in the risk set. ``weights``, if given, are
-    integer record counts: a record of weight w counts as w copies of it,
-    so the increments are those of the expanded records, bit for bit."""
+    non-negative integer record counts, one per record: a record of weight
+    w counts as w copies of it, so the increments are those of the
+    expanded records, bit for bit."""
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
     if times.size == 0:
         raise EstimatorError("empty input")
     w = np.ones(times.size, dtype=int) if weights is None else np.asarray(weights)
+    if w.shape != times.shape or w.dtype.kind not in "iu" or (w < 0).any():
+        raise EstimatorError("weights must be non-negative integers, one per record")
     order, g, start, deaths = _deaths_by_time(times, events * w, groups, time_order)
     # the weight from each distinct time to the end of its group
     before = np.zeros(times.size + 1, dtype=w.dtype)
@@ -97,8 +100,9 @@ def _km_increments(times, events, groups, time_order=None, weights=None):
 
 def kaplan_meier(times, events, *, weights=None, time_order=None):
     """Product-limit survival estimate with knots at distinct event times.
-    ``weights`` are integer record counts, and ``time_order`` is
-    np.argsort(times, kind="stable") if given, as in kaplan_meier_at."""
+    ``weights`` are non-negative integer record counts (EstimatorError
+    otherwise) and ``time_order`` is np.argsort(times, kind="stable") if
+    given, as in kaplan_meier_at."""
     _, knots, inc = _km_increments(times, events, np.zeros(np.size(times), dtype=int),
                                    time_order, weights)
     return StepSurvivalCurve(knot_times=knots, cum_hazard=np.cumsum(inc))

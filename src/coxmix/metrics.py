@@ -139,11 +139,19 @@ class _Sample:
     record's weight w is its count in the sample: 1 in a stratum, the
     number of times it was drawn in a resample, which is scored on the
     stratum's own records. ``at`` adds one horizon's predictions. A metric
-    given ``sample=`` reads everything from it."""
+    given ``sample=`` reads everything from it. The inputs are checked
+    here and in ``at``, once per sample: resamples copy them checked."""
 
     def __init__(self, times, events, g_curve=None):
         self.times = np.asarray(times, dtype=float)
-        self.events = np.asarray(events, dtype=int)
+        events = np.asarray(events)
+        if events.shape != self.times.shape:
+            raise MetricError(f"{events.size} events for {self.times.size} times")
+        if not np.isfinite(self.times).all():
+            raise MetricError("times must be finite")
+        if not ((events == 0) | (events == 1)).all():
+            raise MetricError("events must be 0 or 1")
+        self.events = events.astype(int)
         self.time_order, _ = _stable_order(self.times)
         self.time_pos = np.empty_like(self.time_order)
         self.time_pos[self.time_order] = np.arange(self.times.size)
@@ -159,6 +167,8 @@ class _Sample:
     def at(self, surv_probs, probabilities):
         """This sample with one horizon's checked predictions pi, ordered
         and ranked."""
+        if np.shape(surv_probs) != self.times.shape:
+            raise MetricError(f"{np.size(surv_probs)} predictions for {self.times.size} records")
         out = copy.copy(self)
         out.pi = _check_predictions(surv_probs, "surv_probs", probabilities)
         out.pi_order, out.ranks = _stable_order(out.pi)
@@ -282,69 +292,49 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
     subject and the curve has not reached zero. Predictions that are not
     probabilities (NaN, +-inf, outside [0, 1]) raise MetricError.
 
-    Records with equal predictions are binned in record order. In a
-    weighted sample (a bootstrap resample) a record of weight w stands for
-    w copies in a row, and one whose copies straddle a bin edge splits
-    them between the bins.
+    Records with equal predictions are binned in record order. A weighted
+    sample (a bootstrap resample) is binned as its copies: a record of
+    weight w stands for w copies in a row.
     """
     if sample is None:
         sample = _Sample(times, events).at(surv_probs, probabilities=True)
     pi, times, events, w = sample.pi, sample.times, sample.events, sample.w
     n = int(w.sum())
-    if n < n_bins:
-        raise MetricError(f"need at least {n_bins} records for {n_bins} bins")
+    if not 1 <= n_bins <= n:
+        raise MetricError(f"need 1 to {n} bins for {n} records, not {n_bins}")
 
-    size, big = divmod(n, n_bins)  # np.array_split's sizes: the first big bins hold one more
-    sizes = np.full(n_bins, size)
-    sizes[:big] += 1
-    edges = np.cumsum(sizes)
-    # in prediction order, record i's copies fill positions [start, end);
-    # it lies in the bin of its first copy, and copies past that bin's edge
-    # make extra pieces of it in the bins after
-    order, w_sorted = sample.pi_order, w[sample.pi_order]
-    end = np.cumsum(w_sorted)
-    start = end - w_sorted
-    bins = np.minimum(np.searchsorted(edges, start, side="right"), n_bins - 1)
-    copies = np.minimum(end, edges[bins]) - start
-    spill = np.flatnonzero(copies < w_sorted)
-    reps = np.searchsorted(edges, end[spill] - 1, side="right") - bins[spill]
-    at = np.repeat(spill, reps)
-    extra_bins = np.repeat(bins[spill] + 1 - np.cumsum(reps) + reps, reps) + np.arange(at.size)
-    extra_copies = np.minimum(end[at], edges[extra_bins]) - edges[extra_bins] + sizes[extra_bins]
-    # each piece's record, bin and copies: the records' first pieces, then
-    # the extra ones, each listed after its record's first piece
-    extra = w.size + np.arange(at.size)
-    rec_of = np.concatenate((order, order[at]))
-    bin_of = np.concatenate((bins, extra_bins))
-    copies_of = np.concatenate((copies, extra_copies))
-    pieces = np.insert(np.arange(w.size), at + 1, extra)  # in prediction order
-    rec, in_bin, k = rec_of[pieces], bin_of[pieces], copies_of[pieces]
-    bounds = np.searchsorted(in_bin, np.arange(n_bins + 1)).tolist()
-    means = k * pi[rec]  # a bin's mean sums its slice, in np.mean's order
-    t = times[rec]
-    t_max = np.maximum.reduceat(np.where(k > 0, t, -np.inf), bounds[:-1])
-    last_events = np.add.reduceat(k * events[rec] * (t == t_max[in_bin]), bounds[:-1])
-    # the pieces in time order (the records' first pieces, by their position
-    # in prediction order) give the per-bin Kaplan-Meier without a sort;
-    # those past the horizon are only at risk, so one row per bin at
-    # t = inf stands for them
-    by_time = sample.fixed("prediction positions by time", lambda: np.argsort(
-        sample.pi_order)[sample.time_order])
-    pieces = np.insert(by_time, sample.time_pos[order[at]] + 1, extra)
-    rec, in_bin, k = rec_of[pieces], bin_of[pieces], copies_of[pieces]
-    cut = np.searchsorted(times[rec], horizon, side="right")
-    late = np.bincount(in_bin[cut:], k[cut:], minlength=n_bins).astype(k.dtype)
-    rec = rec[:cut]
+    # np.array_split's sizes: the first n % n_bins bins hold one more
+    sizes = n // n_bins + (np.arange(n_bins) < n % n_bins)
+    starts = np.cumsum(sizes) - sizes
+    bin_at = np.repeat(np.arange(n_bins), sizes)  # the bin of each position
+    # the copies in prediction order, each bin one slice of them
+    by_pi = w[sample.pi_order]
+    copies = np.repeat(sample.pi_order, by_pi)
+    means = pi[copies]  # a bin's mean sums its slice, in np.mean's order
+    t = times[copies]
+    t_max = np.maximum.reduceat(t, starts)
+    last_events = np.add.reduceat(events[copies] * (t == t_max[bin_at]), starts)
+    # the copies in time order, each at its rank among its record's copies;
+    # those past the horizon fold into one at-risk row per bin at t = inf
+    shift = np.empty_like(w)
+    shift[sample.time_order] = np.cumsum(w[sample.time_order])
+    shift[sample.pi_order] -= np.cumsum(by_pi)
+    time_pos = shift[copies] + np.arange(n)
+    by_time, in_bin = np.empty_like(copies), np.empty_like(bin_at)
+    by_time[time_pos], in_bin[time_pos] = copies, bin_at
+    cut = np.searchsorted(times[by_time], horizon, side="right")
+    by_time = by_time[:cut]
     km = kaplan_meier_at(
-        np.append(times[rec], np.full(n_bins, np.inf)),
-        np.append(events[rec], np.zeros(n_bins, dtype=int)),
+        np.append(times[by_time], np.full(n_bins, np.inf)),
+        np.append(events[by_time], np.zeros(n_bins, dtype=int)),
         np.append(in_bin[:cut], np.arange(n_bins)).astype(np.min_scalar_type(n_bins - 1)),
-        horizon, time_order=np.arange(cut + n_bins), weights=np.append(k[:cut], late))
+        horizon, time_order=np.arange(cut + n_bins), weights=np.append(
+            np.ones(cut, dtype=np.intp), np.bincount(in_bin[cut:], minlength=n_bins)))
     # past t_max the curve is flat, so km > 0 there means S(t_max) > 0
     defined = ~((horizon > t_max) & (last_events == 0) & (km > 0))
-    return [(float(np.add.reduce(means[a:b]) / size), km_b, size, ok)
-            for a, b, size, km_b, ok in zip(bounds, bounds[1:], sizes.tolist(), km.tolist(),
-                                            defined.tolist())]
+    return [(float(np.add.reduce(means[a:a + size]) / size), km_b, size, ok)
+            for a, size, km_b, ok in zip(starts.tolist(), sizes.tolist(), km.tolist(),
+                                         defined.tolist())]
 
 
 def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *, sample=None,
@@ -508,13 +498,16 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     its own censoring fit; records is the stratum's size. Groups below
     MIN_GROUP_SIZE records get NaN estimates and n=0. Returns a list of
     MetricRow; raises MetricError on a prediction that is not a
-    probability. A ``calibration`` list receives the population's
-    calibration_bins per horizon, the bins its ECE is computed from
-    (MetricError if they cannot be built)."""
+    probability, a time that is not finite, an event other than 0 or 1,
+    or inputs of different lengths. A ``calibration`` list receives the
+    population's calibration_bins per horizon, the bins its ECE is
+    computed from (MetricError if they cannot be built)."""
     times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
+    events = np.asarray(events)
     if np.shape(surv_matrix) != (times.size, len(horizons)):
         raise MetricError("surv_matrix must be (n_records, n_horizons)")
+    if groups is not None and np.shape(groups) != times.shape:
+        raise MetricError(f"{np.size(groups)} group labels for {times.size} records")
     surv_matrix = _check_predictions(surv_matrix, "surv_matrix", probabilities=True)
 
     rows = _stratum_metrics(surv_matrix, times, events, horizons,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coxmix.estimators import (
-    EstimatorError, StepSurvivalCurve, breslow, censoring_km, kaplan_meier,
+    EstimatorError, StepSurvivalCurve, breslow, censoring_km, kaplan_meier, kaplan_meier_at,
 )
 from conftest import brute_force_breslow, brute_force_km, random_survival_instance
 
@@ -57,6 +57,16 @@ class TestKaplanMeier:
     def test_empty_raises(self):
         with pytest.raises(EstimatorError):
             kaplan_meier([], [])
+
+    @pytest.mark.parametrize("weights", [[1, -1, 2, 0, 1], [1.0, 1.0, 2.0, 0.0, 1.0], [1, 2]])
+    @pytest.mark.parametrize("fit", [
+        kaplan_meier, censoring_km,
+        lambda t, e, weights: kaplan_meier_at(t, e, np.zeros(5, dtype=int), 3.0, weights=weights)])
+    def test_weights_must_be_counts_one_per_record(self, fit, weights):
+        # negative counts gave an infinite then NaN hazard, float weights a
+        # curve and a short list a bare broadcast error
+        with pytest.raises(EstimatorError, match="non-negative integers, one per record"):
+            fit([1.0, 2.0, 2.0, 3.0, 4.0], [1, 0, 1, 1, 0], weights=weights)
 
 
 class TestCensoringKm:

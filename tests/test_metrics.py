@@ -110,6 +110,65 @@ def test_rank_metrics_take_any_finite_score(metric):
         _score(metric, pi)
 
 
+class TestInputChecks:
+    """Each bad input raises a named MetricError; before these checks, each
+    scored silently or raised a bare numpy error."""
+
+    @staticmethod
+    def call(metric, pi, times, events):
+        """metric on 200 records with the given inputs in place of good ones."""
+        rng = np.random.default_rng(4)
+        good_times = rng.exponential(1.0, 200)
+        good_events = (rng.random(200) < 0.7).astype(int)
+        pi = rng.random(200) if pi is None else pi
+        times = good_times if times is None else times
+        events = good_events if events is None else events
+        if metric in (ece, calibration_bins):
+            return metric(pi, times, events, 1.0)
+        return metric(pi, times, events, censoring_km(good_times, good_events), 1.0)
+
+    @pytest.mark.parametrize("metric", [concordance_td, auc_ipcw, ece, brier_ipcw])
+    @pytest.mark.parametrize("n_pred", [150, 250])
+    def test_predictions_of_another_length(self, metric, n_pred):
+        pi = np.random.default_rng(0).random(n_pred)
+        with pytest.raises(MetricError, match=f"{n_pred} predictions for 200 records"):
+            self.call(metric, pi, None, None)
+
+    @pytest.mark.parametrize("metric", [concordance_td, auc_ipcw, ece, brier_ipcw])
+    def test_fewer_events_than_times(self, metric):
+        with pytest.raises(MetricError, match="150 events for 200 times"):
+            self.call(metric, None, None, np.ones(150, dtype=int))
+
+    @pytest.mark.parametrize("metric", [concordance_td, auc_ipcw, ece, brier_ipcw])
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_events_other_than_0_or_1(self, metric, bad):
+        events = (np.arange(200) % 3 == 0).astype(float)
+        events[events == 1] = bad
+        with pytest.raises(MetricError, match="events must be 0 or 1"):
+            self.call(metric, None, None, events)
+
+    @pytest.mark.parametrize("metric", [concordance_td, auc_ipcw, ece, brier_ipcw])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_times_not_finite(self, metric, bad):
+        times = np.random.default_rng(1).exponential(1.0, 200)
+        times[17] = bad
+        with pytest.raises(MetricError, match="times must be finite"):
+            self.call(metric, None, times, None)
+
+    @pytest.mark.parametrize("n_bins", [0, -3])
+    def test_no_bins(self, n_bins):
+        pi, times, events, horizon = uncensored_instance(n=200)
+        for metric in (ece, calibration_bins):
+            with pytest.raises(MetricError, match="need 1 to 200 bins for 200 records"):
+                metric(pi, times, events, horizon, n_bins=n_bins)
+
+    def test_group_labels_of_another_length(self):
+        pi, times, events, horizon = uncensored_instance(n=200)
+        with pytest.raises(MetricError, match="150 group labels for 200 records"):
+            evaluate_by_group(pi[:, None], times, events, [horizon],
+                              groups=np.array(["a", "b", "c"] * 50), n_replicates=2)
+
+
 @pytest.mark.parametrize("metric", [concordance_td, auc_ipcw])
 def test_pairwise_metrics_never_form_all_pairs(metric):
     # an n x n boolean array at n = 20000 is 400 MB; the sorted counting
@@ -231,8 +290,9 @@ class TestEce:
 
     def test_counts_straddling_bin_edges_split(self):
         # a resample's record stands for its copies in a row; copies across
-        # a bin edge (here one record spans five bins) split between bins,
-        # and records with equal predictions are binned in record order
+        # a bin edge (here one record spans five bins) fall in the bins of
+        # their positions, and records with equal predictions are binned in
+        # record order: the bins of the copies, bit for bit
         rng = np.random.default_rng(6)
         times = rng.integers(1, 9, 30).astype(float)
         events = (rng.random(30) < 0.7).astype(int)
@@ -246,9 +306,7 @@ class TestEce:
             got = calibration_bins(pi, times, events, horizon, n_bins=12,
                                    sample=sample.resampled(counts))
             want = calibration_bins(pi[idx], times[idx], events[idx], horizon, n_bins=12)
-            assert [b[1:] for b in got] == [b[1:] for b in want]
-            np.testing.assert_allclose([b[0] for b in got], [b[0] for b in want],
-                                       rtol=1e-15)
+            assert got == want
 
 
 class TestBrier:

@@ -7,8 +7,9 @@ baseline table against direct spline evaluation; the spline's slope
 outside its knots; the spline against scipy's PchipInterpolator
 between them; the metrics on one shared sample against each metric
 called alone; the weighted Kaplan-Meier against the records copied out;
-and bootstrap replicates scored as record counts against the resamples
-copied out and scored from scratch."""
+bootstrap replicates scored as record counts against the resamples
+copied out and scored from scratch; and a resample's calibration bins
+against those of its copies."""
 
 import warnings
 
@@ -19,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from coxmix import metrics
 from coxmix.estimators import breslow, censoring_km, kaplan_meier, kaplan_meier_at
 from coxmix.metrics import (
-    MIN_IPCW_DENOM, MetricError, auc_ipcw, bootstrap_se, brier_ipcw, concordance_td, ece,
+    METRIC_NAMES, MIN_IPCW_DENOM, MetricError, auc_ipcw, bootstrap_se, brier_ipcw,
+    calibration_bins, concordance_td, ece,
 )
 from coxmix.model import DcmConfig, DcmModel, baseline_table, cluster_log_densities
 from coxmix.neural import init_params
@@ -214,6 +216,34 @@ def test_count_weighted_replicates_match_materialised_resamples(cohort, n_horizo
     # atol: the SE of replicates that agree to many digits carries their
     # last-bit rounding, which the two summation orders do not share
     np.testing.assert_allclose(got[..., 1], want_se, rtol=1e-12, atol=1e-14)
+
+
+@SETTINGS
+@given(cohorts(min_size=1, max_size=60), st.integers(1, 20), st.integers(1, 3))
+def test_resampled_calibration_bins_are_the_copies(cohort, n_bins, n_horizons):
+    """A resample's calibration bins equal, tuple for tuple, those of its
+    records copied out, and its ECE keeps their bits, on tied times and
+    predictions, censoring and counts with zeros and large repeats."""
+    pi, times, events, horizon, rng = cohort
+    n = times.size
+    counts = rng.integers(0, 3, n)
+    counts[rng.integers(0, n, 2)] += rng.integers(1, 50, 2)
+    idx = np.repeat(np.arange(n), counts)
+    resample = metrics._Sample(times, events, censoring_km(times, events)).at(
+        pi, probabilities=True).resampled(counts)
+    assert (_metric_or_none(lambda: calibration_bins(pi, times, events, horizon, n_bins,
+                                                     sample=resample))
+            == _metric_or_none(calibration_bins, pi[idx], times[idx], events[idx], horizon,
+                               n_bins))
+    surv = np.round(rng.random((n, n_horizons)), 2)
+    horizons = [float(t) for t in rng.choice(times, n_horizons)]
+    col = METRIC_NAMES.index("ece")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ECE's skipped-bin warning
+        got = metrics._sample_metrics(metrics._stratum_samples(surv, times, events),
+                                      horizons, counts)
+        want = materialised_replicate(surv, times, events, horizons)(counts)
+    assert got[:, col].tobytes() == want[:, col].tobytes()
 
 
 @SETTINGS
