@@ -95,8 +95,7 @@ def _resolve_horizons(spec, ds):
 def _dcm_config(args, seed_offset=0, **overrides):
     """The training flags as a DcmConfig; ``overrides`` replace fields
     (the grid search sets n_clusters and hidden_dims)."""
-    hidden = tuple(int(v) for v in args.layers.split(",") if v.strip()) \
-        if args.layers else ()
+    hidden = tuple(int(v) for v in args.layers.split(",") if v.strip())
     return DcmConfig(**{
         "n_clusters": args.k, "hidden_dims": hidden, "lr": args.lr,
         "batch_size": args.batch, "max_epochs": args.epochs,

@@ -152,22 +152,19 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
     )
 
 
-def standardize(ds, stats=None):
+def standardize(ds):
     """Transform each feature column to zero mean, unit standard deviation.
 
     Standard deviation uses the N-1 divisor. Constant columns are shifted to
-    zero and divided by 1. When ``stats`` is given (from a training split)
-    those statistics are applied instead of being re-estimated.
+    zero and divided by 1. The statistics are recorded on the result; a
+    model applies them to held-out data in ``DcmModel.predict_dataset``.
     Returns (standardized dataset, (mean, std)).
     """
     if len(ds) == 0:
         raise DatasetError("cannot standardize an empty dataset")
-    if stats is None:
-        mean = ds.features.mean(axis=0)
-        std = ds.features.std(axis=0, ddof=1) if len(ds) > 1 else np.zeros(ds.n_features)
-        std = np.where(std < 1e-12, 1.0, std)
-    else:
-        mean, std = np.asarray(stats[0], dtype=float), np.asarray(stats[1], dtype=float)
+    mean = ds.features.mean(axis=0)
+    std = ds.features.std(axis=0, ddof=1) if len(ds) > 1 else np.zeros(ds.n_features)
+    std = np.where(std < 1e-12, 1.0, std)
     out = SurvivalDataset(
         features=(ds.features - mean) / std,
         times=ds.times,

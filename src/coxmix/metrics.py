@@ -210,6 +210,13 @@ class _Sample:
         return (self.w[due] > 0) & (self.g_left[due] > MIN_IPCW_DENOM)
 
 
+def _check_horizons(*horizons):
+    """MetricError naming a horizon that is not finite; a negative one is valid."""
+    for horizon in horizons:
+        if not np.isfinite(horizon):
+            raise MetricError(f"horizon must be finite, not {horizon}")
+
+
 def _check_predictions(pi, what, probabilities):
     """``pi`` as floats; MetricError unless all are finite and, if read as survival
     ``probabilities`` (Brier, calibration, the report), in [0, 1]. The rank
@@ -232,6 +239,7 @@ def concordance_td(surv_probs, times, events, g_curve, horizon, *, sample=None):
     in time are excluded. Pairs are counted over time-sorted records
     (Uno et al., Stat Med 2011) without forming the n x n pairs.
     """
+    _check_horizons(horizon)
     if sample is None:
         sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=False)
     pairs = sample.fixed(("pairs", horizon), lambda: _Pairs(sample, horizon))
@@ -266,6 +274,7 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     Mann-Whitney count of (case, control) pairs in which the case has the
     higher risk 1 - pi; ties in risk count half.
     """
+    _check_horizons(horizon)
     if sample is None:
         sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=False)
     cases = sample.due(horizon)[sample.cases(horizon)]
@@ -290,12 +299,16 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
     the number of records, and whether that survival is defined there. It
     is undefined when follow-up ends before the horizon with a censored
     subject and the curve has not reached zero. Predictions that are not
-    probabilities (NaN, +-inf, outside [0, 1]) raise MetricError.
+    probabilities (NaN, +-inf, outside [0, 1]), a non-finite horizon and a
+    non-integer ``n_bins`` (a bool included) raise MetricError.
 
     Records with equal predictions are binned in record order. A weighted
     sample (a bootstrap resample) is binned as its copies: a record of
     weight w stands for w copies in a row.
     """
+    _check_horizons(horizon)
+    if isinstance(n_bins, bool) or not isinstance(n_bins, (int, np.integer)):
+        raise MetricError(f"n_bins must be an integer, not {n_bins!r}")
     if sample is None:
         sample = _Sample(times, events).at(surv_probs, probabilities=True)
     pi, times, events, w = sample.pi, sample.times, sample.events, sample.w
@@ -362,6 +375,7 @@ def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *, sample=N
 def brier_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     """IPCW Brier score at a horizon:
     mean of pi^2 * 1{T<=t, event}/G(T-) + (1-pi)^2 * 1{T>t}/G(t)."""
+    _check_horizons(horizon)
     if sample is None:
         sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=True)
     pi, w, cases = sample.pi, sample.w, sample.cases(horizon)
@@ -434,7 +448,8 @@ METRIC_NAMES = ("concordance_td", "auc_ipcw", "ece", "brier_ipcw")
 def _stratum_samples(surv_matrix, times, events):
     """One stratum as one sample per horizon (a column of surv_matrix),
     all sharing one censoring fit, one time order and one G(T-) per record."""
-    sample = _Sample(times, events, censoring_km(times, events))
+    sample = _Sample(times, events)
+    sample._weigh(sample.w, censoring_km(times, events, time_order=sample.time_order))
     return [sample.at(pi, probabilities=True) for pi in surv_matrix.T]
 
 
@@ -498,10 +513,10 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     its own censoring fit; records is the stratum's size. Groups below
     MIN_GROUP_SIZE records get NaN estimates and n=0. Returns a list of
     MetricRow; raises MetricError on a prediction that is not a
-    probability, a time that is not finite, an event other than 0 or 1,
-    or inputs of different lengths. A ``calibration`` list receives the
-    population's calibration_bins per horizon, the bins its ECE is
-    computed from (MetricError if they cannot be built)."""
+    probability, a time or horizon that is not finite, an event other
+    than 0 or 1, or inputs of different lengths. A ``calibration`` list
+    receives the population's calibration_bins per horizon, the bins its
+    ECE is computed from (MetricError if they cannot be built)."""
     times = np.asarray(times, dtype=float)
     events = np.asarray(events)
     if np.shape(surv_matrix) != (times.size, len(horizons)):
@@ -509,6 +524,7 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     if groups is not None and np.shape(groups) != times.shape:
         raise MetricError(f"{np.size(groups)} group labels for {times.size} records")
     surv_matrix = _check_predictions(surv_matrix, "surv_matrix", probabilities=True)
+    _check_horizons(*horizons)
 
     rows = _stratum_metrics(surv_matrix, times, events, horizons,
                             "population", n_replicates, seed, calibration)

@@ -89,30 +89,19 @@ class DcmModel:
 
     def predict_survival(self, x, t):
         """Mixture survival P(T > t | x) = sum_k S_k(t)^exp(f_k(x)) *
-        gate_k(x). Accepts a single vector or (N, d) batch for x and a
-        scalar or grid for t; returns matching scalar/vector/matrix."""
-        x = np.asarray(x, dtype=float)
-        single_x = x.ndim == 1
-        xb = np.atleast_2d(x)
-        t = np.asarray(t, dtype=float)
-        single_t = t.ndim == 0
-        tg = np.atleast_1d(t)
-
-        f, g = self._heads_out(xb)
+        gate_k(x), shape x.shape[:-1] + t.shape for a vector or (N, d)
+        batch x and a scalar or grid t; a single value is a Python float."""
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        f, g = self._heads_out(np.atleast_2d(x))
         w = neural.softmax(g)                       # (N, K)
         ef = np.exp(f)                              # (N, K)
-        out = np.zeros((xb.shape[0], tg.size))
+        out = np.zeros((f.shape[0], t.size))
         for k, bl in enumerate(self.baselines):
-            s0 = spline_eval(bl, tg)                # (H,)
+            s0 = spline_eval(bl, t.reshape(-1))     # (H,)
             out += w[:, k:k + 1] * np.power(s0[None, :], ef[:, k:k + 1])
         np.minimum(out, 1.0, out=out)  # the gate weights may sum to 1 + 1 ulp
-        if single_x and single_t:
-            return float(out[0, 0])
-        if single_x:
-            return out[0]
-        if single_t:
-            return out[:, 0]
-        return out
+        out = out.reshape(x.shape[:-1] + t.shape)
+        return float(out) if out.ndim == 0 else out
 
     def predict_dataset(self, ds, horizons):
         """Survival at each horizon for every row of a raw (unstandardized)
@@ -289,18 +278,6 @@ def sample_assignments(gamma, rng):
     return (u[:, None] > cdf).sum(axis=1).astype(int)
 
 
-def m_step(model, adam, encoded, times, events, gamma, zeta):
-    """One Adam step on the hard-assignment objective, backpropagating
-    through ``encoded`` = (rep, cache, log hazards, gating logits), the
-    encoder pass over the batch under the current parameters. Returns the
-    batch loss before the update."""
-    rep, cache, f, g = encoded
-    loss, d_f, d_g = objective.q_hat(times, events, gamma, zeta, f, g)
-    mlp_grads, head_grads = neural.backward(model.params, model.heads, cache, rep, d_f, d_g)
-    neural.adam_step(mlp_grads, head_grads, adam)
-    return loss
-
-
 def update_baselines(model, log_hazards, times, events, zeta):
     """Refresh each cluster's Breslow baseline over its assigned rows,
     given every row's log hazards (N, K), and refit the spline. Clusters
@@ -395,7 +372,10 @@ def fit(dataset, config):
             gamma = e_step(model, xb, tb, eb, heads=(f, g),
                            table=(table[0][rows], table[1][rows]))
             zeta = sample_assignments(gamma, rng)
-            batch_losses.append(m_step(model, adam, (rep, cache, f, g), tb, eb, gamma, zeta))
+            # M-step: one Adam step on the hard-assignment objective
+            loss, d_f, d_g = objective.q_hat(tb, eb, gamma, zeta, f, g)
+            neural.adam_step(*neural.backward(model.params, model.heads, cache, rep, d_f, d_g), adam)
+            batch_losses.append(loss)
 
         starved, train_q, table = _refresh_phase(model, xt, tt, et, table, rng)
         val_q = expected_q_loss(model, xv, tv, ev)

@@ -90,12 +90,14 @@ def fit_spline(curve):
     return SplineSurvivalCurve(knots=kt, values=sv)
 
 
-def _piecewise(s, t):
-    """Unclamped S(t) and dS/dt as two 1-d arrays, from one interval
-    lookup: 1 and 0 before the first knot; between knots the monotone
-    cubic's value and slope (the knot value and 0 for a single knot); past
-    the last knot the exponential constant-hazard tail and its slope
-    -tail_hazard * tail."""
+def spline_value_and_slope(s, t):
+    """S(t) and dS/dt as two 1-d arrays from one interval lookup: 1 and 0
+    before the first knot; between knots the monotone cubic's value and
+    slope (the knot value and 0 for a single knot); past the last knot the
+    exponential constant-hazard tail and its slope -tail_hazard * tail.
+    S is clipped to [EPS_SURVIVAL, 1] (the interpolant never overshoots the
+    knot values, so the clip only guards the floor); dS/dt is clamped to at
+    most -EPS_DENSITY, so the implied event density is strictly positive."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     val, slope = np.empty_like(t), np.empty_like(t)
     lo, hi = s.knots[0], s.knots[-1]
@@ -114,15 +116,6 @@ def _piecewise(s, t):
             x2 = x * x  # terms summed in scipy PPoly's order, so its bits are kept
             val[mid] = y0 + c * x + b * x2 + a * (x2 * x)
             slope[mid] = c + b * x * 2 + a * x2 * 3
-    return val, slope
-
-
-def spline_value_and_slope(s, t):
-    """S(t) and dS/dt as two 1-d arrays from one interval lookup. S is
-    clipped to [EPS_SURVIVAL, 1] (the interpolant never overshoots the knot
-    values, so the clip only guards the floor); dS/dt is clamped to at most
-    -EPS_DENSITY, so the implied event density is strictly positive."""
-    val, slope = _piecewise(s, t)
     return np.clip(val, EPS_SURVIVAL, 1.0, out=val), np.minimum(slope, -EPS_DENSITY, out=slope)
 
 

@@ -160,10 +160,10 @@ def _entry(table, key, where, kind, check):
     return table[key]
 
 
-def config_from_sidecar(sidecar, n=0, seed=0):
-    """Rebuild a SynthConfig carrying the generator parameters of a
-    sidecar or a --spec file (for ground-truth survival evaluation).
-    SynthError names an entry that is missing or of the wrong type."""
+def config_from_sidecar(sidecar):
+    """Rebuild a SynthConfig (n = 1, other fields at their defaults) with the
+    generator parameters of a sidecar or a --spec file, for ground-truth
+    survival. SynthError names an entry that is missing or of the wrong type."""
     clusters = _entry(sidecar, "clusters", "spec", "a list of clusters",
                       lambda v: isinstance(v, (list, tuple)))
     gating = _entry(sidecar, "gating", "spec", "a list of lists of numbers",
@@ -174,9 +174,7 @@ def config_from_sidecar(sidecar, n=0, seed=0):
                     beta=tuple(_entry(c, "beta", f"cluster {k}", "a list of numbers",
                                       _is_numbers)))
         for k, c in enumerate(clusters))
-    return SynthConfig(
-        n=max(n, 1), clusters=clusters, gating=tuple(tuple(row) for row in gating),
-        censoring_fraction=0.0, seed=seed)
+    return SynthConfig(n=1, clusters=clusters, gating=tuple(tuple(row) for row in gating))
 
 
 def _calibrate_censoring(event_times, uniform_draws, target, tol=0.02,

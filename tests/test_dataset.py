@@ -121,14 +121,6 @@ class TestStandardize:
         np.testing.assert_allclose(out.features, 0.0)
         np.testing.assert_allclose(std, [1.0])
 
-    def test_reuse_stats_on_holdout(self):
-        train = make_ds(n=50, seed=2)
-        test = make_ds(n=20, seed=3)
-        _, stats = standardize(train)
-        out, stats2 = standardize(test, stats=stats)
-        np.testing.assert_allclose(out.features, (test.features - stats[0]) / stats[1])
-        np.testing.assert_array_equal(stats2[0], stats[0])
-
 
 class TestEventQuantiles:
     def test_nearest_rank(self):

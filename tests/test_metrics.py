@@ -162,6 +162,36 @@ class TestInputChecks:
             with pytest.raises(MetricError, match="need 1 to 200 bins for 200 records"):
                 metric(pi, times, events, horizon, n_bins=n_bins)
 
+    @pytest.mark.parametrize("metric", [concordance_td, auc_ipcw, ece, calibration_bins,
+                                        brier_ipcw])
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf])
+    def test_horizon_not_finite(self, metric, horizon):
+        rng = np.random.default_rng(4)
+        times = rng.exponential(1.0, 200)
+        events = (rng.random(200) < 0.7).astype(int)
+        args = () if metric in (ece, calibration_bins) else (censoring_km(times, events),)
+        with pytest.raises(MetricError, match=f"horizon must be finite, not {horizon}"):
+            metric(rng.random(200), times, events, *args, horizon)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_evaluate_by_group_horizon_not_finite(self, horizon):
+        pi, times, events, _ = uncensored_instance(n=200)
+        with pytest.raises(MetricError, match=f"horizon must be finite, not {horizon}"):
+            evaluate_by_group(np.column_stack([pi, pi]), times, events, [1.0, horizon],
+                              n_replicates=2)
+
+    def test_negative_horizon_is_valid(self):
+        pi, times, events, _ = uncensored_instance(n=200)
+        # before any time every record survives: every bin's Kaplan-Meier is 1
+        assert ece(pi, times, events, -1.0) == pytest.approx(np.mean(np.abs(1.0 - pi)))
+
+    @pytest.mark.parametrize("n_bins", [2.5, True, np.float64(4.0)])
+    def test_bins_not_an_integer(self, n_bins):
+        pi, times, events, horizon = uncensored_instance(n=200)
+        for metric in (ece, calibration_bins):
+            with pytest.raises(MetricError, match="n_bins must be an integer"):
+                metric(pi, times, events, horizon, n_bins=n_bins)
+
     def test_group_labels_of_another_length(self):
         pi, times, events, horizon = uncensored_instance(n=200)
         with pytest.raises(MetricError, match="150 group labels for 200 records"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from coxmix import model as model_mod
 from coxmix import neural, objective
 from coxmix import spline as spline_mod
-from coxmix.dataset import standardize
+from coxmix.dataset import SurvivalDataset, standardize
 from coxmix.model import (
     DcmConfig, DcmModel, ModelError, e_step, expected_q_loss, fit,
     sample_assignments, update_baselines,
@@ -94,10 +94,22 @@ class TestPredictSurvival:
         m = hand_model()
         x = np.zeros((4, 1))
         t = np.array([0.5, 1.0, 2.0])
-        assert np.isscalar(m.predict_survival(np.zeros(1), 1.0))
+        assert type(m.predict_survival(np.zeros(1), 1.0)) is float
         assert m.predict_survival(np.zeros(1), t).shape == (3,)
         assert m.predict_survival(x, 1.0).shape == (4,)
         assert m.predict_survival(x, t).shape == (4, 3)
+        assert m.predict_survival(np.zeros((1, 1)), t).shape == (1, 3)
+
+    def test_predict_dataset_applies_stored_standardization(self):
+        m = hand_model()
+        m.heads.g_w[:] = [[1.0, -1.0]]  # the gate now depends on the feature
+        m.standardization = (np.array([2.0]), np.array([4.0]))
+        x = np.array([[-3.0], [2.0], [10.0]])
+        ds = SurvivalDataset(features=x, times=np.ones(3), events=np.ones(3, dtype=int),
+                             feature_names=("x",))
+        got = m.predict_dataset(ds, [1.0, 2.0])
+        np.testing.assert_array_equal(got, m.predict_survival((x - 2.0) / 4.0, [1.0, 2.0]))
+        assert not np.allclose(got, m.predict_survival(x, [1.0, 2.0]))
 
     def test_monotone_in_time(self):
         m = hand_model()
