@@ -20,6 +20,7 @@ import numpy as np
 from coxmix import metrics as metrics_mod
 from coxmix import synth as synth_mod
 from coxmix.dataset import atomic_write, event_quantiles, k_fold_split, load_csv, standardize
+from coxmix.estimators import censoring_km
 from coxmix.model import DcmConfig, DcmModel, fit
 
 
@@ -215,57 +216,43 @@ _GRID = [(k, layers, width)
          for k in (3, 4, 6) for layers in (1, 2) for width in (50, 100)]
 
 
-def _cv_folds(ds, folds, seed):
-    """The k-fold split of ds, one (standardized training set, test rows)
-    pair per fold; computed once per command, shared by every configuration."""
-    split = k_fold_split(ds, folds, seed)
-    return [(standardize(ds.subset(split.train_idx(fold)))[0], split.test_idx(fold))
-            for fold in range(folds)]
-
-
-def _run_cv(ds, horizons, config_fn, folds):
-    """Train per fold, pool held-out predictions, return the pooled
-    survival matrix aligned with the dataset order."""
-    surv = np.full((len(ds), len(horizons)), np.nan)
-    for fold, (train, te) in enumerate(folds):
-        model = fit(train, config_fn(fold))
-        surv[te] = model.predict_dataset(ds.subset(te), horizons)
-    return surv
-
-
 def cmd_cv(args, tracker):
     ds = _load_dataset(args)
     horizons = _resolve_horizons(args.horizons, ds)
-    folds = _cv_folds(ds, args.folds, args.seed)
+    split = k_fold_split(ds, args.folds, args.seed)
+    folds = [(standardize(ds.subset(split.train_idx(fold)))[0], split.test_idx(fold))
+             for fold in range(args.folds)]
+    configs = ([{"n_clusters": k, "hidden_dims": (width,) * layers}
+                for k, layers, width in _GRID] if args.grid else [{}])  # {}: the flags alone
+    pooled = []
+    for overrides in configs:
+        surv = np.full((len(ds), len(horizons)), np.nan)
+        for fold, (train, te) in enumerate(folds):
+            model = fit(train, _dcm_config(args, fold, **overrides))
+            surv[te] = model.predict_dataset(ds.subset(te), horizons)
+        pooled.append(surv)
 
+    surv = pooled[0]  # the one configuration, unless --grid selects another
+    extra = {"horizons": horizons}
     if args.grid:
-        g = metrics_mod.censoring_km(ds.times, ds.events)
+        g = censoring_km(ds.times, ds.events)
         results = []
-        for k, layers, width in _GRID:
-            cfg = lambda fold, k=k, hidden=(width,) * layers: _dcm_config(
-                args, fold, n_clusters=k, hidden_dims=hidden)
-            surv = _run_cv(ds, horizons, cfg, folds)
+        for config, surv in zip(_GRID, pooled):
             briers = [metrics_mod.brier_ipcw(surv[:, i], ds.times, ds.events, g, h)
                       for i, h in enumerate(horizons)]
-            results.append(((k, layers, width), float(np.mean(briers)), surv))
+            results.append((config, float(np.mean(briers)), surv))
         results.sort(key=lambda r: (r[1], r[0]))
         (k, layers, width), best_brier, surv = results[0]
         grid_rows = [[f"k={r[0][0]},layers={r[0][1]},width={r[0][2]}", r[1]]
                      for r in results]
         _write_csv(tracker.path("grid.csv"), ["config", "mean_brier"], grid_rows)
-        chosen = {"k": k, "layers": layers, "width": width, "mean_brier": best_brier}
-    else:
-        cfg = lambda fold: _dcm_config(args, seed_offset=fold)
-        surv = _run_cv(ds, horizons, cfg, folds)
-        chosen = None
+        extra["selected"] = {"k": k, "layers": layers, "width": width,
+                             "mean_brier": best_brier}
 
     rows = metrics_mod.evaluate_by_group(
         surv, ds.times, ds.events, horizons, ds.groups,
         n_replicates=args.bootstrap, seed=args.seed)
     _write_report(tracker, rows)
-    extra = {"horizons": horizons}
-    if chosen:
-        extra["selected"] = chosen
     _echo_config(tracker, args, extra)
 
 

@@ -31,8 +31,8 @@ class _Pairs:
     weights. For each record with an event by the horizon (a query, in
     record order), ``weights`` gives the weight of the later records (time
     above the query's) ranked above it in prediction, tied with it, and in
-    all. Built once per sample and horizon and shared by the bootstrap
-    resamples of the sample.
+    all. Built once per sample and shared by the bootstrap resamples of
+    the sample.
 
     Each count is a sum of weights over intervals of the records in a few
     fixed orders, laid end to end in ``perm``, so a weighting costs one
@@ -52,9 +52,9 @@ class _Pairs:
     O(n log^2 n) time and O(n log n) memory to build.
     """
 
-    def __init__(self, sample, horizon):
+    def __init__(self, sample):
         n, by_time, ranks = sample.times.size, sample.time_order, sample.ranks
-        due = sample.due(horizon)
+        due = sample.due
         self.n_queries = q = due.size
         slot = np.argsort(sample.time_pos[due])  # record-order slot of each query in time order
         # records not later than each query (ties in time are not later)
@@ -138,9 +138,10 @@ class _Sample:
     searchsorted over the sorted times, scattered back to record order. A
     record's weight w is its count in the sample: 1 in a stratum, the
     number of times it was drawn in a resample, which is scored on the
-    stratum's own records. ``at`` adds one horizon's predictions. A metric
-    given ``sample=`` reads everything from it. The inputs are checked
-    here and in ``at``, once per sample: resamples copy them checked."""
+    stratum's own records. ``at`` adds one horizon and the predictions
+    there. A metric given ``sample=`` reads everything from it. The inputs
+    are checked here and in ``at``, once per sample: resamples copy them
+    checked."""
 
     def __init__(self, times, events, g_curve=None):
         self.times = np.asarray(times, dtype=float)
@@ -164,14 +165,19 @@ class _Sample:
             self.g_left = np.empty(self.times.size)
             self.g_left[self.time_order] = g_curve.eval_left(self.sorted_times)
 
-    def at(self, surv_probs, probabilities):
-        """This sample with one horizon's checked predictions pi, ordered
-        and ranked."""
+    def at(self, surv_probs, horizon, probabilities):
+        """This sample at a checked horizon, with its checked predictions pi
+        there, ordered and ranked, and, in record order, the records with an
+        event by the horizon (``due``) and those with a time past it (``late``)."""
+        _check_horizons(horizon)
         if np.shape(surv_probs) != self.times.shape:
             raise MetricError(f"{np.size(surv_probs)} predictions for {self.times.size} records")
         out = copy.copy(self)
+        out.horizon = horizon
         out.pi = _check_predictions(surv_probs, "surv_probs", probabilities)
         out.pi_order, out.ranks = _stable_order(out.pi)
+        out.due = np.flatnonzero((self.events == 1) & (self.times <= horizon))
+        out.late = np.flatnonzero(self.times > horizon)
         out._fixed = {}
         return out
 
@@ -194,20 +200,10 @@ class _Sample:
             self._fixed[key] = build()
         return self._fixed[key]
 
-    def due(self, horizon):
-        """The records with an event by the horizon, in record order."""
-        return self.fixed(("due", horizon), lambda: np.flatnonzero(
-            (self.events == 1) & (self.times <= horizon)))
-
-    def late(self, horizon):
-        """The records with a time past the horizon, in record order."""
-        return self.fixed(("late", horizon), lambda: np.flatnonzero(self.times > horizon))
-
-    def cases(self, horizon):
-        """The IPCW cases, as a mask over due(horizon): the due records in
-        the sample with G(T-) > MIN_IPCW_DENOM."""
-        due = self.due(horizon)
-        return (self.w[due] > 0) & (self.g_left[due] > MIN_IPCW_DENOM)
+    def cases(self):
+        """The IPCW cases, as a mask over ``due``: the due records in the
+        sample with G(T-) > MIN_IPCW_DENOM."""
+        return (self.w[self.due] > 0) & (self.g_left[self.due] > MIN_IPCW_DENOM)
 
 
 def _check_horizons(*horizons):
@@ -239,15 +235,14 @@ def concordance_td(surv_probs, times, events, g_curve, horizon, *, sample=None):
     in time are excluded. Pairs are counted over time-sorted records
     (Uno et al., Stat Med 2011) without forming the n x n pairs.
     """
-    _check_horizons(horizon)
     if sample is None:
-        sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=False)
-    pairs = sample.fixed(("pairs", horizon), lambda: _Pairs(sample, horizon))
-    cases = sample.cases(horizon)
+        sample = _Sample(times, events, g_curve).at(surv_probs, horizon, probabilities=False)
+    pairs = sample.fixed("pairs", lambda: _Pairs(sample))
+    cases = sample.cases()
     # of the later records, those predicted to survive longer, those tied
     # in prediction, and all of them, per case in record order
     higher, tied, later = pairs.weights(sample.w)[:, cases]
-    cases = sample.due(horizon)[cases]
+    cases = sample.due[cases]
     w = sample.w[cases] / sample.g_left[cases] ** 2
     den = float(np.sum(w * later))
     if den == 0:
@@ -274,11 +269,10 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     Mann-Whitney count of (case, control) pairs in which the case has the
     higher risk 1 - pi; ties in risk count half.
     """
-    _check_horizons(horizon)
     if sample is None:
-        sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=False)
-    cases = sample.due(horizon)[sample.cases(horizon)]
-    controls, w = sample.late(horizon), sample.w
+        sample = _Sample(times, events, g_curve).at(surv_probs, horizon, probabilities=False)
+    cases = sample.due[sample.cases()]
+    controls, w = sample.late, sample.w
     n_controls = w[controls].sum()
     if cases.size == 0 or n_controls == 0:
         raise MetricError("need at least one case and one control at this horizon")
@@ -306,11 +300,10 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
     sample (a bootstrap resample) is binned as its copies: a record of
     weight w stands for w copies in a row.
     """
-    _check_horizons(horizon)
     if isinstance(n_bins, bool) or not isinstance(n_bins, (int, np.integer)):
         raise MetricError(f"n_bins must be an integer, not {n_bins!r}")
     if sample is None:
-        sample = _Sample(times, events).at(surv_probs, probabilities=True)
+        sample = _Sample(times, events).at(surv_probs, horizon, probabilities=True)
     pi, times, events, w = sample.pi, sample.times, sample.events, sample.w
     n = int(w.sum())
     if not 1 <= n_bins <= n:
@@ -335,16 +328,16 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
     time_pos = shift[copies] + np.arange(n)
     by_time, in_bin = np.empty_like(copies), np.empty_like(bin_at)
     by_time[time_pos], in_bin[time_pos] = copies, bin_at
-    cut = np.searchsorted(times[by_time], horizon, side="right")
+    cut = np.searchsorted(times[by_time], sample.horizon, side="right")
     by_time = by_time[:cut]
     km = kaplan_meier_at(
         np.append(times[by_time], np.full(n_bins, np.inf)),
         np.append(events[by_time], np.zeros(n_bins, dtype=int)),
         np.append(in_bin[:cut], np.arange(n_bins)).astype(np.min_scalar_type(n_bins - 1)),
-        horizon, time_order=np.arange(cut + n_bins), weights=np.append(
+        sample.horizon, time_order=np.arange(cut + n_bins), weights=np.append(
             np.ones(cut, dtype=np.intp), np.bincount(in_bin[cut:], minlength=n_bins)))
     # past t_max the curve is flat, so km > 0 there means S(t_max) > 0
-    defined = ~((horizon > t_max) & (last_events == 0) & (km > 0))
+    defined = ~((sample.horizon > t_max) & (last_events == 0) & (km > 0))
     return [(float(np.add.reduce(means[a:a + size]) / size), km_b, size, ok)
             for a, size, km_b, ok in zip(starts.tolist(), sizes.tolist(), km.tolist(),
                                          defined.tolist())]
@@ -375,18 +368,17 @@ def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *, sample=N
 def brier_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     """IPCW Brier score at a horizon:
     mean of pi^2 * 1{T<=t, event}/G(T-) + (1-pi)^2 * 1{T>t}/G(t)."""
-    _check_horizons(horizon)
     if sample is None:
-        sample = _Sample(times, events, g_curve).at(surv_probs, probabilities=True)
-    pi, w, cases = sample.pi, sample.w, sample.cases(horizon)
-    g_t = sample.g_curve(horizon)
+        sample = _Sample(times, events, g_curve).at(surv_probs, horizon, probabilities=True)
+    pi, w, cases = sample.pi, sample.w, sample.cases()
+    g_t = sample.g_curve(sample.horizon)
     if g_t <= 0:
         raise MetricError("horizon beyond censoring follow-up (G(t) = 0)")
-    due = sample.due(horizon)
+    due = sample.due
     if np.count_nonzero(cases) < np.count_nonzero(w[due]):
         warnings.warn("brier_ipcw: dropped record(s) with near-zero censoring "
                       "weight denominator", stacklevel=2)
-    cases, late = due[cases], sample.late(horizon)
+    cases, late = due[cases], sample.late
     terms = np.zeros_like(pi)
     terms[cases] = pi[cases] ** 2 / sample.g_left[cases]
     terms[late] = (1.0 - pi[late]) ** 2 / (g_t if g_t > MIN_IPCW_DENOM else np.inf)
@@ -445,15 +437,15 @@ class MetricRow:
 METRIC_NAMES = ("concordance_td", "auc_ipcw", "ece", "brier_ipcw")
 
 
-def _stratum_samples(surv_matrix, times, events):
-    """One stratum as one sample per horizon (a column of surv_matrix),
+def _stratum_samples(surv_matrix, times, events, horizons):
+    """One stratum as one sample per horizon and column of surv_matrix,
     all sharing one censoring fit, one time order and one G(T-) per record."""
     sample = _Sample(times, events)
     sample._weigh(sample.w, censoring_km(times, events, time_order=sample.time_order))
-    return [sample.at(pi, probabilities=True) for pi in surv_matrix.T]
+    return [sample.at(pi, h, probabilities=True) for pi, h in zip(surv_matrix.T, horizons)]
 
 
-def _sample_metrics(samples, horizons, counts=None, bins=None):
+def _sample_metrics(samples, counts=None, bins=None):
     """Every metric at every horizon on one sample, from its per-horizon
     samples, or on the bootstrap resample of it with record counts
     ``counts`` and one censoring fit of its own: a (n_horizons, n_metrics)
@@ -462,15 +454,15 @@ def _sample_metrics(samples, horizons, counts=None, bins=None):
     if counts is not None:
         first = samples[0].resampled(counts)
         samples = [first] + [s.resampled(counts, like=first) for s in samples[1:]]
-    values = np.full((len(horizons), len(METRIC_NAMES)), np.nan)
-    for h_idx, (horizon, s) in enumerate(zip(horizons, samples)):
+    values = np.full((len(samples), len(METRIC_NAMES)), np.nan)
+    for h_idx, s in enumerate(samples):
         pi, times, events, g = s.pi, s.times, s.events, s.g_curve
         for m_idx, score in enumerate((  # in METRIC_NAMES order
-                lambda: concordance_td(pi, times, events, g, horizon, sample=s),
-                lambda: auc_ipcw(pi, times, events, g, horizon, sample=s),
-                lambda: ece(pi, times, events, horizon, sample=s,
+                lambda: concordance_td(pi, times, events, g, s.horizon, sample=s),
+                lambda: auc_ipcw(pi, times, events, g, s.horizon, sample=s),
+                lambda: ece(pi, times, events, s.horizon, sample=s,
                             bins=None if bins is None else bins[h_idx]),
-                lambda: brier_ipcw(pi, times, events, g, horizon, sample=s))):
+                lambda: brier_ipcw(pi, times, events, g, s.horizon, sample=s))):
             try:
                 values[h_idx, m_idx] = score()
             except MetricError:
@@ -484,17 +476,20 @@ def _stratum_metrics(surv_matrix, times, events, horizons, group,
     it; each resample is drawn as record counts and scored once for all
     metrics on the stratum's records, whose sorts it shares. A
     ``calibration`` list receives the stratum's calibration bins per
-    horizon, the ones its ECE is computed from."""
-    samples = _stratum_samples(surv_matrix, times, events)
+    horizon, the ones its ECE is computed from. A stratum below
+    MIN_GROUP_SIZE records is not scored: its estimates are NaN, with n=0."""
+    if len(times) < MIN_GROUP_SIZE:
+        return [MetricRow(name, float(h), group, np.nan, np.nan, 0, len(times))
+                for h in horizons for name in METRIC_NAMES]
+    samples = _stratum_samples(surv_matrix, times, events, horizons)
     bins = None
     if calibration is not None:
-        bins = [calibration_bins(s.pi, s.times, s.events, h, sample=s)
-                for s, h in zip(samples, horizons)]
+        bins = [calibration_bins(s.pi, s.times, s.events, s.horizon, sample=s) for s in samples]
         calibration.extend(bins)
-    estimate = _sample_metrics(samples, horizons, bins=bins)
+    estimate = _sample_metrics(samples, bins=bins)
     try:
         _, se, _, defined = bootstrap_se(
-            lambda counts: _sample_metrics(samples, horizons, counts),
+            lambda counts: _sample_metrics(samples, counts),
             len(times), n_replicates, seed)
     except MetricError:
         se, defined = np.full(estimate.shape, np.nan), np.zeros(estimate.shape, dtype=int)
@@ -510,13 +505,14 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     group. Each estimate is computed on the full stratum; its standard
     error and n (the bootstrap replicates that define it) come from
     n_replicates resamples of the stratum, each stratum and resample with
-    its own censoring fit; records is the stratum's size. Groups below
-    MIN_GROUP_SIZE records get NaN estimates and n=0. Returns a list of
-    MetricRow; raises MetricError on a prediction that is not a
-    probability, a time or horizon that is not finite, an event other
-    than 0 or 1, or inputs of different lengths. A ``calibration`` list
-    receives the population's calibration_bins per horizon, the bins its
-    ECE is computed from (MetricError if they cannot be built)."""
+    its own censoring fit; records is the stratum's size. Every stratum
+    below MIN_GROUP_SIZE records, the population included, gets NaN
+    estimates and n=0. Returns a list of MetricRow; raises MetricError on
+    a prediction that is not a probability, a time or horizon that is not
+    finite, an event other than 0 or 1, or inputs of different lengths. A
+    ``calibration`` list receives the population's calibration_bins per
+    horizon, the bins its ECE is computed from, if the population is
+    scored (MetricError if they cannot be built)."""
     times = np.asarray(times, dtype=float)
     events = np.asarray(events)
     if np.shape(surv_matrix) != (times.size, len(horizons)):
@@ -525,6 +521,8 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
         raise MetricError(f"{np.size(groups)} group labels for {times.size} records")
     surv_matrix = _check_predictions(surv_matrix, "surv_matrix", probabilities=True)
     _check_horizons(*horizons)
+    if times.size < MIN_GROUP_SIZE:
+        _Sample(times, events)  # checks them: no stratum is scored, so no other sample does
 
     rows = _stratum_metrics(surv_matrix, times, events, horizons,
                             "population", n_replicates, seed, calibration)
@@ -532,11 +530,6 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
         groups = np.asarray(groups)
         for label in sorted(set(groups.tolist())):
             mask = groups == label
-            records = int(mask.sum())
-            if records < MIN_GROUP_SIZE:
-                rows.extend(MetricRow(name, float(h), str(label), np.nan, np.nan, 0, records)
-                            for h in horizons for name in METRIC_NAMES)
-                continue
             rows.extend(_stratum_metrics(
                 surv_matrix[mask], times[mask], events[mask], horizons,
                 str(label), n_replicates, seed))

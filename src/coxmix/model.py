@@ -93,7 +93,7 @@ class DcmModel:
         batch x and a scalar or grid t; a single value is a Python float."""
         x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
         f, g = self._heads_out(np.atleast_2d(x))
-        w = neural.softmax(g)                       # (N, K)
+        w = neural.log_softmax(g)[1]                # (N, K)
         ef = np.exp(f)                              # (N, K)
         out = np.zeros((f.shape[0], t.size))
         for k, bl in enumerate(self.baselines):
@@ -248,9 +248,7 @@ def _posterior(f, g, events, table):
     and the posterior responsibilities: density^delta *
     conditional-survival^(1-delta) * gate, each row shifted by its max,
     exponentiated, floored at EPS_DENSITY and normalized."""
-    z = g - g.max(axis=1, keepdims=True)
-    log_joint = cluster_log_densities(f, events, table) + (
-        z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+    log_joint = cluster_log_densities(f, events, table) + neural.log_softmax(g)[0]
     w = np.maximum(np.exp(log_joint - log_joint.max(axis=1, keepdims=True)), EPS_DENSITY)
     w[~np.all(np.isfinite(w), axis=1)] = 1.0
     return log_joint, w / w.sum(axis=1, keepdims=True)

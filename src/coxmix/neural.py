@@ -88,11 +88,13 @@ def forward(params, x):
     return a, cache
 
 
-def softmax(logits):
-    """Row softmax with max-subtraction for stability."""
+def log_softmax(logits):
+    """Row log-softmax and softmax, (z - log sum e^z, e^z / sum e^z), from
+    one exponential of the logits z shifted by their row max."""
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    total = e.sum(axis=-1, keepdims=True)
+    return z - np.log(total), e / total
 
 
 def heads_forward(heads, rep):

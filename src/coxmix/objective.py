@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from coxmix.neural import log_softmax
+
 
 class ObjectiveError(ValueError):
     pass
@@ -68,11 +70,8 @@ def gating_cross_entropy(gamma, gating_logits):
     logits = np.asarray(gating_logits, dtype=float)
     if np.any(np.abs(gamma.sum(axis=1) - 1.0) > 1e-6):
         raise ObjectiveError("gamma rows must lie on the simplex")
-    z = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    total = ez.sum(axis=1, keepdims=True)
-    value = float(np.sum(gamma * (z - np.log(total))))
-    return value, gamma - ez / total
+    log_gate, gate = log_softmax(logits)
+    return float(np.sum(gamma * log_gate)), gamma - gate
 
 
 def q_hat(times, events, gamma, zeta, log_hazards, gating_logits):

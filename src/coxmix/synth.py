@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coxmix.dataset import SurvivalDataset
-from coxmix.neural import softmax
+from coxmix.neural import log_softmax
 
 
 class SynthError(ValueError):
@@ -68,17 +68,13 @@ class SynthConfig:
         return len(self.clusters[0].beta)
 
 
-def exponential_cluster(rate, beta):
-    return ClusterSpec(shape=1.0, scale=1.0 / rate, beta=tuple(beta))
-
-
 def true_survival(config, x, t):
     """Ground-truth conditional survival S(t | x) under the generator:
     the gate-weighted mixture of per-cluster proportional-hazards
     survivals. x is (d,) or (N, d); t scalar or grid."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    w = softmax(x @ np.asarray(config.gating, dtype=float).T)
+    w = log_softmax(x @ np.asarray(config.gating, dtype=float).T)[1]
     out = np.zeros((x.shape[0], t.size))
     for k, spec in enumerate(config.clusters):
         s0 = spec.baseline_survival(t)
@@ -98,7 +94,7 @@ def generate_cohort(config):
     x = rng.standard_normal((config.n, d))
 
     gate_logits = x @ np.asarray(config.gating, dtype=float).T
-    probs = softmax(gate_logits)
+    probs = log_softmax(gate_logits)[1]
     u = rng.random(config.n)
     z = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
 
@@ -180,11 +176,16 @@ def config_from_sidecar(sidecar):
 def _calibrate_censoring(event_times, uniform_draws, target, tol=0.02,
                          max_steps=60):
     """Bisection on the exponential censoring rate so the observed
-    censored fraction hits the target within +-tol. The fraction is
-    monotone in the rate for fixed draws."""
+    censored fraction hits the target within +-tol, or, when no attainable
+    fraction k/n lies that close, the nearest attainable one. The fraction
+    is monotone in the rate for fixed draws."""
     def frac(rate):
         c = -np.log(uniform_draws) / rate
         return float(np.mean(event_times > c))
+
+    miss = np.abs(np.arange(event_times.size + 1) / event_times.size - target)
+    if not (miss <= tol).any():
+        target = np.argmin(miss) / event_times.size
 
     lo, hi = 1e-9, 1.0
     while frac(hi) < target and hi < 1e12:

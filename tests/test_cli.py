@@ -248,6 +248,44 @@ class TestCv:
         assert calls.count("standardize") == 5
 
 
+class TestSmallCohort:
+    """Below MIN_GROUP_SIZE records eval and cv follow one stratum rule:
+    every stratum, the population included, is reported blank with n = 0.
+    eval used to fail on its 20 population calibration bins for 15 records,
+    while cv scored the population and left its ECE blank."""
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("small")
+        assert run(["synth", "--n", "15", "--preset", "crossing", "--censoring", "0.2",
+                    "--with-groups", "--seed", "1", "--out", str(out / "synth")]) == 0
+        data = ["--data", str(out / "synth" / "cohort.csv"), "--group-col", "group"]
+        assert run(["train", *data, "--k", "2", "--layers", "8", "--epochs", "3",
+                    "--out", str(out / "train")]) == 0
+        return out, data
+
+    def check_blank(self, report, cohort):
+        groups = [row[-1] for row in read_csv(cohort)[1:]]
+        sizes = {"population": len(groups), **{g: groups.count(g) for g in set(groups)}}
+        assert len(report) == 1 + 4 * 3 * len(sizes)
+        for metric, horizon, group, estimate, se, n, records in report[1:]:
+            assert (estimate, se, n, records) == ("", "", "0", str(sizes[group]))
+
+    def test_eval(self, small, tmp_path):
+        out, data = small
+        assert run(["eval", *data, "--model", str(out / "train" / "model.json"),
+                    "--bootstrap", "5", "--out", str(tmp_path)]) == 0
+        self.check_blank(read_csv(tmp_path / "report.csv"), out / "synth" / "cohort.csv")
+        assert read_csv(tmp_path / "calibration_bins.csv") == [
+            ["horizon", "bin", "mean_predicted", "km_observed", "n"]]
+
+    def test_cv(self, small, tmp_path):
+        out, data = small
+        assert run(["cv", *data, "--k", "2", "--layers", "8", "--epochs", "2",
+                    "--bootstrap", "5", "--out", str(tmp_path)]) == 0
+        self.check_blank(read_csv(tmp_path / "report.csv"), out / "synth" / "cohort.csv")
+
+
 @pytest.mark.parametrize("command", ["eval", "cv"])
 def test_negative_bootstrap_rejected(cohort_dir, model_dir, tmp_path, capsys, command):
     """--bootstrap -3 stops eval and cv before any output; it used to write

@@ -329,10 +329,10 @@ class TestEce:
         pi = np.round(rng.random(30), 1)
         counts = rng.integers(0, 3, 30)
         counts[4] = 9
-        sample = metrics_mod._Sample(times, events, censoring_km(times, events)).at(
-            pi, probabilities=True)
         idx = np.repeat(np.arange(30), counts)
         for horizon in (3.0, 6.0):
+            sample = metrics_mod._Sample(times, events, censoring_km(times, events)).at(
+                pi, horizon, probabilities=True)
             got = calibration_bins(pi, times, events, horizon, n_bins=12,
                                    sample=sample.resampled(counts))
             want = calibration_bins(pi[idx], times[idx], events[idx], horizon, n_bins=12)
@@ -484,12 +484,12 @@ def test_one_censoring_fit_and_one_g_lookup_per_sample(monkeypatch):
                         lambda *a, **k: calls.append("censoring_km") or fit(*a, **k))
     monkeypatch.setattr(StepSurvivalCurve, "eval_left",
                         lambda self, t: calls.append("eval_left") or left(self, t))
-    samples = metrics_mod._stratum_samples(surv, times, events)
-    values = metrics_mod._sample_metrics(samples, [5.0, 10.0, 20.0])
+    samples = metrics_mod._stratum_samples(surv, times, events, [5.0, 10.0, 20.0])
+    values = metrics_mod._sample_metrics(samples)
     assert np.isfinite(values).all()
     assert calls == ["censoring_km", "eval_left"]
     counts = np.bincount(rng.integers(0, 300, 300), minlength=300)
-    values = metrics_mod._sample_metrics(samples, [5.0, 10.0, 20.0], counts)
+    values = metrics_mod._sample_metrics(samples, counts)
     assert np.isfinite(values).all()
     assert calls == ["censoring_km", "eval_left"] * 2
 
@@ -507,7 +507,7 @@ def test_rank_and_brier_metrics_never_build_the_pair_structure(monkeypatch):
     pi, g = rng.random(200), censoring_km(times, events)
     assert 0 < auc_ipcw(pi, times, events, g, 10.0) < 1
     assert 0 < brier_ipcw(pi, times, events, g, 10.0) < 1
-    sample = metrics_mod._Sample(times, events, g).at(pi, probabilities=True)
+    sample = metrics_mod._Sample(times, events, g).at(pi, 10.0, probabilities=True)
     auc_ipcw(pi, times, events, g, 10.0, sample=sample)
     brier_ipcw(pi, times, events, g, 10.0, sample=sample.resampled(np.bincount(
         rng.integers(0, 200, 200), minlength=200)))
@@ -544,6 +544,35 @@ class TestEvaluateByGroup:
         assert all(np.isnan(r.estimate) and r.n == 0 and r.records == 5 for r in tiny)
         assert {r.records for r in rows if r.group == "big"} == {len(times) - 5}
         assert MIN_GROUP_SIZE == 20
+
+    def test_small_population_nan(self):
+        # the population follows the groups' rule: below MIN_GROUP_SIZE it
+        # is not scored and gives no calibration bins; it used to be scored,
+        # and its 20 default calibration bins raised on 15 records
+        pi, times, events = self.make_population(n=15)
+        calibration = []
+        rows = evaluate_by_group(np.c_[pi, pi / 2], times, events, [1.0, 2.0],
+                                 groups=np.array(["a"] * 10 + ["b"] * 5),
+                                 n_replicates=5, calibration=calibration)
+        assert len(rows) == 3 * 2 * 4
+        assert all(np.isnan(r.estimate) and np.isnan(r.se) and r.n == 0 for r in rows)
+        assert {(r.group, r.records) for r in rows} == {
+            ("population", 15), ("a", 10), ("b", 5)}
+        assert calibration == []
+
+    @pytest.mark.parametrize("column, bad, message", [
+        ("times", np.nan, "times must be finite"),
+        ("events", 2, "events must be 0 or 1"),
+    ])
+    def test_unscored_population_still_checks_records(self, column, bad, message):
+        pi, times, events = self.make_population(n=15)
+        data = {"times": times, "events": events}
+        data[column][3] = bad
+        with pytest.raises(MetricError, match=message):
+            evaluate_by_group(pi[:, None], data["times"], data["events"], [1.0],
+                              n_replicates=5)
+        with pytest.raises(MetricError, match="14 events for 15 times"):
+            evaluate_by_group(pi[:, None], times, events[:14], [1.0], n_replicates=5)
 
     def test_detects_miscalibrated_group(self):
         rng = np.random.default_rng(5)

@@ -5,7 +5,7 @@ from conftest import PerArrayAdam, per_array_adam_step
 from coxmix.neural import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, GRAD_CLIP_NORM, HeadParams,
     MlpParams, NeuralError, _flatten, adam_step, backward, forward, heads_forward,
-    init_params, softmax,
+    init_params, log_softmax,
 )
 
 
@@ -73,13 +73,13 @@ class TestForward:
 
 class TestSoftmax:
     def test_hand_value(self):
-        out = softmax(np.array([[np.log(3.0), 0.0]]))
+        out = log_softmax(np.array([[np.log(3.0), 0.0]]))[1]
         np.testing.assert_allclose(out, [[0.75, 0.25]], rtol=1e-12)
 
     def test_shift_invariance_and_stability(self):
         z = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_allclose(softmax(z), softmax(z + 1000.0))
-        big = softmax(np.array([[1e4, 0.0]]))
+        np.testing.assert_allclose(log_softmax(z)[1], log_softmax(z + 1000.0)[1])
+        big = log_softmax(np.array([[1e4, 0.0]]))[1]
         assert np.all(np.isfinite(big))
         np.testing.assert_allclose(big.sum(), 1.0)
 

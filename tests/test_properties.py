@@ -152,7 +152,7 @@ def test_shared_sample_matches_metrics_called_alone(cohort, n_horizons):
     horizons = [float(t) for t in rng.choice(times, n_horizons)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # ECE's skipped-bin warning
-        got = metrics._sample_metrics(metrics._stratum_samples(surv, times, events), horizons)
+        got = metrics._sample_metrics(metrics._stratum_samples(surv, times, events, horizons))
         want = metrics_called_alone(surv, times, events, horizons)
     assert np.array_equal(got, want, equal_nan=True)
 
@@ -230,7 +230,7 @@ def test_resampled_calibration_bins_are_the_copies(cohort, n_bins, n_horizons):
     counts[rng.integers(0, n, 2)] += rng.integers(1, 50, 2)
     idx = np.repeat(np.arange(n), counts)
     resample = metrics._Sample(times, events, censoring_km(times, events)).at(
-        pi, probabilities=True).resampled(counts)
+        pi, horizon, probabilities=True).resampled(counts)
     assert (_metric_or_none(lambda: calibration_bins(pi, times, events, horizon, n_bins,
                                                      sample=resample))
             == _metric_or_none(calibration_bins, pi[idx], times[idx], events[idx], horizon,
@@ -240,8 +240,8 @@ def test_resampled_calibration_bins_are_the_copies(cohort, n_bins, n_horizons):
     col = METRIC_NAMES.index("ece")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # ECE's skipped-bin warning
-        got = metrics._sample_metrics(metrics._stratum_samples(surv, times, events),
-                                      horizons, counts)
+        got = metrics._sample_metrics(metrics._stratum_samples(surv, times, events, horizons),
+                                      counts)
         want = materialised_replicate(surv, times, events, horizons)(counts)
     assert got[:, col].tobytes() == want[:, col].tobytes()
 

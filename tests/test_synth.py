@@ -1,12 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from coxmix.estimators import kaplan_meier
 from coxmix.synth import (
-    ClusterSpec, SynthConfig, SynthError, config_from_sidecar,
-    exponential_cluster, generate_cohort, true_survival,
+    ClusterSpec, SynthConfig, SynthError, config_from_sidecar, generate_cohort,
+    true_survival,
 )
 from conftest import CROSSING_CONFIG
+
+
+def exponential_cluster(rate, beta):
+    return ClusterSpec(shape=1.0, scale=1.0 / rate, beta=tuple(beta))
 
 
 def single_exponential(n=5000, rate=0.8, seed=0, censoring=0.0):
@@ -61,6 +67,18 @@ class TestGenerate:
         ev = np.asarray(sidecar["event_times"])
         assert np.all(ds.times <= ev + 1e-12)
         np.testing.assert_allclose(ds.times[ds.events == 1], ev[ds.events == 1])
+
+    @pytest.mark.parametrize("n", [3, 7, 15, 18])
+    def test_censoring_reaches_the_nearest_attainable_fraction(self, n):
+        # below n = 25 at most one censored fraction k/n lies within 0.02
+        # of a target, and for some targets none does (at n = 15 every k/n
+        # is 0.033 or more from 0.1, 0.3 and 0.5); the calibration then
+        # aims at the nearest k/n, where it failed with "did not converge"
+        for target in (0.1, 0.3, 0.5):
+            cfg = replace(CROSSING_CONFIG, n=n, seed=3, censoring_fraction=target)
+            ds, _ = generate_cohort(cfg)
+            k = int(n - ds.events.sum())
+            assert abs(k / n - target) == min(abs(j / n - target) for j in range(n + 1))
 
     def test_groups_by_first_covariate(self):
         cfg = SynthConfig(
