@@ -218,6 +218,9 @@ _GRID = [(k, layers, width)
 
 def cmd_cv(args, tracker):
     ds = _load_dataset(args)
+    if args.grid and len(ds) < metrics_mod.MIN_GROUP_SIZE:  # it ranks on the unscored population
+        raise metrics_mod.MetricError(
+            f"--grid needs {metrics_mod.MIN_GROUP_SIZE} records, not {len(ds)}")
     horizons = _resolve_horizons(args.horizons, ds)
     split = k_fold_split(ds, args.folds, args.seed)
     folds = [(standardize(ds.subset(split.train_idx(fold)))[0], split.test_idx(fold))

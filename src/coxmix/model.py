@@ -84,16 +84,16 @@ class DcmModel:
         return self.config.n_clusters
 
     def _heads_out(self, x):
-        rep, _ = neural.forward(self.params, x)
-        return neural.heads_forward(self.heads, rep)
+        # the encoder's activations are freed before the softmax allocates
+        f, g = neural.heads_forward(self.heads, neural.forward(self.params, x)[0])
+        return f, neural.log_softmax(g)
 
     def predict_survival(self, x, t):
         """Mixture survival P(T > t | x) = sum_k S_k(t)^exp(f_k(x)) *
         gate_k(x), shape x.shape[:-1] + t.shape for a vector or (N, d)
         batch x and a scalar or grid t; a single value is a Python float."""
         x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-        f, g = self._heads_out(np.atleast_2d(x))
-        w = neural.log_softmax(g)[1]                # (N, K)
+        f, (_, w) = self._heads_out(np.atleast_2d(x))  # w: (N, K) gate
         ef = np.exp(f)                              # (N, K)
         out = np.zeros((f.shape[0], t.size))
         for k, bl in enumerate(self.baselines):
@@ -235,20 +235,18 @@ def cluster_log_densities(log_hazards, events, table):
     f = np.asarray(log_hazards, dtype=float)
     if not np.all(np.isfinite(f)):
         raise ModelError("non-finite log hazard")
-    ev = np.asarray(events, dtype=int) == 1
+    ev = np.asarray(events, dtype=int)[:, None] == 1
     s0, ds0 = table
-    out = np.empty(f.shape)
-    out[ev] = np.log(density_given_cluster(np.exp(f[ev]), s0[ev], ds0[ev]))
-    out[~ev] = np.exp(f[~ev]) * np.log(s0[~ev])
-    return out
+    ef = np.exp(f)
+    return np.where(ev, np.log(density_given_cluster(ef, s0, ds0)), ef * np.log(s0))
 
 
-def _posterior(f, g, events, table):
+def _posterior(f, gate, events, table):
     """Log joint weights log(p(t, delta | k, x) * gate_k(x)), shape (N, K),
     and the posterior responsibilities: density^delta *
     conditional-survival^(1-delta) * gate, each row shifted by its max,
-    exponentiated, floored at EPS_DENSITY and normalized."""
-    log_joint = cluster_log_densities(f, events, table) + neural.log_softmax(g)[0]
+    exponentiated, floored at EPS_DENSITY and normalized. ``gate``: log_softmax(logits)."""
+    log_joint = cluster_log_densities(f, events, table) + gate[0]
     w = np.maximum(np.exp(log_joint - log_joint.max(axis=1, keepdims=True)), EPS_DENSITY)
     w[~np.all(np.isfinite(w), axis=1)] = 1.0
     return log_joint, w / w.sum(axis=1, keepdims=True)
@@ -261,12 +259,12 @@ def _q_loss(log_joint, gamma):
 
 def e_step(model, x, times, events, heads=None, table=None):
     """Posterior cluster responsibilities for a batch of rows x. ``heads``:
-    the batch's (log hazards, gating logits) when the encoder has already
-    run on x; ``table``: the batch's rows of a ``baseline_table``, built
-    for ``times`` when not given."""
-    f, g = model._heads_out(x) if heads is None else heads
+    the batch's log hazards and gate (``neural.log_softmax`` of the gating
+    logits) when the encoder has already run on x; ``table``: the batch's
+    rows of a ``baseline_table``, built for ``times`` when not given."""
+    f, gate = model._heads_out(x) if heads is None else heads
     table = baseline_table(model.baselines, times) if table is None else table
-    return _posterior(f, g, events, table)[1]
+    return _posterior(f, gate, events, table)[1]
 
 
 def sample_assignments(gamma, rng):
@@ -308,11 +306,11 @@ def _refresh_phase(model, x, times, events, table, rng):
     clusters, objective, new table). The heads are freed on return: kept
     until the next epoch, they stop the allocator from handing the freed
     encoder activations back, which raises peak memory."""
-    f, g = model._heads_out(x)
-    zeta = sample_assignments(_posterior(f, g, events, table)[1], rng)
+    f, gate = model._heads_out(x)
+    zeta = sample_assignments(_posterior(f, gate, events, table)[1], rng)
     starved = update_baselines(model, f, times, events, zeta)
     table = baseline_table(model.baselines, times)
-    return starved, _q_loss(*_posterior(f, g, events, table)), table
+    return starved, _q_loss(*_posterior(f, gate, events, table)), table
 
 
 def fit(dataset, config):
@@ -367,11 +365,12 @@ def fit(dataset, config):
             xb, tb, eb = xt[rows], tt[rows], et[rows]
             rep, cache = neural.forward(model.params, xb)
             f, g = neural.heads_forward(model.heads, rep)
-            gamma = e_step(model, xb, tb, eb, heads=(f, g),
+            gate = neural.log_softmax(g)  # one gate for both steps
+            gamma = e_step(model, xb, tb, eb, heads=(f, gate),
                            table=(table[0][rows], table[1][rows]))
             zeta = sample_assignments(gamma, rng)
             # M-step: one Adam step on the hard-assignment objective
-            loss, d_f, d_g = objective.q_hat(tb, eb, gamma, zeta, f, g)
+            loss, d_f, d_g = objective.q_hat(tb, eb, gamma, zeta, f, gate)
             neural.adam_step(*neural.backward(model.params, model.heads, cache, rep, d_f, d_g), adam)
             batch_losses.append(loss)
 

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from coxmix.neural import log_softmax
-
 
 class ObjectiveError(ValueError):
     pass
@@ -60,35 +58,24 @@ def partial_log_likelihood(log_hazards, times, events, strata=None):
     return value, grad
 
 
-def gating_cross_entropy(gamma, gating_logits):
-    """Soft-count log-likelihood of the gating head:
-    sum_i sum_k gamma_ik * log softmax_k(logits_i) (to be maximized).
-
-    Returns (value, gradient wrt logits = gamma - softmax).
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    logits = np.asarray(gating_logits, dtype=float)
-    if np.any(np.abs(gamma.sum(axis=1) - 1.0) > 1e-6):
-        raise ObjectiveError("gamma rows must lie on the simplex")
-    log_gate, gate = log_softmax(logits)
-    return float(np.sum(gamma * log_gate)), gamma - gate
-
-
-def q_hat(times, events, gamma, zeta, log_hazards, gating_logits):
-    """Hard-assignment objective: gating cross-entropy over all rows plus,
-    per cluster, the partial log-likelihood restricted to rows assigned to
-    it (column k of log_hazards), all clusters in one stratified call.
-    Clusters with fewer than 2 members or no events contribute exact
-    zeros (the partial likelihood is undefined on an empty risk set).
+def q_hat(times, events, gamma, zeta, log_hazards, gate):
+    """Hard-assignment objective: the soft-count log-likelihood of the gate,
+    ``neural.log_softmax`` of the gating logits, over all rows plus, per
+    cluster, the partial log-likelihood restricted to rows assigned to it
+    (column k of log_hazards), all clusters in one stratified call.
+    Clusters with fewer than 2 members or no events contribute exact zeros
+    (the partial likelihood is undefined on an empty risk set).
 
     Returned negated, as (loss, d_loss/d_log_hazards, d_loss/d_gating_logits).
     """
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(np.abs(gamma.sum(axis=1) - 1.0) > 1e-6):
+        raise ObjectiveError("gamma rows must lie on the simplex")
     zeta = np.asarray(zeta, dtype=int)
     f = np.asarray(log_hazards, dtype=float)
     rows = np.arange(f.shape[0])
 
-    gate_val, gate_grad = gating_cross_entropy(gamma, gating_logits)
     val, grad = partial_log_likelihood(f[rows, zeta], times, events, strata=zeta)
     d_f = np.zeros_like(f)
     d_f[rows, zeta] = grad
-    return -(gate_val + val), -d_f, -gate_grad
+    return -(float(np.sum(gamma * gate[0])) + val), -d_f, -(gamma - gate[1])

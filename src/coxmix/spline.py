@@ -37,11 +37,12 @@ class SplineSurvivalCurve:
     _coef: np.ndarray = field(init=False, repr=False, compare=False)  # see _pchip_coef
 
     def __post_init__(self):
-        tail, coef = 0.0, None  # a single knot: a flat curve
         if len(self.knots) >= 2:
             s_prev, s_last = np.maximum(self.values[-2:], EPS_SURVIVAL)
             tail = max((np.log(s_prev) - np.log(s_last)) / (self.knots[-1] - self.knots[-2]), 0.0)
             coef = _pchip_coef(self.knots, self.values)
+        else:  # a single knot: a flat curve, one interval of its value
+            tail, coef = 0.0, np.array([[0.0], [0.0], [0.0], [self.values[0]]])
         object.__setattr__(self, "tail_hazard", float(tail))
         object.__setattr__(self, "_coef", coef)
 
@@ -91,31 +92,26 @@ def fit_spline(curve):
 
 
 def spline_value_and_slope(s, t):
-    """S(t) and dS/dt as two 1-d arrays from one interval lookup: 1 and 0
-    before the first knot; between knots the monotone cubic's value and
-    slope (the knot value and 0 for a single knot); past the last knot the
-    exponential constant-hazard tail and its slope -tail_hazard * tail.
-    S is clipped to [EPS_SURVIVAL, 1] (the interpolant never overshoots the
-    knot values, so the clip only guards the floor); dS/dt is clamped to at
-    most -EPS_DENSITY, so the implied event density is strictly positive."""
+    """S(t) and dS/dt as two 1-d arrays: 1 and 0 before the first knot, the
+    monotone cubic's value and slope between knots (the knot value and 0
+    for a single knot), the exponential constant-hazard tail and its slope
+    -tail_hazard * tail past the last knot, and NaN at a NaN time. Every
+    point gets the cubic at t clipped to the knots (one interval lookup)
+    and the tail, and keeps its piece. S is clipped to [EPS_SURVIVAL, 1]
+    (the cubic never overshoots the knots, so this guards the floor), dS/dt
+    to at most -EPS_DENSITY, so the implied event density is positive."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    val, slope = np.empty_like(t), np.empty_like(t)
     lo, hi = s.knots[0], s.knots[-1]
+    tc = np.clip(t, lo, hi)
+    i = np.minimum(np.searchsorted(s.knots, tc, "right") - 1, s._coef.shape[1] - 1)
+    x, (a, b, c, y0) = tc - s.knots[i], s._coef.take(i, axis=1)
+    x2 = x * x  # terms summed in scipy PPoly's order, so its bits are kept
+    val = y0 + c * x + b * x2 + a * (x2 * x)
+    slope = c + b * x * 2 + a * x2 * 3
+    tail = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * np.maximum(t - hi, 0.0))
     before, after = t < lo, t > hi
-    mid = ~(before | after)  # a NaN time lands here and evaluates to NaN
-    val[before], slope[before] = 1.0, 0.0
-    if np.any(after):
-        tail = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * (t[after] - hi))
-        val[after], slope[after] = tail, -s.tail_hazard * tail
-    if np.any(mid):
-        if s._coef is None:  # a single knot
-            val[mid], slope[mid] = s.values[-1], 0.0
-        else:
-            i = np.clip(np.searchsorted(s.knots, t[mid], "right") - 1, 0, s.knots.size - 2)
-            x, (a, b, c, y0) = t[mid] - s.knots[i], s._coef.take(i, axis=1)
-            x2 = x * x  # terms summed in scipy PPoly's order, so its bits are kept
-            val[mid] = y0 + c * x + b * x2 + a * (x2 * x)
-            slope[mid] = c + b * x * 2 + a * x2 * 3
+    val = np.where(before, 1.0, np.where(after, tail, val))
+    slope = np.where(before, 0.0, np.where(after, -s.tail_hazard * tail, slope))
     return np.clip(val, EPS_SURVIVAL, 1.0, out=val), np.minimum(slope, -EPS_DENSITY, out=slope)
 
 
@@ -159,6 +155,6 @@ def spline_from_dict(d):
         s = SplineSurvivalCurve(knots=knots, values=values)
         secants = np.diff(values) / np.diff(knots)
     if not (np.all(np.isfinite(secants)) and np.isfinite(s.tail_hazard)
-            and (s._coef is None or np.all(np.isfinite(s._coef)))):
+            and np.all(np.isfinite(s._coef))):
         raise ValueError("spline knots too close: the derived curve is not finite")
     return s

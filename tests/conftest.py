@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from coxmix.estimators import StepSurvivalCurve
-from coxmix.spline import density_given_cluster, fit_spline, spline_eval, spline_value_and_slope
+from coxmix.model import ModelError
+from coxmix.spline import (
+    EPS_DENSITY, EPS_SURVIVAL, density_given_cluster, fit_spline, spline_eval,
+    spline_value_and_slope,
+)
 from coxmix.synth import ClusterSpec, SynthConfig
 
 
@@ -253,6 +257,48 @@ def per_row_log_densities(baselines, log_hazards, times, events):
         s0, ds0 = spline_value_and_slope(bl, times[ev])
         out[ev, c] = np.log(density_given_cluster(np.exp(f[ev, c]), s0, ds0))
         out[~ev, c] = np.exp(f[~ev, c]) * np.log(spline_eval(bl, times[~ev]))
+    return out
+
+
+def masked_spline_value_and_slope(s, t):
+    """Reference for ``spline.spline_value_and_slope``: the earlier version
+    that splits the points into before, past and between the knots and
+    evaluates each subset on its own branch, a single knot included. Copied
+    as it was, except that a single knot is told by the knot count. A NaN
+    time on a single-knot curve gives the knot value here, NaN there."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    val, slope = np.empty_like(t), np.empty_like(t)
+    lo, hi = s.knots[0], s.knots[-1]
+    before, after = t < lo, t > hi
+    mid = ~(before | after)  # a NaN time lands here and evaluates to NaN
+    val[before], slope[before] = 1.0, 0.0
+    if np.any(after):
+        tail = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * (t[after] - hi))
+        val[after], slope[after] = tail, -s.tail_hazard * tail
+    if np.any(mid):
+        if s.knots.size == 1:  # a single knot
+            val[mid], slope[mid] = s.values[-1], 0.0
+        else:
+            i = np.clip(np.searchsorted(s.knots, t[mid], "right") - 1, 0, s.knots.size - 2)
+            x, (a, b, c, y0) = t[mid] - s.knots[i], s._coef.take(i, axis=1)
+            x2 = x * x  # terms summed in scipy PPoly's order, so its bits are kept
+            val[mid] = y0 + c * x + b * x2 + a * (x2 * x)
+            slope[mid] = c + b * x * 2 + a * x2 * 3
+    return np.clip(val, EPS_SURVIVAL, 1.0, out=val), np.minimum(slope, -EPS_DENSITY, out=slope)
+
+
+def masked_cluster_log_densities(log_hazards, events, table):
+    """Reference for ``model.cluster_log_densities``: the earlier version
+    that gathers the event rows and the censored rows and evaluates each
+    subset on its own formula. Copied as it was."""
+    f = np.asarray(log_hazards, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ModelError("non-finite log hazard")
+    ev = np.asarray(events, dtype=int) == 1
+    s0, ds0 = table
+    out = np.empty(f.shape)
+    out[ev] = np.log(density_given_cluster(np.exp(f[ev]), s0[ev], ds0[ev]))
+    out[~ev] = np.exp(f[~ev]) * np.log(s0[~ev])
     return out
 
 

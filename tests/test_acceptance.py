@@ -68,7 +68,7 @@ def test_criterion_01_gradient_exactness():
         def loss():
             rep, cache = neural.forward(params, x)
             f, g = neural.heads_forward(heads, rep)
-            val, d_f, d_g = objective.q_hat(times, events, gamma, zeta, f, g)
+            val, d_f, d_g = objective.q_hat(times, events, gamma, zeta, f, neural.log_softmax(g))
             return val, cache, rep, d_f, d_g
 
         val, cache, rep, d_f, d_g = loss()
@@ -269,7 +269,7 @@ def test_criterion_08_monte_carlo_unbiasedness():
     logits = rng.normal(0, 1, (n, k))
 
     def q(zeta):
-        return objective.q_hat(times, events, gamma, zeta, f, logits)[0]
+        return objective.q_hat(times, events, gamma, zeta, f, neural.log_softmax(logits))[0]
 
     exact = 0.0
     for zeta in itertools.product(range(k), repeat=n):

@@ -285,6 +285,16 @@ class TestSmallCohort:
                     "--bootstrap", "5", "--out", str(tmp_path)]) == 0
         self.check_blank(read_csv(tmp_path / "report.csv"), out / "synth" / "cohort.csv")
 
+    def test_cv_grid_refused(self, small, tmp_path, capsys):
+        # --grid ranks on the population, which is not scored below
+        # MIN_GROUP_SIZE; it used to rank all 12 configurations on it anyway
+        out, data = small
+        assert run(["cv", *data, "--grid", "--folds", "5", "--epochs", "1",
+                    "--out", str(tmp_path / "grid")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["coxmix cv: error: --grid needs 20 records, not 15"]
+        assert not (tmp_path / "grid").exists()
+
 
 @pytest.mark.parametrize("command", ["eval", "cv"])
 def test_negative_bootstrap_rejected(cohort_dir, model_dir, tmp_path, capsys, command):

@@ -423,6 +423,22 @@ class TestFit:
             patience=10, seed=0))
         assert len(calls) == 11 * len(m.training_log)
 
+    def test_one_gate_per_encoder_pass(self, monkeypatch):
+        # a minibatch's E-step and M-step share its gate, and the refresh's
+        # two posteriors share theirs: per epoch one softmax for each of the
+        # 11 trained minibatches of 16 rows, one for the refresh and one for
+        # validation, so one per encoder pass
+        gates, passes = [], []
+        log_softmax, forward = neural.log_softmax, neural.forward
+        monkeypatch.setattr(neural, "log_softmax", lambda g: gates.append(1) or log_softmax(g))
+        monkeypatch.setattr(neural, "forward",
+                            lambda params, x: passes.append(1) or forward(params, x))
+        ds, _ = generate_cohort(SEPARATED_CONFIG)
+        m = fit(ds.subset(np.arange(200)), DcmConfig(
+            n_clusters=3, hidden_dims=(8,), batch_size=16, max_epochs=2,
+            patience=10, seed=0))
+        assert len(gates) == len(passes) == (11 + 2) * len(m.training_log)
+
     def test_best_epoch_restore_equals_shorter_fit(self):
         # the restored best epoch b < last epoch must be exactly the model
         # that training stopped after b gives: the snapshot shares no

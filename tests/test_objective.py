@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from coxmix.objective import (
-    ObjectiveError, gating_cross_entropy, partial_log_likelihood, q_hat,
-)
+from coxmix.neural import log_softmax
+from coxmix.objective import ObjectiveError, partial_log_likelihood, q_hat
 
 
 def fd_grad(fn, x, eps=1e-6):
@@ -71,6 +70,16 @@ class TestPartialLikelihood:
         np.testing.assert_array_equal(grad, 0.0)
 
 
+def gating_cross_entropy(gamma, logits):
+    """q_hat's gating term alone, as (log-likelihood, gradient wrt logits =
+    gamma - softmax): on a batch with no events the partial likelihood adds
+    exact zeros."""
+    n = gamma.shape[0]
+    loss, _, d_g = q_hat(np.arange(1.0, n + 1), np.zeros(n, dtype=int), gamma,
+                         np.zeros(n, dtype=int), np.zeros(gamma.shape), log_softmax(logits))
+    return -loss, -d_g
+
+
 class TestGatingCrossEntropy:
     def test_closed_form(self):
         gamma = np.array([[0.75, 0.25]])
@@ -110,7 +119,7 @@ class TestQHat:
         gamma = np.ones((n, 1))
         zeta = np.zeros(n, dtype=int)
         logits = rng.normal(0, 1, (n, 1))
-        loss, d_f, d_g = q_hat(t, e, gamma, zeta, f, logits)
+        loss, d_f, d_g = q_hat(t, e, gamma, zeta, f, log_softmax(logits))
         pl, pl_grad = partial_log_likelihood(f[:, 0], t, e)
         # single-cluster gating is exactly 0 (softmax of one logit is 1)
         np.testing.assert_allclose(loss, -pl, rtol=1e-12)
@@ -126,7 +135,7 @@ class TestQHat:
         logits = rng.normal(0, 1, (n, 2))
         zeta = (rng.random(n) < 0.5).astype(int)
         gamma = np.column_stack([1.0 - zeta, zeta]).astype(float)
-        loss, d_f, d_g = q_hat(t, e, gamma, zeta, f, logits)
+        loss, d_f, d_g = q_hat(t, e, gamma, zeta, f, log_softmax(logits))
 
         expect = 0.0
         for k in range(2):
@@ -147,7 +156,7 @@ class TestQHat:
         logits = np.zeros((3, 2))
         gamma = np.full((3, 2), 0.5)
         zeta = np.array([0, 0, 0])  # cluster 1 empty
-        loss, d_f, _ = q_hat(t, e, gamma, zeta, f, logits)
+        loss, d_f, _ = q_hat(t, e, gamma, zeta, f, log_softmax(logits))
         assert np.isfinite(loss)
         np.testing.assert_array_equal(d_f[:, 1], 0.0)
 
@@ -160,7 +169,7 @@ class TestQHat:
         zeta = rng.integers(0, k, n)
         f = rng.normal(0, 1, (n, k))
         logits = rng.normal(0, 1, (n, k))
-        _, d_f, d_g = q_hat(t, e, gamma, zeta, f, logits)
+        _, d_f, d_g = q_hat(t, e, gamma, zeta, f, log_softmax(logits))
         eps = 1e-6
         for (arr, grad) in [(f, d_f), (logits, d_g)]:
             num = np.zeros_like(arr)
@@ -171,10 +180,10 @@ class TestQHat:
                     up[i, j] += eps
                     dn[i, j] -= eps
                     if arr is f:
-                        lu = q_hat(t, e, gamma, zeta, up, logits)[0]
-                        ld = q_hat(t, e, gamma, zeta, dn, logits)[0]
+                        lu = q_hat(t, e, gamma, zeta, up, log_softmax(logits))[0]
+                        ld = q_hat(t, e, gamma, zeta, dn, log_softmax(logits))[0]
                     else:
-                        lu = q_hat(t, e, gamma, zeta, f, up)[0]
-                        ld = q_hat(t, e, gamma, zeta, f, dn)[0]
+                        lu = q_hat(t, e, gamma, zeta, f, log_softmax(up))[0]
+                        ld = q_hat(t, e, gamma, zeta, f, log_softmax(dn))[0]
                     num[i, j] = (lu - ld) / (2 * eps)
             np.testing.assert_allclose(grad, num, rtol=1e-4, atol=1e-7)

@@ -18,13 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxmix import metrics
-from coxmix.estimators import breslow, censoring_km, kaplan_meier, kaplan_meier_at
+from coxmix.estimators import (
+    StepSurvivalCurve, breslow, censoring_km, kaplan_meier, kaplan_meier_at,
+)
 from coxmix.metrics import (
     METRIC_NAMES, MIN_IPCW_DENOM, MetricError, auc_ipcw, bootstrap_se, brier_ipcw,
     calibration_bins, concordance_td, ece,
 )
 from coxmix.model import DcmConfig, DcmModel, baseline_table, cluster_log_densities
-from coxmix.neural import init_params
+from coxmix.neural import init_params, log_softmax
 from coxmix.objective import partial_log_likelihood, q_hat
 from coxmix.spline import (
     EPS_DENSITY, EPS_SURVIVAL, fit_spline, spline_eval, spline_from_dict,
@@ -32,8 +34,8 @@ from coxmix.spline import (
 )
 from conftest import (
     brute_force_breslow, brute_force_km, brute_force_partial_likelihood, ipcw_pair_auc,
-    ipcw_pair_concordance, materialised_replicate, metrics_called_alone, per_cluster_q_hat,
-    per_row_log_densities,
+    ipcw_pair_concordance, masked_cluster_log_densities, masked_spline_value_and_slope,
+    materialised_replicate, metrics_called_alone, per_cluster_q_hat, per_row_log_densities,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -305,7 +307,8 @@ def test_stratified_q_hat_matches_per_cluster_calls(batch):
     """One stratified likelihood call gives the gradients of one call per
     cluster bit for bit, and the loss within 1e-12 relative: only the order
     of the loss's sums differs."""
-    loss, d_f, d_g = q_hat(*batch)
+    *head, logits = batch
+    loss, d_f, d_g = q_hat(*head, log_softmax(logits))
     ref_loss, ref_d_f, ref_d_g = per_cluster_q_hat(*batch)
     assert np.array_equal(d_f, ref_d_f)
     assert np.array_equal(d_g, ref_d_g)
@@ -378,6 +381,64 @@ def test_spline_slope_outside_knots(data, cohort):
     before = bl.knots[0] - rng.uniform(1e-6, 5.0, 30)
     assert np.all(spline_eval(bl, before) == 1.0)
     assert np.all(spline_value_and_slope(bl, before)[1] == -EPS_DENSITY)
+
+
+def _with_warnings(fn, *args):
+    """fn(*args) and the (category, message) of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@SETTINGS
+@given(st.data(), cohorts(min_size=1))
+def test_spline_one_path_matches_masked_branches(data, cohort):
+    """The one-path spline gives the bits and the RuntimeWarnings of the
+    per-subset branches, on fitted, late-start and single-knot curves (the
+    empty step curve's knot at 0 among them), at points before, at, between
+    and past the knots, tied, and at +-inf; a NaN time gives NaN, except on
+    a single knot, where the branches gave the knot value."""
+    rng = cohort[4]
+    empty = StepSurvivalCurve(knot_times=np.array([]), cum_hazard=np.array([]))
+    bl = data.draw(baselines(cohort) | st.just(fit_spline(empty)))
+    lo, hi = bl.knots[0], bl.knots[-1]
+    mids = (bl.knots[:-1] + bl.knots[1:]) / 2
+    past = hi + rng.exponential(data.draw(st.sampled_from([0.5, 5.0, 500.0])), 10)
+    points = np.concatenate([bl.knots, mids, rng.uniform(lo, hi, 20), lo - rng.uniform(0, 5.0, 5),
+                             lo - 10.0 ** rng.uniform(0, 6, 5), past, [-np.inf, np.inf, lo, hi]])
+    if bl.knots.size > 1:
+        points = np.append(points, np.nan)
+    # each infinity alone too, so that a warning one of them raises shows
+    for q in (rng.permutation(points), np.array([-np.inf]), np.array([np.inf])):
+        (s, ds), caught = _with_warnings(spline_value_and_slope, bl, q)
+        (s_ref, ds_ref), caught_ref = _with_warnings(masked_spline_value_and_slope, bl, q)
+        assert np.array_equal(s, s_ref, equal_nan=True)
+        assert np.array_equal(ds, ds_ref, equal_nan=True)
+        assert caught == caught_ref
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["mixed", "events", "censored"]),
+       st.sampled_from([0.5, 5.0, 40.0]))
+def test_log_densities_one_path_matches_masked_rows(seed, kind, scale):
+    """One formula over every row, picked per row, gives the bits and the
+    RuntimeWarnings of gathering the event and the censored rows: S0 at 1,
+    at EPS_SURVIVAL and between, slopes from -EPS_DENSITY down, |f| up to
+    40, and batches of events only or censored rows only."""
+    rng = np.random.default_rng(seed)
+    n, k = rng.integers(1, 60), rng.integers(1, 5)
+    events = {"mixed": rng.random(n) < 0.5, "events": np.ones(n),
+              "censored": np.zeros(n)}[kind].astype(int)
+    s0 = rng.choice([1.0, EPS_SURVIVAL, 0.5], size=(n, k))
+    s0[s0 == 0.5] = 10.0 ** -rng.uniform(0, 10, np.sum(s0 == 0.5))
+    ds0 = -np.where(rng.random((n, k)) < 0.3, EPS_DENSITY, 10.0 ** rng.uniform(-10, 2, (n, k)))
+    f = np.clip(rng.normal(scale=scale, size=(n, k)), -40.0, 40.0)
+    f[rng.random((n, k)) < 0.1] = rng.choice([-40.0, 40.0])
+    out, caught = _with_warnings(cluster_log_densities, f, events, (s0, ds0))
+    ref, caught_ref = _with_warnings(masked_cluster_log_densities, f, events, (s0, ds0))
+    assert np.array_equal(out, ref)
+    assert caught == caught_ref
 
 
 @st.composite

@@ -74,6 +74,15 @@ class TestFitEval:
         assert empty.knots.size == 1 and empty.tail_hazard == 0.0
         assert spline_eval(empty, 3.0) == 1.0
 
+    @pytest.mark.parametrize("knots, values", [([0.0], [1.0]), ([2.0], [0.4]),
+                                               ([0.0, 1.0, 3.0], [1.0, 0.6, 0.2])])
+    def test_nan_time_gives_nan(self, knots, values):
+        # a single-knot curve gave its knot value for a NaN time
+        s = spline_from_dict({"knots": knots, "values": values})
+        val, slope = spline_value_and_slope(s, np.array([np.nan, knots[0]]))
+        assert np.isnan(val[0]) and np.isnan(slope[0])
+        assert val[1] == values[0] and np.isnan(spline_eval(s, np.nan))
+
 
 class TestDerivative:
     def test_matches_finite_differences(self):
