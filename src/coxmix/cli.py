@@ -12,6 +12,8 @@ import argparse
 import csv
 import json
 import os
+import pickle
+import signal
 import sys
 from dataclasses import asdict, astuple, fields, replace
 
@@ -216,6 +218,76 @@ _GRID = [(k, layers, width)
          for k in (3, 4, 6) for layers in (1, 2) for width in (50, 100)]
 
 
+class WorkerError(RuntimeError):
+    """A forked fit process died or sent back an error that does not unpickle."""
+
+
+def _workers(n_tasks):
+    """Processes for ``n_tasks`` fits: one per usable CPU, never more than
+    the fits; 1 where the platform cannot fork or list its usable CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+def _child_share(fn, share, read_end, write_end):
+    """In a forked child: run one share and pickle (True, results) or
+    (False, exception) to the pipe. It leaves through ``os._exit``, so no
+    atexit handler, output cleanup or inherited buffer runs here."""
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            payload = (True, [fn(t) for t in share])
+        except Exception as exc:  # noqa: BLE001 - raised again in the parent
+            payload = (False, exc)
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _map_forked(fn, tasks):
+    """``[fn(t) for t in tasks]``, with task i in share i % w of ``_workers``
+    processes: this process runs share 0 and a forked child each other
+    share. The results come back in task order; a child's exception is
+    raised here, and every child is reaped before this returns or raises."""
+    w = _workers(len(tasks))
+    children = {}  # pid -> read end of its pipe, until the child is reaped
+    try:
+        for share in range(1, w):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_share(fn, tasks[share::w], read_end, write_end)
+            os.close(write_end)
+            children[pid] = read_end
+        shares = [[fn(t) for t in tasks[::w]]]
+        for pid, read_end in list(children.items()):
+            with open(read_end, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if status != 0 or not data:
+                raise WorkerError(f"a fit process died (exit status {status})")
+            try:
+                ok, value = pickle.loads(data)
+            except Exception as exc:  # noqa: BLE001 - any unpickling failure
+                raise WorkerError(f"a fit process failed and its error did not "
+                                  f"unpickle: {exc}") from None
+            if not ok:
+                raise value
+            shares.append(value)
+    finally:  # on an error, stop the children that are still running
+        for pid, read_end in children.items():
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[i % w][i // w] for i in range(len(tasks))]
+
+
 def cmd_cv(args, tracker):
     ds = _load_dataset(args)
     if args.grid and len(ds) < metrics_mod.MIN_GROUP_SIZE:  # it ranks on the unscored population
@@ -227,12 +299,20 @@ def cmd_cv(args, tracker):
              for fold in range(args.folds)]
     configs = ([{"n_clusters": k, "hidden_dims": (width,) * layers}
                 for k, layers, width in _GRID] if args.grid else [{}])  # {}: the flags alone
+
+    def fit_fold(task):
+        overrides, fold = task
+        train, te = folds[fold]
+        model = fit(train, _dcm_config(args, fold, **overrides))
+        return model.predict_dataset(ds.subset(te), horizons)
+
+    preds = iter(_map_forked(fit_fold, [(overrides, fold) for overrides in configs
+                                        for fold in range(args.folds)]))
     pooled = []
-    for overrides in configs:
+    for _ in configs:
         surv = np.full((len(ds), len(horizons)), np.nan)
-        for fold, (train, te) in enumerate(folds):
-            model = fit(train, _dcm_config(args, fold, **overrides))
-            surv[te] = model.predict_dataset(ds.subset(te), horizons)
+        for _, te in folds:
+            surv[te] = next(preds)
         pooled.append(surv)
 
     surv = pooled[0]  # the one configuration, unless --grid selects another

@@ -241,12 +241,13 @@ def cluster_log_densities(log_hazards, events, table):
     return np.where(ev, np.log(density_given_cluster(ef, s0, ds0)), ef * np.log(s0))
 
 
-def _posterior(f, gate, events, table):
+def _posterior(f, log_gate, events, table):
     """Log joint weights log(p(t, delta | k, x) * gate_k(x)), shape (N, K),
     and the posterior responsibilities: density^delta *
     conditional-survival^(1-delta) * gate, each row shifted by its max,
-    exponentiated, floored at EPS_DENSITY and normalized. ``gate``: log_softmax(logits)."""
-    log_joint = cluster_log_densities(f, events, table) + gate[0]
+    exponentiated, floored at EPS_DENSITY and normalized. ``log_gate``: the
+    log half of ``neural.log_softmax(logits)``."""
+    log_joint = cluster_log_densities(f, events, table) + log_gate
     w = np.maximum(np.exp(log_joint - log_joint.max(axis=1, keepdims=True)), EPS_DENSITY)
     w[~np.all(np.isfinite(w), axis=1)] = 1.0
     return log_joint, w / w.sum(axis=1, keepdims=True)
@@ -264,7 +265,7 @@ def e_step(model, x, times, events, heads=None, table=None):
     rows of a ``baseline_table``, built for ``times`` when not given."""
     f, gate = model._heads_out(x) if heads is None else heads
     table = baseline_table(model.baselines, times) if table is None else table
-    return _posterior(f, gate, events, table)[1]
+    return _posterior(f, gate[0], events, table)[1]
 
 
 def sample_assignments(gamma, rng):
@@ -295,7 +296,8 @@ def expected_q_loss(model, x, times, events):
     """Soft-count EM objective on held-out data (negated, a loss): the
     posterior-weighted complete-data log likelihood, averaged per row.
     Deterministic; used for epoch monitoring and early stopping."""
-    return _q_loss(*_posterior(*model._heads_out(x), events,
+    f, (log_gate, _) = model._heads_out(x)
+    return _q_loss(*_posterior(f, log_gate, events,
                                baseline_table(model.baselines, times)))
 
 
@@ -303,14 +305,15 @@ def _refresh_phase(model, x, times, events, table, rng):
     """One encoder pass over the training rows: draw hard assignments
     against the current baseline table, refresh the baselines, build their
     table and score the training objective against it. Returns (starved
-    clusters, objective, new table). The heads are freed on return: kept
-    until the next epoch, they stop the allocator from handing the freed
-    encoder activations back, which raises peak memory."""
-    f, gate = model._heads_out(x)
-    zeta = sample_assignments(_posterior(f, gate, events, table)[1], rng)
+    clusters, objective, new table). Only the log gate is held, and the
+    heads are freed on return: kept until the next epoch, they stop the
+    allocator from handing the freed encoder activations back, which raises
+    peak memory."""
+    f, (log_gate, _) = model._heads_out(x)
+    zeta = sample_assignments(_posterior(f, log_gate, events, table)[1], rng)
     starved = update_baselines(model, f, times, events, zeta)
     table = baseline_table(model.baselines, times)
-    return starved, _q_loss(*_posterior(f, gate, events, table)), table
+    return starved, _q_loss(*_posterior(f, log_gate, events, table)), table
 
 
 def fit(dataset, config):

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -11,7 +13,7 @@ import pytest
 import coxmix
 from coxmix import cli
 from coxmix.cli import main
-from coxmix.model import DcmModel
+from coxmix.model import DcmModel, ModelError
 
 
 def run(argv):
@@ -246,6 +248,107 @@ class TestCv:
         assert code == 0
         assert calls.count("k_fold_split") == 1
         assert calls.count("standardize") == 5
+
+
+class TestForkedFits:
+    """cv runs its fits in one process per usable CPU: the parent works
+    share 0 and forks one child for each other share."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """cpus(n) makes n CPUs usable and returns the list of forks so far."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            return forks
+        return use
+
+    def cv(self, cohort_dir, out, *flags):
+        return run(["cv", "--data", str(cohort_dir / "cohort.csv"), "--group-col", "group",
+                    "--k", "2", "--layers", "8", "--epochs", "2", "--horizons", "q25,q50",
+                    "--bootstrap", "3", *flags, "--out", str(out)])
+
+    @pytest.mark.parametrize("flags", [("--grid", "--epochs", "1"), ()])
+    def test_parallel_writes_serial_bytes(self, cohort_dir, tmp_path, cpus, flags):
+        out, outputs = tmp_path / "o", []
+        for n in (1, 2):
+            forks = cpus(n)
+            assert self.cv(cohort_dir, out, "--folds", "3", *flags) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            shutil.rmtree(out)
+        assert len(forks) == 1  # none for the serial run, one for the parallel
+        assert outputs[0] == outputs[1]
+        assert {"report.csv", "report.json", "run_config.json"} <= set(outputs[0])
+        assert ("grid.csv" in outputs[0]) == bool(flags)
+
+    @pytest.mark.parametrize("failing_fold", [1, 0])  # a child's share, then the parent's
+    def test_failing_fit(self, cohort_dir, tmp_path, cpus, capsys, monkeypatch, failing_fold):
+        cpus(2)
+        fit = cli.fit
+
+        def failing(train, config):
+            if config.seed == failing_fold:  # --seed 0: a fold's seed is its index
+                raise ModelError(f"fold {failing_fold} failed")
+            return fit(train, config)
+        monkeypatch.setattr(cli, "fit", failing)
+        assert self.cv(cohort_dir, tmp_path / "made" / "o", "--folds", "2") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [e for e in err if e.startswith("coxmix cv: error:")] == [
+            f"coxmix cv: error: fold {failing_fold} failed"]
+        assert not (tmp_path / "made").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+    @pytest.mark.parametrize("n_cpus, n_forks", [(1, 0), (8, 1)])
+    def test_workers_never_outnumber_fits(self, cohort_dir, tmp_path, cpus, n_cpus, n_forks):
+        forks = cpus(n_cpus)
+        assert self.cv(cohort_dir, tmp_path, "--folds", "2", "--epochs", "1") == 0
+        assert len(forks) == n_forks
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_serial_without_fork_or_affinity(self, monkeypatch, missing):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert cli._workers(12) == 3
+        monkeypatch.delattr(os, missing, raising=False)
+        assert cli._workers(12) == 1
+
+    def test_child_error_keeps_its_class(self, cpus):
+        cpus(2)
+
+        def fn(task):
+            if task == 1:
+                raise ModelError("task 1 failed")
+            return task
+        with pytest.raises(ModelError, match="^task 1 failed$"):
+            cli._map_forked(fn, [0, 1, 2])
+        assert cli._map_forked(lambda t: t * t, [0, 1, 2]) == [0, 1, 4]
+
+    @pytest.mark.parametrize("how, message", [
+        ("exit", "a fit process died (exit status 3)"),
+        ("unpicklable", "a fit process failed and its error did not unpickle"),
+    ])
+    def test_lost_child_error_is_named(self, cpus, how, message):
+        cpus(2)
+
+        def fn(task):
+            if task and how == "exit":
+                os._exit(3)
+            if task:
+                raise TwoArgError("a", "b")
+            return task
+        with pytest.raises(cli.WorkerError, match=re.escape(message)):
+            cli._map_forked(fn, [0, 1])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: unpickling passes the message alone."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
 
 
 class TestSmallCohort:
