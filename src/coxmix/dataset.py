@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import math
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -85,6 +85,18 @@ class FoldSplit:
         return np.flatnonzero(self.fold_assignments == fold)
 
 
+CHUNK_ROWS = 1024  # records load_csv converts per numpy call
+
+
+def _floats(cells):
+    """The cells as a float array, each parsed by float(), NaN where it fails."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:  # halve until each rejected cell stands alone
+        h = len(cells) // 2
+        return np.concatenate([_floats(cells[:h]), _floats(cells[h:])]) if h else np.full(1, np.nan)
+
+
 def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
              drop_columns=()):
     """Load a survival dataset from a comma-separated file with a header row.
@@ -95,7 +107,7 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
     feature is missing, non-numeric or non-finite raises a DatasetError
     naming the row unless drop_missing is set, in which case it is dropped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:  # one pass: no row is kept as text
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: a BOM is not part of a name
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -117,38 +129,41 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
         numeric = [header.index(c) for c in (time_col, event_col, *feature_names)]
         group = None if group_col is None else header.index(group_col)
 
-        values, groups = [], []  # values: one [time, event, *features] row per record
-        for rownum, row in enumerate(reader, start=2):  # 1-based, header is row 1
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
-            try:
-                v = [float(row[i]) for i in numeric]
-            except ValueError:
-                v = [math.nan]  # an unparsable cell counts as a non-finite one
-            if not all(map(math.isfinite, v)):
-                if drop_missing:
-                    continue
-                raise DatasetError(
-                    f"{path}: row {rownum} has a missing, non-numeric or non-finite value")
-            if v[1] not in (0.0, 1.0):
-                raise DatasetError(
-                    f"{path}: row {rownum} event value {row[numeric[1]]!r} not in {{0,1}}")
-            if v[0] < 0:
-                raise DatasetError(f"{path}: row {rownum} has negative time")
-            values.append(v)
+        # per chunk: the kept rows' [time, event, *features] and group labels
+        values, groups = [np.empty((0, len(numeric)))], [np.empty(0, dtype=object)]
+        rownum = 2  # file row of the chunk's first record; the header is row 1
+        while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
+            wrong = np.fromiter(map(len, chunk), int, len(chunk)) != len(header)
+            ragged = wrong.argmax() if wrong.any() else len(chunk)  # zip(*) needs equal rows
+            cols = list(zip(*chunk[:ragged])) or [()] * len(header)
+            v = np.stack([_floats(cols[i]) for i in numeric], axis=1)
+            finite = np.isfinite(v).all(axis=1)
+            clean = finite & ((v[:, 1] == 0) | (v[:, 1] == 1)) & (v[:, 0] >= 0)
+            bad = np.flatnonzero(~clean & (finite | (not drop_missing)))
+            i = bad[0] if bad.size else ragged  # the first offending row
+            if i < len(chunk):  # its first broken rule, in the order they are checked
+                row, where = chunk[i], f"{path}: row {rownum + i}"
+                if i == ragged:
+                    raise DatasetError(f"{where} has {len(row)} fields, expected {len(header)}")
+                if not finite[i]:  # an unparsable cell counts as a non-finite one
+                    raise DatasetError(f"{where} has a missing, non-numeric or non-finite value")
+                if v[i, 1] not in (0, 1):
+                    raise DatasetError(f"{where} event value {row[numeric[1]]!r} not in {{0,1}}")
+                raise DatasetError(f"{where} has negative time")
+            values.append(v[finite])
             if group is not None:
-                groups.append(row[group])
+                groups.append(np.array(cols[group], dtype=object)[finite])
+            rownum += len(chunk)
 
-    if not values:
+    values = np.concatenate(values)  # one C-order table: standardize's sums depend on it
+    if not len(values):
         raise DatasetError(f"{path}: no usable rows")
-    values = np.asarray(values)  # rebound so the row lists are freed
     return SurvivalDataset(
         features=values[:, 2:],
         times=values[:, 0],
         events=values[:, 1].astype(int),
         feature_names=tuple(feature_names),
-        groups=None if group is None else np.asarray(groups, dtype=object),
+        groups=None if group is None else np.concatenate(groups),
     )
 
 

@@ -1,6 +1,10 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
+from coxmix.dataset import DatasetError, SurvivalDataset
 from coxmix.estimators import StepSurvivalCurve
 from coxmix.model import ModelError
 from coxmix.spline import (
@@ -300,6 +304,68 @@ def masked_cluster_log_densities(log_hazards, events, table):
     out[ev] = np.log(density_given_cluster(np.exp(f[ev]), s0[ev], ds0[ev]))
     out[~ev] = np.exp(f[~ev]) * np.log(s0[~ev])
     return out
+
+
+def per_row_load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
+                     drop_columns=()):
+    """Reference for ``dataset.load_csv``: the earlier version that parses
+    each record with one float() per cell and checks it alone. Copied as it
+    was, except that it opens the file as utf-8-sig."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise DatasetError(f"{path}: repeated column name(s) {repeated}")
+        unknown = [c for c in drop_columns if c not in header]
+        if unknown:
+            raise DatasetError(f"{path}: drop_columns not in the header: {unknown}")
+        for col in (time_col, event_col):
+            if col not in header:
+                raise DatasetError(f"{path}: missing required column {col!r}")
+        if group_col is not None and group_col not in header:
+            raise DatasetError(f"{path}: missing group column {group_col!r}")
+
+        skip = {time_col, event_col, group_col, *drop_columns}
+        feature_names = [c for c in header if c not in skip]
+        numeric = [header.index(c) for c in (time_col, event_col, *feature_names)]
+        group = None if group_col is None else header.index(group_col)
+
+        values, groups = [], []  # values: one [time, event, *features] row per record
+        for rownum, row in enumerate(reader, start=2):  # 1-based, header is row 1
+            if len(row) != len(header):
+                raise DatasetError(
+                    f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
+            try:
+                v = [float(row[i]) for i in numeric]
+            except ValueError:
+                v = [math.nan]  # an unparsable cell counts as a non-finite one
+            if not all(map(math.isfinite, v)):
+                if drop_missing:
+                    continue
+                raise DatasetError(
+                    f"{path}: row {rownum} has a missing, non-numeric or non-finite value")
+            if v[1] not in (0.0, 1.0):
+                raise DatasetError(
+                    f"{path}: row {rownum} event value {row[numeric[1]]!r} not in {{0,1}}")
+            if v[0] < 0:
+                raise DatasetError(f"{path}: row {rownum} has negative time")
+            values.append(v)
+            if group is not None:
+                groups.append(row[group])
+
+    if not values:
+        raise DatasetError(f"{path}: no usable rows")
+    values = np.asarray(values)  # rebound so the row lists are freed
+    return SurvivalDataset(
+        features=values[:, 2:],
+        times=values[:, 0],
+        events=values[:, 1].astype(int),
+        feature_names=tuple(feature_names),
+        groups=None if group is None else np.asarray(groups, dtype=object),
+    )
 
 
 def metrics_called_alone(surv_matrix, times, events, horizons):

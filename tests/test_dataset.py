@@ -5,6 +5,7 @@ from coxmix.dataset import (
     DatasetError, SurvivalDataset, event_quantiles, k_fold_split, load_csv,
     standardize,
 )
+from conftest import per_row_load_csv
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -94,6 +95,39 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "x,time,event\n1,2\n")
         with pytest.raises(DatasetError, match="row 2"):
             load_csv(path, "time", "event")
+
+    @pytest.mark.parametrize("header", ["x,time,event", "time,x,event"])
+    def test_byte_order_mark_is_not_a_name(self, tmp_path, header):
+        # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+        path = write_csv(tmp_path, "\ufeff" + header + "\r\n1,2,1\r\n3,4,0\r\n")
+        ds = load_csv(path, "time", "event")
+        assert ds.feature_names == ("x",)
+        np.testing.assert_array_equal(ds.features[:, 0], [1, 3] if header[0] == "x" else [2, 4])
+
+    @pytest.mark.parametrize("drop_missing", [False, True])
+    @pytest.mark.parametrize("bad", [(), (1024,), (1025,), (1024, 1025), (2048, 3),
+                                     (1023, 1026)])
+    def test_bad_rows_at_chunk_boundaries(self, tmp_path, drop_missing, bad):
+        """At the default CHUNK_ROWS, bad rows just before and after a chunk
+        boundary (records 1024 and 1025 are file rows 1025 and 1026) give the
+        per-row loader's result or error."""
+        rng = np.random.default_rng(0)
+        cells = {1023: "nan,1,0", 1024: "1,-3,1", 1025: ",1,1", 1026: "2,1,0.5",
+                 2048: "1,2,1,9", 3: "inf,2,0"}
+        lines = ["x,time,event"] + [
+            cells[i] if i in bad else f"{rng.normal()},{rng.exponential()},{i % 2}"
+            for i in range(1, 2101)]
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        outcomes = []
+        for fn in (load_csv, per_row_load_csv):
+            try:
+                ds = fn(path, "time", "event", drop_missing=drop_missing)
+            except DatasetError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((ds.features.tobytes(), ds.features.strides,
+                                 ds.times.tobytes(), ds.events.tobytes()))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestStandardize:
