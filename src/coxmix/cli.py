@@ -133,18 +133,14 @@ _PRESETS = {
 }
 
 
-def _synth_config(args):
+def cmd_synth(args, tracker):
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
             raw = json.load(fh)
     else:
         raw = _PRESETS[args.preset]
-    return replace(synth_mod.config_from_sidecar(raw), n=args.n, seed=args.seed,
-                   censoring_fraction=args.censoring, with_groups=args.with_groups)
-
-
-def cmd_synth(args, tracker):
-    config = _synth_config(args)
+    config = replace(synth_mod.config_from_sidecar(raw), n=args.n, seed=args.seed,
+                     censoring_fraction=args.censoring, with_groups=args.with_groups)
     ds, sidecar = synth_mod.generate_cohort(config)
     header = [*ds.feature_names, "time", "event"]
     columns = [c.tolist() for c in (*ds.features.T, ds.times, ds.events)]  # written faster
@@ -160,9 +156,8 @@ def cmd_synth(args, tracker):
 
 def cmd_train(args, tracker):
     ds = _load_dataset(args)
-    ds_std, _ = standardize(ds)
     config = _dcm_config(args)
-    model = fit(ds_std, config)
+    model = fit(standardize(ds), config)
     model.save(tracker.path("model.json"))
     log = model.training_log
     _write_csv(tracker.path("training_log.csv"), log[0].keys(), map(dict.values, log))
@@ -294,8 +289,8 @@ def cmd_cv(args, tracker):
         raise metrics_mod.MetricError(
             f"--grid needs {metrics_mod.MIN_GROUP_SIZE} records, not {len(ds)}")
     horizons = _resolve_horizons(args.horizons, ds)
-    split = k_fold_split(ds, args.folds, args.seed)
-    folds = [(standardize(ds.subset(split.train_idx(fold)))[0], split.test_idx(fold))
+    fold_of = k_fold_split(ds, args.folds, args.seed)
+    folds = [(standardize(ds.subset(fold_of != fold)), fold_of == fold)
              for fold in range(args.folds)]
     configs = ([{"n_clusters": k, "hidden_dims": (width,) * layers}
                 for k, layers, width in _GRID] if args.grid else [{}])  # {}: the flags alone

@@ -25,8 +25,8 @@ class DatasetError(ValueError):
 class SurvivalDataset:
     """Immutable collection of right-censored observations.
 
-    features: (N, d) float array, one row per individual
-    times: (N,) nonnegative observed times
+    features: (N, d) finite float array, one row per individual
+    times: (N,) finite, nonnegative observed times
     events: (N,) values in {0, 1}; 1 = event observed, 0 = censored
     groups: optional (N,) array of string labels
     standardization: optional (mean, std) pair of (d,) arrays recorded by
@@ -46,8 +46,10 @@ class SurvivalDataset:
         n = self.features.shape[0]
         if len(self.times) != n or len(self.events) != n:
             raise DatasetError("times/events length must match feature rows")
-        if np.any(self.times < 0):
-            raise DatasetError("times must be nonnegative")
+        if not np.all(np.isfinite(self.times) & (self.times >= 0)):
+            raise DatasetError("times must be finite and nonnegative")
+        if not np.all(np.isfinite(self.features)):
+            raise DatasetError("features must be finite")
         if not np.all(np.isin(self.events, (0, 1))):
             raise DatasetError("events must be 0 or 1")
         if len(self.feature_names) != self.features.shape[1]:
@@ -55,10 +57,6 @@ class SurvivalDataset:
 
     def __len__(self):
         return self.features.shape[0]
-
-    @property
-    def n_features(self):
-        return self.features.shape[1]
 
     def subset(self, idx) -> "SurvivalDataset":
         idx = np.asarray(idx)
@@ -70,19 +68,6 @@ class SurvivalDataset:
             groups=None if self.groups is None else self.groups[idx],
             standardization=self.standardization,
         )
-
-
-@dataclass(frozen=True)
-class FoldSplit:
-    """Deterministic k-fold assignment; fold sizes differ by at most one."""
-
-    fold_assignments: np.ndarray
-
-    def train_idx(self, fold):
-        return np.flatnonzero(self.fold_assignments != fold)
-
-    def test_idx(self, fold):
-        return np.flatnonzero(self.fold_assignments == fold)
 
 
 CHUNK_ROWS = 1024  # records load_csv converts per numpy call
@@ -107,53 +92,56 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
     feature is missing, non-numeric or non-finite raises a DatasetError
     naming the row unless drop_missing is set, in which case it is dropped.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: a BOM is not part of a name
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{path}: empty file")
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if repeated:
-            raise DatasetError(f"{path}: repeated column name(s) {repeated}")
-        unknown = [c for c in drop_columns if c not in header]
-        if unknown:
-            raise DatasetError(f"{path}: drop_columns not in the header: {unknown}")
-        for col in (time_col, event_col):
-            if col not in header:
-                raise DatasetError(f"{path}: missing required column {col!r}")
-        if group_col is not None and group_col not in header:
-            raise DatasetError(f"{path}: missing group column {group_col!r}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: a BOM is not part of a name
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError(f"{path}: empty file")
+            repeated = sorted({c for c in header if header.count(c) > 1})
+            if repeated:
+                raise DatasetError(f"{path}: repeated column name(s) {repeated}")
+            unknown = [c for c in drop_columns if c not in header]
+            if unknown:
+                raise DatasetError(f"{path}: drop_columns not in the header: {unknown}")
+            for col in (time_col, event_col):
+                if col not in header:
+                    raise DatasetError(f"{path}: missing required column {col!r}")
+            if group_col is not None and group_col not in header:
+                raise DatasetError(f"{path}: missing group column {group_col!r}")
 
-        skip = {time_col, event_col, group_col, *drop_columns}
-        feature_names = [c for c in header if c not in skip]
-        numeric = [header.index(c) for c in (time_col, event_col, *feature_names)]
-        group = None if group_col is None else header.index(group_col)
+            skip = {time_col, event_col, group_col, *drop_columns}
+            feature_names = [c for c in header if c not in skip]
+            numeric = [header.index(c) for c in (time_col, event_col, *feature_names)]
+            group = None if group_col is None else header.index(group_col)
 
-        # per chunk: the kept rows' [time, event, *features] and group labels
-        values, groups = [np.empty((0, len(numeric)))], [np.empty(0, dtype=object)]
-        rownum = 2  # file row of the chunk's first record; the header is row 1
-        while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
-            wrong = np.fromiter(map(len, chunk), int, len(chunk)) != len(header)
-            ragged = wrong.argmax() if wrong.any() else len(chunk)  # zip(*) needs equal rows
-            cols = list(zip(*chunk[:ragged])) or [()] * len(header)
-            v = np.stack([_floats(cols[i]) for i in numeric], axis=1)
-            finite = np.isfinite(v).all(axis=1)
-            clean = finite & ((v[:, 1] == 0) | (v[:, 1] == 1)) & (v[:, 0] >= 0)
-            bad = np.flatnonzero(~clean & (finite | (not drop_missing)))
-            i = bad[0] if bad.size else ragged  # the first offending row
-            if i < len(chunk):  # its first broken rule, in the order they are checked
-                row, where = chunk[i], f"{path}: row {rownum + i}"
-                if i == ragged:
-                    raise DatasetError(f"{where} has {len(row)} fields, expected {len(header)}")
-                if not finite[i]:  # an unparsable cell counts as a non-finite one
-                    raise DatasetError(f"{where} has a missing, non-numeric or non-finite value")
-                if v[i, 1] not in (0, 1):
-                    raise DatasetError(f"{where} event value {row[numeric[1]]!r} not in {{0,1}}")
-                raise DatasetError(f"{where} has negative time")
-            values.append(v[finite])
-            if group is not None:
-                groups.append(np.array(cols[group], dtype=object)[finite])
-            rownum += len(chunk)
+            # per chunk: the kept rows' [time, event, *features] and group labels
+            values, groups = [np.empty((0, len(numeric)))], [np.empty(0, dtype=object)]
+            rownum = 2  # file row of the chunk's first record; the header is row 1
+            while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
+                wrong = np.fromiter(map(len, chunk), int, len(chunk)) != len(header)
+                ragged = wrong.argmax() if wrong.any() else len(chunk)  # zip(*) needs equal rows
+                cols = list(zip(*chunk[:ragged])) or [()] * len(header)
+                v = np.stack([_floats(cols[i]) for i in numeric], axis=1)
+                finite = np.isfinite(v).all(axis=1)
+                clean = finite & ((v[:, 1] == 0) | (v[:, 1] == 1)) & (v[:, 0] >= 0)
+                bad = np.flatnonzero(~clean & (finite | (not drop_missing)))
+                i = bad[0] if bad.size else ragged  # the first offending row
+                if i < len(chunk):  # its first broken rule, in the order they are checked
+                    row, where = chunk[i], f"{path}: row {rownum + i}"
+                    if i == ragged:
+                        raise DatasetError(f"{where} has {len(row)} fields, expected {len(header)}")
+                    if not finite[i]:  # an unparsable cell counts as a non-finite one
+                        raise DatasetError(f"{where} has a missing, non-numeric or non-finite value")
+                    if v[i, 1] not in (0, 1):
+                        raise DatasetError(f"{where} event value {row[numeric[1]]!r} not in {{0,1}}")
+                    raise DatasetError(f"{where} has negative time")
+                values.append(v[finite])
+                if group is not None:
+                    groups.append(np.array(cols[group], dtype=object)[finite])
+                rownum += len(chunk)
+    except UnicodeDecodeError:  # anywhere in the file: the header or any chunk
+        raise DatasetError(f"{path}: the file is not UTF-8 text") from None
 
     values = np.concatenate(values)  # one C-order table: standardize's sums depend on it
     if not len(values):
@@ -171,16 +159,16 @@ def standardize(ds):
     """Transform each feature column to zero mean, unit standard deviation.
 
     Standard deviation uses the N-1 divisor. Constant columns are shifted to
-    zero and divided by 1. The statistics are recorded on the result; a
-    model applies them to held-out data in ``DcmModel.predict_dataset``.
-    Returns (standardized dataset, (mean, std)).
+    zero and divided by 1. Returns the standardized dataset, with the
+    (mean, std) used recorded as its ``standardization``; a model applies
+    them to held-out data in ``DcmModel.predict_dataset``.
     """
     if len(ds) == 0:
         raise DatasetError("cannot standardize an empty dataset")
     mean = ds.features.mean(axis=0)
-    std = ds.features.std(axis=0, ddof=1) if len(ds) > 1 else np.zeros(ds.n_features)
+    std = ds.features.std(axis=0, ddof=1) if len(ds) > 1 else np.zeros(ds.features.shape[1])
     std = np.where(std < 1e-12, 1.0, std)
-    out = SurvivalDataset(
+    return SurvivalDataset(
         features=(ds.features - mean) / std,
         times=ds.times,
         events=ds.events,
@@ -188,7 +176,6 @@ def standardize(ds):
         groups=ds.groups,
         standardization=(mean, std),
     )
-    return out, (mean, std)
 
 
 def event_quantiles(ds, probs):
@@ -211,7 +198,8 @@ def event_quantiles(ds, probs):
 
 
 def k_fold_split(ds, k, seed):
-    """Deterministic balanced k-fold partition of the record indices."""
+    """Deterministic balanced k-fold partition: the (n,) int array of each
+    record's fold in 0..k-1; fold sizes differ by at most one."""
     n = len(ds)
     if k < 2:
         raise DatasetError("k must be >= 2")
@@ -219,10 +207,9 @@ def k_fold_split(ds, k, seed):
         raise DatasetError(f"k={k} exceeds dataset size {n}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    assignments = np.empty(n, dtype=int)
-    # cycle 0..k-1 over the permuted order; sizes differ by at most 1
-    assignments[perm] = np.arange(n) % k
-    return FoldSplit(fold_assignments=assignments)
+    fold_of = np.empty(n, dtype=int)
+    fold_of[perm] = np.arange(n) % k  # cycle 0..k-1 over the permuted order
+    return fold_of
 
 
 @contextlib.contextmanager

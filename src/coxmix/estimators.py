@@ -38,10 +38,6 @@ class StepSurvivalCurve:
         if len(self.knot_times) and np.any(np.diff(self.knot_times) <= 0):
             raise EstimatorError("knot times must be strictly increasing")
 
-    @property
-    def survival_values(self):
-        return np.exp(-self.cum_hazard)
-
     def _eval(self, t, side):
         # H is 0 before the first knot, then the hazard of the last knot passed
         h = np.concatenate([[0.0], self.cum_hazard])[

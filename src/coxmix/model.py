@@ -79,10 +79,6 @@ class DcmModel:
         if len(self.baselines) != config.n_clusters:
             raise ModelError("baseline count must equal n_clusters")
 
-    @property
-    def n_clusters(self):
-        return self.config.n_clusters
-
     def _heads_out(self, x):
         # the encoder's activations are freed before the softmax allocates
         f, g = neural.heads_forward(self.heads, neural.forward(self.params, x)[0])
@@ -282,7 +278,7 @@ def update_baselines(model, log_hazards, times, events, zeta):
     number of such starved clusters. Splines are replaced, never mutated,
     so a shallow copy of ``model.baselines`` is a snapshot."""
     starved = 0
-    for k in range(model.n_clusters):
+    for k in range(len(model.baselines)):
         rows = np.flatnonzero(zeta == k)
         if rows.size < 2 or events[rows].sum() < 2:
             starved += 1

@@ -81,7 +81,7 @@ def fit_spline(curve):
     single-knot curve, constant at 1.
     """
     kt = np.asarray(curve.knot_times, dtype=float)
-    sv = np.asarray(curve.survival_values, dtype=float)
+    sv = np.exp(-curve.cum_hazard)
     if kt.size == 0 or kt[0] > 0:
         kt = np.concatenate([[0.0], kt])
         sv = np.concatenate([[1.0], sv])

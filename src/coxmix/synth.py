@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coxmix.dataset import SurvivalDataset
+from coxmix.model import sample_assignments
 from coxmix.neural import log_softmax
 
 
@@ -93,10 +94,7 @@ def generate_cohort(config):
     d = config.n_features
     x = rng.standard_normal((config.n, d))
 
-    gate_logits = x @ np.asarray(config.gating, dtype=float).T
-    probs = log_softmax(gate_logits)[1]
-    u = rng.random(config.n)
-    z = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
+    z = sample_assignments(log_softmax(x @ np.asarray(config.gating, dtype=float).T)[1], rng)
 
     event_times = np.empty(config.n)
     e_draw = rng.exponential(1.0, size=config.n)

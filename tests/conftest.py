@@ -2,7 +2,6 @@ import csv
 import math
 
 import numpy as np
-import pytest
 
 from coxmix.dataset import DatasetError, SurvivalDataset
 from coxmix.estimators import StepSurvivalCurve
@@ -429,18 +428,6 @@ CROSSING_CONFIG = SynthConfig(
     censoring_fraction=0.3,
     seed=11,
 )
-
-
-@pytest.fixture(scope="session")
-def ph_cohort():
-    from coxmix.synth import generate_cohort
-    return generate_cohort(PH_CONFIG)
-
-
-@pytest.fixture(scope="session")
-def crossing_cohort():
-    from coxmix.synth import generate_cohort
-    return generate_cohort(CROSSING_CONFIG)
 
 
 def pytest_terminal_summary(terminalreporter):

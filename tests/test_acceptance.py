@@ -329,8 +329,9 @@ def test_criterion_10_flchain_band():
     split = k_fold_split(ds, 5, seed=0)
     surv = np.full(len(ds), np.nan)
     for fold in range(5):
-        tr, te = split.train_idx(fold), split.test_idx(fold)
-        train_ds, stats = standardize(ds.subset(tr))
+        tr, te = split != fold, split == fold
+        train_ds = standardize(ds.subset(tr))
+        stats = train_ds.standardization
         model = fit(train_ds, DcmConfig(n_clusters=3, hidden_dims=(100,), seed=fold))
         xte = (ds.features[te] - stats[0]) / stats[1]
         surv[te] = model.predict_survival(xte, h75)

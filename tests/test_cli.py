@@ -555,6 +555,43 @@ class TestFailedCommandDirectories:
         assert os.listdir(tmp_path) == ["afile"] and afile.read_text() == "kept\n"
 
 
+class TestFailedCommandOutputs:
+    """A command that fails after it has written files removes them and the
+    directories it made for --out; a file it did not write stays, and so
+    does the directory that holds it."""
+
+    @pytest.mark.parametrize("case", ["new_nested", "existing_with_user_file",
+                                      "made_parent_gains_a_file"])
+    def test_written_files_removed(self, cohort_dir, model_dir, tmp_path, capsys,
+                                   monkeypatch, case):
+        out = tmp_path / "od" / ("new" if case == "made_parent_gains_a_file" else "")
+        user_file = None if case == "new_nested" else tmp_path / "od" / "notes.txt"
+        if case == "existing_with_user_file":
+            out.mkdir()
+            user_file.write_text("kept\n")
+        written = []
+
+        def fail(tracker, args, extra=None):  # the last step of every command
+            written.extend(os.listdir(tracker.out_dir))
+            if case == "made_parent_gains_a_file":
+                user_file.write_text("kept\n")  # written by someone else meanwhile
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_echo_config", fail)
+        assert run(["eval", "--data", str(cohort_dir / "cohort.csv"), "--group-col", "group",
+                    "--model", str(model_dir / "model.json"), "--bootstrap", "0",
+                    "--dump-baselines", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "coxmix eval: error: disk full\n"
+        assert set(written) - {"notes.txt"} == {"baseline_0.csv", "baseline_1.csv",
+                                                "calibration_bins.csv", "report.csv",
+                                                "report.json"}
+        if user_file is None:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert os.listdir(tmp_path) == ["od"] and os.listdir(tmp_path / "od") == ["notes.txt"]
+            assert user_file.read_text() == "kept\n"
+
+
 class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -104,6 +104,17 @@ class TestLoadCsv:
         assert ds.feature_names == ("x",)
         np.testing.assert_array_equal(ds.features[:, 0], [1, 3] if header[0] == "x" else [2, 4])
 
+    def test_not_utf8_names_the_file(self, tmp_path):
+        # a Latin-1 export; the codec's bare message named neither file nor fix
+        path = tmp_path / "latin.csv"
+        path.write_bytes("x,time,event\n1,2,1\n\xe9,3,0\n".encode("latin-1"))
+        with pytest.raises(DatasetError, match=r"latin\.csv: the file is not UTF-8 text"):
+            load_csv(str(path), "time", "event")
+        # in a later chunk, after rows that parse
+        path.write_bytes(("x,time,event\n" + "1,2,1\n" * 3000 + "\xe9,3,0\n").encode("latin-1"))
+        with pytest.raises(DatasetError, match="not UTF-8"):
+            load_csv(str(path), "time", "event")
+
     @pytest.mark.parametrize("drop_missing", [False, True])
     @pytest.mark.parametrize("bad", [(), (1024,), (1025,), (1024, 1025), (2048, 3),
                                      (1023, 1026)])
@@ -135,7 +146,8 @@ class TestStandardize:
         ds = SurvivalDataset(
             features=np.array([[1.0], [3.0]]), times=np.array([1.0, 2.0]),
             events=np.array([1, 1]), feature_names=("x",))
-        out, (mean, std) = standardize(ds)
+        out = standardize(ds)
+        mean, std = out.standardization
         # sample (N-1) standard deviation of [1, 3] is sqrt(2)
         np.testing.assert_allclose(mean, [2.0])
         np.testing.assert_allclose(std, [np.sqrt(2.0)])
@@ -143,7 +155,7 @@ class TestStandardize:
 
     def test_zero_mean_unit_sd(self):
         ds = make_ds(n=200, d=3, seed=1)
-        out, _ = standardize(ds)
+        out = standardize(ds)
         np.testing.assert_allclose(out.features.mean(axis=0), 0, atol=1e-12)
         np.testing.assert_allclose(out.features.std(axis=0, ddof=1), 1, atol=1e-12)
 
@@ -151,9 +163,9 @@ class TestStandardize:
         ds = SurvivalDataset(
             features=np.array([[5.0], [5.0], [5.0]]), times=np.ones(3),
             events=np.ones(3, dtype=int), feature_names=("x",))
-        out, (mean, std) = standardize(ds)
+        out = standardize(ds)
         np.testing.assert_allclose(out.features, 0.0)
-        np.testing.assert_allclose(std, [1.0])
+        np.testing.assert_allclose(out.standardization[1], [1.0])
 
 
 class TestEventQuantiles:
@@ -185,22 +197,18 @@ class TestEventQuantiles:
 class TestKFold:
     def test_partition_and_balance(self):
         ds = make_ds(n=103)
-        split = k_fold_split(ds, 5, seed=7)
-        sizes = [len(split.test_idx(f)) for f in range(5)]
-        assert sum(sizes) == 103
+        fold_of = k_fold_split(ds, 5, seed=7)
+        assert fold_of.shape == (103,) and set(fold_of.tolist()) == set(range(5))
+        sizes = np.bincount(fold_of)
         assert max(sizes) - min(sizes) <= 1
-        all_test = np.concatenate([split.test_idx(f) for f in range(5)])
-        assert sorted(all_test.tolist()) == list(range(103))
-        for f in range(5):
-            assert not set(split.test_idx(f)) & set(split.train_idx(f))
 
     def test_deterministic(self):
         ds = make_ds(n=40)
         a = k_fold_split(ds, 4, seed=1)
         b = k_fold_split(ds, 4, seed=1)
-        np.testing.assert_array_equal(a.fold_assignments, b.fold_assignments)
+        np.testing.assert_array_equal(a, b)
         c = k_fold_split(ds, 4, seed=2)
-        assert np.any(a.fold_assignments != c.fold_assignments)
+        assert np.any(a != c)
 
     def test_k_bounds(self):
         ds = make_ds(n=5)
@@ -224,3 +232,11 @@ class TestSurvivalDataset:
         with pytest.raises(DatasetError):
             SurvivalDataset(features=np.zeros((2, 1)), times=np.ones(2),
                             events=np.array([1, 2]), feature_names=("x",))
+        # non-finite values used to train and predict without an error
+        for t in (np.nan, np.inf):
+            with pytest.raises(DatasetError, match="times must be finite"):
+                SurvivalDataset(features=np.zeros((2, 1)), times=np.array([1.0, t]),
+                                events=np.array([1, 0]), feature_names=("x",))
+        with pytest.raises(DatasetError, match="features must be finite"):
+            SurvivalDataset(features=np.array([[0.0], [np.nan]]), times=np.ones(2),
+                            events=np.array([1, 0]), feature_names=("x",))

@@ -159,13 +159,13 @@ class TestUpdateBaselines:
         from coxmix.dataset import event_quantiles
         from coxmix.estimators import kaplan_meier
         from coxmix.spline import fit_spline
-        ds = standardize(generate_cohort(SEPARATED_CONFIG)[0].subset(np.arange(1500)))[0]
+        ds = standardize(generate_cohort(SEPARATED_CONFIG)[0].subset(np.arange(1500)))
         horizons = event_quantiles(ds, (0.25, 0.5, 0.75))
         zeta = np.arange(len(ds)) % 2  # fixed, balanced assignments
         pooled = fit_spline(kaplan_meier(ds.times, ds.events))
 
         def predict(shift):
-            params, heads = neural.init_params((ds.n_features, 8), 2, 0)
+            params, heads = neural.init_params((ds.features.shape[1], 8), 2, 0)
             m = DcmModel(params, replace(heads, f_b=heads.f_b + shift), [pooled] * 2,
                          DcmConfig(n_clusters=2, hidden_dims=(8,)))
             update_baselines(m, m._heads_out(ds.features)[0], ds.times, ds.events, zeta)
@@ -178,7 +178,7 @@ class TestUpdateBaselines:
 def saved_model(tmp_path_factory):
     """A small fitted model and the parsed contents of its saved file."""
     ds, _ = generate_cohort(SEPARATED_CONFIG)
-    m = fit(standardize(ds.subset(np.arange(300)))[0],
+    m = fit(standardize(ds.subset(np.arange(300))),
             DcmConfig(n_clusters=2, hidden_dims=(4,), max_epochs=2, seed=0))
     path = tmp_path_factory.mktemp("model") / "model.json"
     m.save(path)
