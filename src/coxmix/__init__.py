@@ -2,6 +2,12 @@
 heads, nonparametric baseline estimation, spline-smoothed survival curves,
 and censoring-adjusted evaluation metrics."""
 
+import os
+
+# one OpenBLAS thread, unless the user set a count: its sums, and so the
+# output bytes, depend on the thread count. It must be set before numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from coxmix.dataset import SurvivalDataset, load_csv, standardize, event_quantiles, k_fold_split
 from coxmix.estimators import StepSurvivalCurve, kaplan_meier, censoring_km, breslow
 from coxmix.spline import SplineSurvivalCurve, fit_spline

@@ -15,7 +15,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -156,12 +156,11 @@ def cmd_synth(args, tracker):
 
 def cmd_train(args, tracker):
     ds = _load_dataset(args)
-    config = _dcm_config(args)
-    model = fit(standardize(ds), config)
+    model = fit(standardize(ds), _dcm_config(args))
     model.save(tracker.path("model.json"))
     log = model.training_log
     _write_csv(tracker.path("training_log.csv"), log[0].keys(), map(dict.values, log))
-    _echo_config(tracker, args, {"effective_dcm_config": asdict(config)})
+    _echo_config(tracker, args)
 
 
 # -- predict / eval ---------------------------------------------------------

@@ -371,6 +371,8 @@ def brier_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     if sample is None:
         sample = _Sample(times, events, g_curve).at(surv_probs, horizon, probabilities=True)
     pi, w, cases = sample.pi, sample.w, sample.cases()
+    if not w.any():
+        raise MetricError("no records")
     g_t = sample.g_curve(sample.horizon)
     if g_t <= 0:
         raise MetricError("horizon beyond censoring follow-up (G(t) = 0)")
@@ -501,18 +503,19 @@ def _stratum_metrics(surv_matrix, times, events, horizons, group,
 
 def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
                       n_replicates=100, seed=0, calibration=None):
-    """Every metric at every horizon for the full population and per
-    group. Each estimate is computed on the full stratum; its standard
-    error and n (the bootstrap replicates that define it) come from
-    n_replicates resamples of the stratum, each stratum and resample with
-    its own censoring fit; records is the stratum's size. Every stratum
-    below MIN_GROUP_SIZE records, the population included, gets NaN
-    estimates and n=0. Returns a list of MetricRow; raises MetricError on
-    a prediction that is not a probability, a time or horizon that is not
-    finite, an event other than 0 or 1, or inputs of different lengths. A
+    """Every metric at every horizon for the full population and per group.
+    Each estimate is computed on the full stratum; its standard error and n
+    (the bootstrap replicates that define it) come from n_replicates
+    resamples of the stratum, each stratum and resample with its own
+    censoring fit; records is the stratum's size. Every stratum below
+    MIN_GROUP_SIZE records, the population included, gets NaN estimates and
+    n=0. Returns a list of MetricRow; raises MetricError on a prediction
+    that is not a probability, a time or horizon that is not finite, an
+    event other than 0 or 1, inputs of different lengths, or group labels
+    whose stratum names (each label as text, and 'population') repeat. A
     ``calibration`` list receives the population's calibration_bins per
-    horizon, the bins its ECE is computed from, if the population is
-    scored (MetricError if they cannot be built)."""
+    horizon, the bins its ECE is computed from, if the population is scored
+    (MetricError if they cannot be built)."""
     times = np.asarray(times, dtype=float)
     events = np.asarray(events)
     if np.shape(surv_matrix) != (times.size, len(horizons)):
@@ -523,14 +526,15 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     _check_horizons(*horizons)
     if times.size < MIN_GROUP_SIZE:
         _Sample(times, events)  # checks them: no stratum is scored, so no other sample does
+    labels = [] if groups is None else sorted(set(np.asarray(groups).tolist()))
+    names, counts = np.unique(["population", *map(str, labels)], return_counts=True)
+    if np.any(counts > 1):  # "population" is the whole cohort's stratum
+        raise MetricError(f"group labels repeat the stratum names {names[counts > 1].tolist()}")
 
     rows = _stratum_metrics(surv_matrix, times, events, horizons,
                             "population", n_replicates, seed, calibration)
-    if groups is not None:
-        groups = np.asarray(groups)
-        for label in sorted(set(groups.tolist())):
-            mask = groups == label
-            rows.extend(_stratum_metrics(
-                surv_matrix[mask], times[mask], events[mask], horizons,
-                str(label), n_replicates, seed))
+    for label in labels:
+        mask = np.asarray(groups) == label
+        rows.extend(_stratum_metrics(surv_matrix[mask], times[mask], events[mask], horizons,
+                                     str(label), n_replicates, seed))
     return rows

@@ -27,7 +27,7 @@ from coxmix.spline import (
     spline_to_dict, spline_value_and_slope,
 )
 
-MODEL_FORMAT_VERSION = 2  # version 1 files still load: they hold every version-2 key
+MODEL_FORMAT_VERSION = 3  # versions 1 and 2 still load: they hold every version-3 key
 # config keys written by earlier releases; they only steered training, so
 # files that carry them still load and predict the same
 _RETIRED_CONFIG_KEYS = ("use_prior_in_estep", "baseline_smoothing",
@@ -68,14 +68,14 @@ class DcmModel:
     spline per cluster, and the standardization stats used at fit time."""
 
     def __init__(self, params, heads, baselines, config, standardization=None,
-                 feature_names=None, training_log=None):
+                 feature_names=None):
         self.params = params
         self.heads = heads
         self.baselines = list(baselines)
         self.config = config
         self.standardization = standardization
         self.feature_names = tuple(feature_names) if feature_names else None
-        self.training_log = training_log or []
+        self.training_log = []  # fit appends one entry per epoch; it is not saved
         if len(self.baselines) != config.n_clusters:
             raise ModelError("baseline count must equal n_clusters")
 
@@ -134,7 +134,6 @@ class DcmModel:
                 "g_w": self.heads.g_w.tolist(), "g_b": self.heads.g_b.tolist(),
             },
             "splines": [spline_to_dict(b) for b in self.baselines],
-            "training_log": self.training_log,
         }
         with atomic_write(path) as fh:
             json.dump(payload, fh, sort_keys=True)
@@ -148,10 +147,10 @@ class DcmModel:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelError(f"{path}: corrupt model file ({exc})") from None
         version = payload.get("format_version") if isinstance(payload, dict) else None
-        if version not in (1, MODEL_FORMAT_VERSION):
+        if version not in (1, 2, MODEL_FORMAT_VERSION):
             raise ModelError(
                 f"{path}: unsupported model format version {version!r}, "
-                f"expected 1 or {MODEL_FORMAT_VERSION}")
+                f"expected 1 to {MODEL_FORMAT_VERSION}")
         try:
             return cls._from_payload(payload)
         except ModelError as exc:
@@ -193,12 +192,11 @@ class DcmModel:
         if names is not None and (not isinstance(names, list) or len(names) != dims[0]
                                   or not all(isinstance(v, str) for v in names)):
             raise ModelError("feature_names disagree with the input width")
-        if len(payload["splines"]) != k or not isinstance(payload["training_log"], list):
-            raise ModelError("need one spline per cluster and a training_log list")
+        if len(payload["splines"]) != k:
+            raise ModelError("need one spline per cluster")
         return cls(params=params, heads=heads,
                    baselines=[spline_from_dict(d) for d in payload["splines"]],
-                   config=cfg, standardization=std, feature_names=names,
-                   training_log=payload["training_log"])
+                   config=cfg, standardization=std, feature_names=names)
 
 
 def _array(value, shape, what):

@@ -25,6 +25,13 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def subprocess_env():
+    """This environment, with the tested sources first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxmix.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="module")
 def cohort_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
@@ -117,8 +124,10 @@ class TestTrain:
         assert log[0] == ["epoch", "train_q", "val_q", "batch_loss",
                           "starved_clusters"]
         assert len(log) >= 2
-        cfg = json.loads((model_dir / "run_config.json").read_text())
-        assert cfg["effective_dcm_config"]["n_clusters"] == 2
+        model = json.loads((model_dir / "model.json").read_text())
+        assert model["config"]["n_clusters"] == 2
+        assert "effective_dcm_config" not in json.loads(
+            (model_dir / "run_config.json").read_text())
 
     def test_drop_columns(self, cohort_dir, tmp_path):
         code = run(["train", "--data", str(cohort_dir / "cohort.csv"),
@@ -494,13 +503,47 @@ def test_runs_without_scipy(tmp_path):
                  "--bootstrap", "2", "--dump-baselines", "--out", out + "/e"]):
             assert coxmix.cli.main(argv) == 0, argv
     """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(coxmix.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "e" / "report.csv").exists()
+
+
+@pytest.mark.skipif(
+    (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) < 2,
+    reason="OpenBLAS starts one thread per usable CPU, so one CPU gives one thread either way")
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Importing coxmix pins OpenBLAS to one thread unless
+    OPENBLAS_NUM_THREADS is set, so a two-layer train writes the same model
+    with the variable unset as at 1. Unset, OpenBLAS used to start one
+    thread per usable CPU, and its sums depend on the thread count."""
+    cohort = tmp_path / "s"
+    assert run(["synth", "--n", "1000", "--preset", "crossing", "--censoring", "0.3",
+                "--with-groups", "--seed", "8", "--out", str(cohort)]) == 0
+    env = subprocess_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    models = []
+    for name, threads in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxmix.cli", "train", "--data", str(cohort / "cohort.csv"),
+             "--group-col", "group", "--k", "3", "--layers", "100,100", "--epochs", "3",
+             "--out", str(tmp_path / name)],
+            env={**env, **threads}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        models.append((tmp_path / name / "model.json").read_bytes())
+    assert models[0] == models[1]
+
+
+def test_group_labelled_population_refused(cohort_dir, model_dir, tmp_path, capsys):
+    """A group labelled population was reported as a second population stratum."""
+    data = tmp_path / "cohort.csv"
+    data.write_text((cohort_dir / "cohort.csv").read_text().replace(",pos\n", ",population\n"))
+    out = tmp_path / "o"
+    assert run(["eval", "--data", str(data), "--group-col", "group",
+                "--model", str(model_dir / "model.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("coxmix eval: error: group labels"), err
+    assert not out.exists()
 
 
 def test_write_csv_takes_numpy_rows(tmp_path):

@@ -155,6 +155,13 @@ class TestInputChecks:
         with pytest.raises(MetricError, match="times must be finite"):
             self.call(metric, None, times, None)
 
+    @pytest.mark.parametrize("metric", [concordance_td, auc_ipcw, ece, brier_ipcw])
+    def test_no_records(self, metric):
+        # brier_ipcw returned NaN, with a RuntimeWarning from its 0 / 0
+        empty = np.empty(0)
+        with pytest.raises(MetricError):
+            self.call(metric, empty, empty, empty.astype(int))
+
     @pytest.mark.parametrize("n_bins", [0, -3])
     def test_no_bins(self, n_bins):
         pi, times, events, horizon = uncensored_instance(n=200)
@@ -309,6 +316,14 @@ class TestEce:
         with pytest.raises(MetricError):
             ece([0.5] * 5, [1.0] * 5, [1] * 5, horizon=0.5)
 
+    def test_all_bins_undefined_raises(self):
+        # every record is censored before the horizon, so no bin has a
+        # Kaplan-Meier estimate there
+        pi = np.linspace(0.1, 0.9, 40)
+        with pytest.warns(UserWarning, match="skipped 4 bin"):
+            with pytest.raises(MetricError, match="all calibration bins undefined"):
+                ece(pi, np.arange(1.0, 41.0), np.zeros(40, dtype=int), horizon=50.0, n_bins=4)
+
     def test_rejects_nan_predictions(self):
         # a NaN has no quantile bin; the shared binning must not place it
         pi, times, events, horizon = uncensored_instance(n=200)
@@ -378,6 +393,17 @@ class TestBrier:
         g = censoring_km(times, events)
         with pytest.raises(MetricError):
             brier_ipcw([0.5, 0.5], times, events, g, 10.0)
+
+    def test_event_with_near_zero_censoring_weight_dropped_with_warning(self):
+        # 10,000 records censored at t=1 leave G(2-) = 1/10001 below
+        # MIN_IPCW_DENOM for the one event at t=2; the censored records
+        # score 0, and so does the dropped event
+        times = np.append(np.ones(10000), 2.0)
+        events = np.append(np.zeros(10000, dtype=int), 1)
+        g = censoring_km(times, events)
+        assert g.eval_left(2.0) < MIN_IPCW_DENOM
+        with pytest.warns(UserWarning, match="dropped record"):
+            assert brier_ipcw(np.full(10001, 0.5), times, events, g, 3.0) == 0.0
 
     def test_rejects_nan_prediction_of_censored_row(self):
         # censored before the horizon, the row carries no weight, so the
@@ -457,6 +483,10 @@ class TestBootstrap:
             raise MetricError("nope")
         with pytest.raises(MetricError):
             bootstrap_se(broken, 10, n_replicates=5, seed=0)
+
+    def test_needs_two_records(self):
+        with pytest.raises(MetricError, match="need at least 2 records"):
+            bootstrap_se(lambda counts: 0.0, 1, n_replicates=5, seed=0)
 
     def test_counts_are_the_index_draws(self):
         # replicate b is the multiset of the index stream drawn before
@@ -630,6 +660,14 @@ class TestEvaluateByGroup:
         with pytest.raises(MetricError, match="surv_matrix contains predictions outside"):
             evaluate_by_group(pi[:, None], times, events, [1.0], groups=groups,
                               n_replicates=5)
+
+    def test_group_labelled_population_refused(self):
+        # it was reported as a second population stratum, next to the real one
+        pi, times, events = self.make_population(n=200)
+        groups = np.array(["population"] * 109 + ["other"] * 91)
+        with pytest.raises(MetricError, match=r"repeat the stratum names \['population'\]"):
+            evaluate_by_group(pi[:, None], times, events, [1.0], groups=groups,
+                              n_replicates=2)
 
     def test_shape_check(self):
         with pytest.raises(MetricError):

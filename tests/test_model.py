@@ -186,15 +186,14 @@ def saved_model(tmp_path_factory):
 
 
 def _dict_paths(node, prefix=()):
-    """Key paths of every dict entry in a saved model, training log aside."""
+    """Key paths of every dict entry in a saved model."""
     if isinstance(node, list):
         for i, value in enumerate(node):
             yield from _dict_paths(value, prefix + (i,))
     elif isinstance(node, dict):
         for key, value in node.items():
             yield prefix + (key,)
-            if key != "training_log":
-                yield from _dict_paths(value, prefix + (key,))
+            yield from _dict_paths(value, prefix + (key,))
 
 
 def _at(payload, path):
@@ -282,6 +281,23 @@ class TestPersistence:
         with pytest.raises(ModelError):
             DcmModel.load(path)
 
+    @pytest.mark.parametrize("path, change, message", [
+        (("mlp", "biases"), lambda v: [], "one weight matrix and one bias per hidden layer"),
+        (("standardization", "std"), lambda v: [0.0, *v[1:]], "std must be positive"),
+        (("feature_names",), lambda v: v[:-1], "feature_names disagree with the input width"),
+        (("splines",), lambda v: v[:-1], "need one spline per cluster"),
+    ], ids=["layer_count", "std", "feature_names", "spline_count"])
+    def test_inconsistent_file_names_its_fault(self, saved_model, tmp_path, path, change,
+                                               message):
+        _, payload = saved_model
+        payload = json.loads(json.dumps(payload))
+        *owner, key = path
+        _at(payload, owner)[key] = change(_at(payload, owner)[key])
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(ModelError, match=message):
+            DcmModel.load(p)
+
     def test_subnormal_knot_spacing_raises_model_error(self, saved_model, tmp_path):
         # the knots pass the increasing check, but the derived tail hazard
         # and coefficient table used to be inf and NaN
@@ -307,7 +323,7 @@ class TestPersistence:
         np.testing.assert_allclose(m2.predict_survival(x, grid),
                                    m.predict_survival(x, grid), atol=1e-12)
         assert m2.config == m.config
-        assert m2.training_log == m.training_log
+        assert m.training_log and m2.training_log == []  # training_log.csv holds it
 
     def test_corrupt_file(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -321,19 +337,21 @@ class TestPersistence:
         with pytest.raises(ModelError, match="version"):
             DcmModel.load(p)
 
-    @pytest.mark.parametrize("version", [0, 3, "2", None])
-    def test_only_formats_1_and_2_load(self, saved_model, tmp_path, version):
+    @pytest.mark.parametrize("version", [0, 4, "3", None])
+    def test_only_formats_1_to_3_load(self, saved_model, tmp_path, version):
         _, payload = saved_model
         p = tmp_path / "model.json"
         p.write_text(json.dumps({**payload, "format_version": version}))
-        with pytest.raises(ModelError, match="version .* expected 1 or 2"):
+        with pytest.raises(ModelError, match="version .* expected 1 to 3"):
             DcmModel.load(p)
 
     def test_saved_file_stores_no_derived_field(self, saved_model):
         # each spline's tail follows from its knots and values, and the
-        # encoder's widths from the weights and config.hidden_dims
+        # encoder's widths from the weights and config.hidden_dims; the
+        # per-epoch log is training_log.csv's, not the model's
         _, payload = saved_model
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
+        assert "training_log" not in payload
         assert set(payload["mlp"]) == {"weights", "biases"}
         for s in payload["splines"]:
             assert set(s) == {"knots", "values"}
@@ -354,6 +372,20 @@ class TestPersistence:
         grid = np.array([0.0, 0.5, 1.0, 2.0, 50.0])
         assert np.array_equal(m1.predict_survival(x, grid), m.predict_survival(x, grid))
         assert m1.params.layer_dims == m.params.layer_dims
+
+    def test_format_2_file_loads_and_predicts_the_same(self, saved_model, tmp_path):
+        # format 2 also stored the per-epoch training log; it is ignored
+        m, payload = saved_model
+        old = {**payload, "format_version": 2,
+               "training_log": [{"epoch": 0, "train_q": 1.5, "val_q": 1.25,
+                                 "batch_loss": 1.75, "starved_clusters": 0}]}
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(old, sort_keys=True))
+        m2 = DcmModel.load(path)
+        x = np.random.default_rng(2).normal(size=(30, 3))
+        grid = np.array([0.0, 0.5, 1.0, 2.0, 50.0])
+        assert np.array_equal(m2.predict_survival(x, grid), m.predict_survival(x, grid))
+        assert m2.config == m.config and m2.training_log == []
 
 
 class TestFit:
@@ -481,6 +513,17 @@ class TestFit:
         q = expected_q_loss(m, ds.features[300:400], ds.times[300:400],
                             ds.events[300:400])
         assert np.isfinite(q)
+
+    def test_no_events_in_the_training_split_raises(self):
+        # fit (seed 0) holds out the first 2 rows of a permutation of 20 to
+        # validate on; those 2 are the only events
+        ds, _ = generate_cohort(SEPARATED_CONFIG)
+        events = np.zeros(20, dtype=int)
+        events[np.random.default_rng(0).permutation(20)[:2]] = 1
+        bad = SurvivalDataset(features=ds.features[:20], times=ds.times[:20],
+                              events=events, feature_names=ds.feature_names)
+        with pytest.raises(ModelError, match="no events left in the training split"):
+            fit(bad, DcmConfig(n_clusters=2, seed=0))
 
     def test_no_events_raises(self):
         ds, _ = generate_cohort(SEPARATED_CONFIG)
