@@ -176,8 +176,9 @@ def cmd_predict(args, tracker):
 
 
 def _write_report(tracker, rows):
-    """report.csv and report.json, one entry per MetricRow; an undefined
-    estimate or SE is a blank cell in the CSV and null in the JSON."""
+    """report.csv and report.json, one entry per MetricRow; a NaN (an undefined
+    estimate or SE, an unscored stratum's dropped) is a blank cell in the CSV
+    and null in the JSON."""
     header = [f.name for f in fields(metrics_mod.MetricRow)]
     table = [[None if v != v else v for v in astuple(r)] for r in rows]  # NaN != NaN
     _write_csv(tracker.path("report.csv"), header, table)  # csv writes None as ""

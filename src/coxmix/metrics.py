@@ -10,7 +10,6 @@ to avoid the event's own censoring contribution.
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,15 +350,12 @@ def ece(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS, *, sample=N
     survival probability; within each bin the Kaplan-Meier survival at the
     horizon is compared to the mean prediction. Bins whose Kaplan-Meier
     estimate is undefined at the horizon (follow-up ends earlier with a
-    censored subject) are skipped with a warning and the divisor reduced.
+    censored subject) are skipped and the divisor reduced.
     ``bins``, if given, are calibration_bins of the same arguments.
     """
     if bins is None:
         bins = calibration_bins(surv_probs, times, events, horizon, n_bins, sample=sample)
     gaps = [abs(km - mean) for mean, km, _, defined in bins if defined]
-    if len(gaps) < len(bins):
-        warnings.warn(f"ece: skipped {len(bins) - len(gaps)} bin(s) with undefined "
-                      f"Kaplan-Meier at the horizon", stacklevel=2)
     if not gaps:
         raise MetricError("all calibration bins undefined at this horizon")
     return float(np.sum(gaps) / len(gaps))
@@ -376,11 +372,7 @@ def brier_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     g_t = sample.g_curve(sample.horizon)
     if g_t <= 0:
         raise MetricError("horizon beyond censoring follow-up (G(t) = 0)")
-    due = sample.due
-    if np.count_nonzero(cases) < np.count_nonzero(w[due]):
-        warnings.warn("brier_ipcw: dropped record(s) with near-zero censoring "
-                      "weight denominator", stacklevel=2)
-    cases, late = due[cases], sample.late
+    cases, late = sample.due[cases], sample.late
     terms = np.zeros_like(pi)
     terms[cases] = pi[cases] ** 2 / sample.g_left[cases]
     terms[late] = (1.0 - pi[late]) ** 2 / (g_t if g_t > MIN_IPCW_DENOM else np.inf)
@@ -434,6 +426,7 @@ class MetricRow:
     se: float
     n: int
     records: int
+    dropped: float  # an int; NaN where the stratum is not scored
 
 
 METRIC_NAMES = ("concordance_td", "auc_ipcw", "ece", "brier_ipcw")
@@ -473,22 +466,26 @@ def _sample_metrics(samples, counts=None, bins=None):
 
 
 def _stratum_metrics(surv_matrix, times, events, horizons, group,
-                     n_replicates, seed, calibration=None):
+                     n_replicates, seed, calibration):
     """Estimates on the full stratum, with SEs over bootstrap resamples of
     it; each resample is drawn as record counts and scored once for all
-    metrics on the stratum's records, whose sorts it shares. A
+    metrics on the stratum's records, whose sorts it shares. The
     ``calibration`` list receives the stratum's calibration bins per
     horizon, the ones its ECE is computed from. A stratum below
-    MIN_GROUP_SIZE records is not scored: its estimates are NaN, with n=0."""
+    MIN_GROUP_SIZE records is not scored: its estimates and dropped counts
+    are NaN, with n=0."""
     if len(times) < MIN_GROUP_SIZE:
-        return [MetricRow(name, float(h), group, np.nan, np.nan, 0, len(times))
+        return [MetricRow(name, float(h), group, np.nan, np.nan, 0, len(times), np.nan)
                 for h in horizons for name in METRIC_NAMES]
     samples = _stratum_samples(surv_matrix, times, events, horizons)
-    bins = None
-    if calibration is not None:
-        bins = [calibration_bins(s.pi, s.times, s.events, s.horizon, sample=s) for s in samples]
-        calibration.extend(bins)
+    # a scored stratum has MIN_GROUP_SIZE >= DEFAULT_ECE_BINS records: this cannot raise
+    bins = [calibration_bins(s.pi, s.times, s.events, s.horizon, sample=s) for s in samples]
+    calibration.extend(bins)
     estimate = _sample_metrics(samples, bins=bins)
+    # per horizon, what the estimates leave out: the events by the horizon
+    # that are not IPCW cases and (at name == "ece") the undefined bins
+    dropped = [(int(np.count_nonzero(~s.cases())), sum(not ok for *_, ok in b))
+               for s, b in zip(samples, bins)]
     try:
         _, se, _, defined = bootstrap_se(
             lambda counts: _sample_metrics(samples, counts),
@@ -496,7 +493,8 @@ def _stratum_metrics(surv_matrix, times, events, horizons, group,
     except MetricError:
         se, defined = np.full(estimate.shape, np.nan), np.zeros(estimate.shape, dtype=int)
     return [MetricRow(name, float(horizon), group, float(estimate[h_idx, m_idx]),
-                      float(se[h_idx, m_idx]), int(defined[h_idx, m_idx]), len(times))
+                      float(se[h_idx, m_idx]), int(defined[h_idx, m_idx]), len(times),
+                      dropped[h_idx][name == "ece"])
             for h_idx, horizon in enumerate(horizons)
             for m_idx, name in enumerate(METRIC_NAMES)]
 
@@ -507,15 +505,18 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     Each estimate is computed on the full stratum; its standard error and n
     (the bootstrap replicates that define it) come from n_replicates
     resamples of the stratum, each stratum and resample with its own
-    censoring fit; records is the stratum's size. Every stratum below
-    MIN_GROUP_SIZE records, the population included, gets NaN estimates and
+    censoring fit; records is the stratum's size. dropped counts what the
+    estimate leaves out of the stratum: for concordance_td, auc_ipcw and
+    brier_ipcw the events by the horizon with G(T-) <= MIN_IPCW_DENOM, for
+    ece the calibration bins undefined at the horizon; the resamples apply
+    the same rules uncounted. Every stratum below MIN_GROUP_SIZE records,
+    the population included, gets NaN estimates and dropped counts, and
     n=0. Returns a list of MetricRow; raises MetricError on a prediction
     that is not a probability, a time or horizon that is not finite, an
     event other than 0 or 1, inputs of different lengths, or group labels
     whose stratum names (each label as text, and 'population') repeat. A
     ``calibration`` list receives the population's calibration_bins per
-    horizon, the bins its ECE is computed from, if the population is scored
-    (MetricError if they cannot be built)."""
+    horizon, the bins its ECE is computed from, if the population is scored."""
     times = np.asarray(times, dtype=float)
     events = np.asarray(events)
     if np.shape(surv_matrix) != (times.size, len(horizons)):
@@ -531,10 +532,10 @@ def evaluate_by_group(surv_matrix, times, events, horizons, groups=None,
     if np.any(counts > 1):  # "population" is the whole cohort's stratum
         raise MetricError(f"group labels repeat the stratum names {names[counts > 1].tolist()}")
 
-    rows = _stratum_metrics(surv_matrix, times, events, horizons,
-                            "population", n_replicates, seed, calibration)
+    rows = _stratum_metrics(surv_matrix, times, events, horizons, "population",
+                            n_replicates, seed, [] if calibration is None else calibration)
     for label in labels:
         mask = np.asarray(groups) == label
         rows.extend(_stratum_metrics(surv_matrix[mask], times[mask], events[mask], horizons,
-                                     str(label), n_replicates, seed))
+                                     str(label), n_replicates, seed, []))
     return rows

@@ -147,7 +147,7 @@ class DcmModel:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelError(f"{path}: corrupt model file ({exc})") from None
         version = payload.get("format_version") if isinstance(payload, dict) else None
-        if version not in (1, 2, MODEL_FORMAT_VERSION):
+        if type(version) is not int or not 1 <= version <= MODEL_FORMAT_VERSION:  # not True or 1.0
             raise ModelError(
                 f"{path}: unsupported model format version {version!r}, "
                 f"expected 1 to {MODEL_FORMAT_VERSION}")
@@ -192,8 +192,6 @@ class DcmModel:
         if names is not None and (not isinstance(names, list) or len(names) != dims[0]
                                   or not all(isinstance(v, str) for v in names)):
             raise ModelError("feature_names disagree with the input width")
-        if len(payload["splines"]) != k:
-            raise ModelError("need one spline per cluster")
         return cls(params=params, heads=heads,
                    baselines=[spline_from_dict(d) for d in payload["splines"]],
                    config=cfg, standardization=std, feature_names=names)

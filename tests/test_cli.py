@@ -218,7 +218,8 @@ class TestEval:
                     "--dump-baselines", "--out", str(tmp_path)])
         assert code == 0
         report = read_csv(tmp_path / "report.csv")
-        assert report[0] == ["metric", "horizon", "group", "estimate", "se", "n", "records"]
+        assert report[0] == ["metric", "horizon", "group", "estimate", "se", "n", "records",
+                             "dropped"]
         groups = {r[2] for r in report[1:]}
         assert groups == {"population", "pos", "neg"}
         cal = read_csv(tmp_path / "calibration_bins.csv")
@@ -227,9 +228,10 @@ class TestEval:
         assert (tmp_path / "baseline_1.csv").exists()
         js = json.loads((tmp_path / "report.json").read_text())
         assert all(set(r) == {"metric", "horizon", "group", "estimate",
-                              "se", "n", "records"} for r in js)
+                              "se", "n", "records", "dropped"} for r in js)
         n_rows = len(read_csv(cohort_dir / "cohort.csv")) - 1
         assert {r["records"] for r in js if r["group"] == "population"} == {n_rows}
+        assert all(type(r["dropped"]) is int and r["dropped"] >= 0 for r in js)
 
 
 class TestCv:
@@ -380,8 +382,8 @@ class TestSmallCohort:
         groups = [row[-1] for row in read_csv(cohort)[1:]]
         sizes = {"population": len(groups), **{g: groups.count(g) for g in set(groups)}}
         assert len(report) == 1 + 4 * 3 * len(sizes)
-        for metric, horizon, group, estimate, se, n, records in report[1:]:
-            assert (estimate, se, n, records) == ("", "", "0", str(sizes[group]))
+        for metric, horizon, group, estimate, se, n, records, dropped in report[1:]:
+            assert (estimate, se, n, records, dropped) == ("", "", "0", str(sizes[group]), "")
 
     def test_eval(self, small, tmp_path):
         out, data = small

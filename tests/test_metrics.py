@@ -17,6 +17,12 @@ def flat_g():
     return StepSurvivalCurve(knot_times=np.array([]), cum_hazard=np.array([]))
 
 
+def dropped_in_report(pi, times, events, horizon):
+    """{metric: (estimate, dropped)} of the population row at the horizon."""
+    rows = evaluate_by_group(np.asarray(pi)[:, None], times, events, [horizon], n_replicates=0)
+    return {r.metric: (r.estimate, r.dropped) for r in rows if r.group == "population"}
+
+
 def uncensored_instance(seed=0, n=60, horizon=2.0):
     rng = np.random.default_rng(seed)
     times = rng.exponential(1.5, n)
@@ -303,14 +309,16 @@ class TestEce:
         bad = ece(np.full(n, 0.9), times, events, horizon=1.0)
         assert bad > good + 0.3
 
-    def test_undefined_bins_skipped_with_warning(self):
-        # horizon beyond every bin's follow-up, which ends censored
+    def test_undefined_bins_skipped_and_counted(self):
+        # horizon beyond the follow-up of the bins holding the last 10
+        # records, which ends censored; the report counts those bins
         times = np.concatenate([np.ones(30), np.full(10, 2.0)])
         events = np.concatenate([np.ones(30, dtype=int), np.zeros(10, dtype=int)])
         pi = np.linspace(0.1, 0.9, 40)
-        with pytest.warns(UserWarning, match="skipped"):
-            val = ece(pi, times, events, horizon=5.0, n_bins=4)
+        val = ece(pi, times, events, horizon=5.0, n_bins=4)
         assert np.isfinite(val)
+        estimate, dropped = dropped_in_report(pi, times, events, 5.0)["ece"]
+        assert np.isfinite(estimate) and dropped == 5  # of 20 bins
 
     def test_too_few_records(self):
         with pytest.raises(MetricError):
@@ -320,9 +328,11 @@ class TestEce:
         # every record is censored before the horizon, so no bin has a
         # Kaplan-Meier estimate there
         pi = np.linspace(0.1, 0.9, 40)
-        with pytest.warns(UserWarning, match="skipped 4 bin"):
-            with pytest.raises(MetricError, match="all calibration bins undefined"):
-                ece(pi, np.arange(1.0, 41.0), np.zeros(40, dtype=int), horizon=50.0, n_bins=4)
+        times, events = np.arange(1.0, 41.0), np.zeros(40, dtype=int)
+        with pytest.raises(MetricError, match="all calibration bins undefined"):
+            ece(pi, times, events, horizon=50.0, n_bins=4)
+        estimate, dropped = dropped_in_report(pi, times, events, 50.0)["ece"]
+        assert np.isnan(estimate) and dropped == 20
 
     def test_rejects_nan_predictions(self):
         # a NaN has no quantile bin; the shared binning must not place it
@@ -394,16 +404,20 @@ class TestBrier:
         with pytest.raises(MetricError):
             brier_ipcw([0.5, 0.5], times, events, g, 10.0)
 
-    def test_event_with_near_zero_censoring_weight_dropped_with_warning(self):
+    def test_event_with_near_zero_censoring_weight_dropped_and_counted(self):
         # 10,000 records censored at t=1 leave G(2-) = 1/10001 below
         # MIN_IPCW_DENOM for the one event at t=2; the censored records
-        # score 0, and so does the dropped event
+        # score 0, and so does the dropped event, which every IPCW metric
+        # reports as dropped
         times = np.append(np.ones(10000), 2.0)
         events = np.append(np.zeros(10000, dtype=int), 1)
         g = censoring_km(times, events)
         assert g.eval_left(2.0) < MIN_IPCW_DENOM
-        with pytest.warns(UserWarning, match="dropped record"):
-            assert brier_ipcw(np.full(10001, 0.5), times, events, g, 3.0) == 0.0
+        pi = np.full(10001, 0.5)
+        assert brier_ipcw(pi, times, events, g, 3.0) == 0.0
+        report = dropped_in_report(pi, times, events, 3.0)
+        assert report["brier_ipcw"] == (0.0, 1)
+        assert report["concordance_td"][1] == report["auc_ipcw"][1] == 1
 
     def test_rejects_nan_prediction_of_censored_row(self):
         # censored before the horizon, the row carries no weight, so the

@@ -285,7 +285,7 @@ class TestPersistence:
         (("mlp", "biases"), lambda v: [], "one weight matrix and one bias per hidden layer"),
         (("standardization", "std"), lambda v: [0.0, *v[1:]], "std must be positive"),
         (("feature_names",), lambda v: v[:-1], "feature_names disagree with the input width"),
-        (("splines",), lambda v: v[:-1], "need one spline per cluster"),
+        (("splines",), lambda v: v[:-1], "baseline count must equal n_clusters"),
     ], ids=["layer_count", "std", "feature_names", "spline_count"])
     def test_inconsistent_file_names_its_fault(self, saved_model, tmp_path, path, change,
                                                message):
@@ -337,7 +337,7 @@ class TestPersistence:
         with pytest.raises(ModelError, match="version"):
             DcmModel.load(p)
 
-    @pytest.mark.parametrize("version", [0, 4, "3", None])
+    @pytest.mark.parametrize("version", [0, 4, "3", None, True, 1.0, 2.0, 3.0])
     def test_only_formats_1_to_3_load(self, saved_model, tmp_path, version):
         _, payload = saved_model
         p = tmp_path / "model.json"

@@ -158,10 +158,8 @@ def test_shared_sample_matches_metrics_called_alone(cohort, n_horizons):
     _, times, events, _, rng = cohort
     surv = np.round(rng.random((times.size, n_horizons)), rng.integers(1, 3))
     horizons = [float(t) for t in rng.choice(times, n_horizons)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # ECE's skipped-bin warning
-        got = metrics._sample_metrics(metrics._stratum_samples(surv, times, events, horizons))
-        want = metrics_called_alone(surv, times, events, horizons)
+    got = metrics._sample_metrics(metrics._stratum_samples(surv, times, events, horizons))
+    want = metrics_called_alone(surv, times, events, horizons)
     assert np.array_equal(got, want, equal_nan=True)
 
     for x in (times, surv[:, 0]):
@@ -198,32 +196,55 @@ def test_weighted_kaplan_meier_is_the_expanded_records(cohort):
 
 
 @SETTINGS
-@given(cohorts(min_size=20, max_size=80), st.integers(1, 3), st.integers(2, 12))
-def test_count_weighted_replicates_match_materialised_resamples(cohort, n_horizons, n_replicates):
+@given(cohorts(min_size=20, max_size=80), st.integers(1, 3), st.integers(2, 12),
+       st.sampled_from([MIN_IPCW_DENOM, 0.8]))
+def test_count_weighted_replicates_match_materialised_resamples(cohort, n_horizons, n_replicates,
+                                                                min_denom):
     """Each bootstrap replicate, scored as record counts on the stratum's
     own records, gives the SE of the replicates materialised as np.sort(idx)
     and scored from scratch within 1e-12 relative, and the same number of
     replicates defining each value, on tied times, tied predictions and
-    censoring; the estimates keep the bits of the metrics called alone."""
+    censoring; the estimates keep the bits of the metrics called alone.
+    Every stratum's dropped counts are those of the events by the horizon
+    below MIN_IPCW_DENOM on its own censoring fit and of the undefined
+    calibration bins, and blank for a stratum too small to score. G(T-) is
+    at least 1/n, so below 10^4 records only a raised MIN_IPCW_DENOM drops
+    events."""
     _, times, events, _, rng = cohort
     surv = np.round(rng.random((times.size, n_horizons)), 2)
     horizons = [float(t) for t in rng.choice(times, n_horizons)]
     seed = int(rng.integers(2 ** 31))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # ECE's skipped-bin warning
-        rows = metrics.evaluate_by_group(surv, times, events, horizons,
+    groups = rng.integers(0, 3, times.size)
+    with mock.patch.object(metrics, "MIN_IPCW_DENOM", min_denom):
+        rows = metrics.evaluate_by_group(surv, times, events, horizons, groups,
                                          n_replicates=n_replicates, seed=seed)
         want = metrics_called_alone(surv, times, events, horizons)
         _, want_se, used, want_n = bootstrap_se(
             materialised_replicate(surv, times, events, horizons), times.size,
             n_replicates, seed)
     assert used == n_replicates
-    got = np.array([(r.estimate, r.se, r.n) for r in rows]).reshape(*want.shape, 3)
+    got = np.array([(r.estimate, r.se, r.n) for r in rows if r.group == "population"])
+    got = got.reshape(*want.shape, 3)
     assert np.array_equal(got[..., 0], want, equal_nan=True)
     assert np.array_equal(got[..., 2], want_n)
     # atol: the SE of replicates that agree to many digits carries their
     # last-bit rounding, which the two summation orders do not share
     np.testing.assert_allclose(got[..., 1], want_se, rtol=1e-12, atol=1e-14)
+
+    strata = {"population": np.full(times.size, True),
+              **{str(g): groups == g for g in np.unique(groups)}}
+    for i, r in enumerate(rows):  # per stratum, horizon-major
+        mask = strata[r.group]
+        t, e = times[mask], events[mask]
+        if t.size < metrics.MIN_GROUP_SIZE:
+            assert np.isnan(r.dropped)
+        elif r.metric == "ece":
+            pi = surv[mask, i // len(METRIC_NAMES) % n_horizons]
+            assert r.dropped == sum(not ok for *_, ok in calibration_bins(pi, t, e, r.horizon))
+        else:
+            g = censoring_km(t, e)
+            due = (e == 1) & (t <= r.horizon)
+            assert r.dropped == np.count_nonzero(g.eval_left(t[due]) <= min_denom)
 
 
 @SETTINGS
@@ -246,11 +267,9 @@ def test_resampled_calibration_bins_are_the_copies(cohort, n_bins, n_horizons):
     surv = np.round(rng.random((n, n_horizons)), 2)
     horizons = [float(t) for t in rng.choice(times, n_horizons)]
     col = METRIC_NAMES.index("ece")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # ECE's skipped-bin warning
-        got = metrics._sample_metrics(metrics._stratum_samples(surv, times, events, horizons),
-                                      counts)
-        want = materialised_replicate(surv, times, events, horizons)(counts)
+    got = metrics._sample_metrics(metrics._stratum_samples(surv, times, events, horizons),
+                                  counts)
+    want = materialised_replicate(surv, times, events, horizons)(counts)
     assert got[:, col].tobytes() == want[:, col].tobytes()
 
 
