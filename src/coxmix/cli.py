@@ -95,14 +95,14 @@ def _resolve_horizons(spec, ds):
     return out
 
 
-def _dcm_config(args, seed_offset=0, **overrides):
+def _dcm_config(args, **overrides):
     """The training flags as a DcmConfig; ``overrides`` replace fields
-    (the grid search sets n_clusters and hidden_dims)."""
+    (cv sets each fold's seed, and the grid n_clusters and hidden_dims)."""
     hidden = tuple(int(v) for v in args.layers.split(",") if v.strip())
     return DcmConfig(**{
         "n_clusters": args.k, "hidden_dims": hidden, "lr": args.lr,
         "batch_size": args.batch, "max_epochs": args.epochs,
-        "patience": args.patience, "seed": args.seed + seed_offset, **overrides})
+        "patience": args.patience, "seed": args.seed, **overrides})
 
 
 # -- synth ----------------------------------------------------------------
@@ -289,46 +289,40 @@ def cmd_cv(args, tracker):
         raise metrics_mod.MetricError(
             f"--grid needs {metrics_mod.MIN_GROUP_SIZE} records, not {len(ds)}")
     horizons = _resolve_horizons(args.horizons, ds)
+    configs = ([{"n_clusters": k, "hidden_dims": (width,) * layers}
+                for k, layers, width in _GRID] if args.grid else [{}])  # {}: the flags alone
+    # every fit's configuration, validated before any split, fit or fork
+    tasks = [(_dcm_config(args, seed=args.seed + fold, **overrides), fold)
+             for overrides in configs for fold in range(args.folds)]
     fold_of = k_fold_split(ds, args.folds, args.seed)
     folds = [(standardize(ds.subset(fold_of != fold)), fold_of == fold)
              for fold in range(args.folds)]
-    configs = ([{"n_clusters": k, "hidden_dims": (width,) * layers}
-                for k, layers, width in _GRID] if args.grid else [{}])  # {}: the flags alone
 
     def fit_fold(task):
-        overrides, fold = task
+        config, fold = task
         train, te = folds[fold]
-        model = fit(train, _dcm_config(args, fold, **overrides))
-        return model.predict_dataset(ds.subset(te), horizons)
+        return fit(train, config).predict_dataset(ds.subset(te), horizons)
 
-    preds = iter(_map_forked(fit_fold, [(overrides, fold) for overrides in configs
-                                        for fold in range(args.folds)]))
-    pooled = []
-    for _ in configs:
-        surv = np.full((len(ds), len(horizons)), np.nan)
-        for _, te in folds:
-            surv[te] = next(preds)
-        pooled.append(surv)
+    pooled = np.full((len(configs), len(ds), len(horizons)), np.nan)  # [configuration, record]
+    for i, surv in enumerate(_map_forked(fit_fold, tasks)):
+        pooled[i // args.folds, folds[i % args.folds][1]] = surv
 
-    surv = pooled[0]  # the one configuration, unless --grid selects another
+    best = 0  # the one configuration, unless --grid selects another
     extra = {"horizons": horizons}
     if args.grid:
         g = censoring_km(ds.times, ds.events)
-        results = []
-        for config, surv in zip(_GRID, pooled):
-            briers = [metrics_mod.brier_ipcw(surv[:, i], ds.times, ds.events, g, h)
-                      for i, h in enumerate(horizons)]
-            results.append((config, float(np.mean(briers)), surv))
-        results.sort(key=lambda r: (r[1], r[0]))
-        (k, layers, width), best_brier, surv = results[0]
-        grid_rows = [[f"k={r[0][0]},layers={r[0][1]},width={r[0][2]}", r[1]]
-                     for r in results]
-        _write_csv(tracker.path("grid.csv"), ["config", "mean_brier"], grid_rows)
+        briers = [float(np.mean([metrics_mod.brier_ipcw(surv[:, i], ds.times, ds.events, g, h)
+                                 for i, h in enumerate(horizons)])) for surv in pooled]
+        order = sorted(range(len(_GRID)), key=lambda c: (briers[c], _GRID[c]))
+        _write_csv(tracker.path("grid.csv"), ["config", "mean_brier"],
+                   [["k={},layers={},width={}".format(*_GRID[c]), briers[c]] for c in order])
+        best = order[0]
+        k, layers, width = _GRID[best]
         extra["selected"] = {"k": k, "layers": layers, "width": width,
-                             "mean_brier": best_brier}
+                             "mean_brier": briers[best]}
 
     rows = metrics_mod.evaluate_by_group(
-        surv, ds.times, ds.events, horizons, ds.groups,
+        pooled[best], ds.times, ds.events, horizons, ds.groups,
         n_replicates=args.bootstrap, seed=args.seed)
     _write_report(tracker, rows)
     _echo_config(tracker, args, extra)

@@ -87,11 +87,15 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
     """Load a survival dataset from a comma-separated file with a header row.
 
     All columns other than the time, event, group and drop_columns columns
-    are treated as numeric features. Column names must be unique and every
-    drop_columns name must be in the header. A row whose time, event or a
-    feature is missing, non-numeric or non-finite raises a DatasetError
-    naming the row unless drop_missing is set, in which case it is dropped.
+    are treated as numeric features. Column names must be unique, the time,
+    event and group columns distinct, and every drop_columns name must be in
+    the header. A row whose time, event or a feature is missing, non-numeric
+    or non-finite raises a DatasetError naming the row unless drop_missing
+    is set, in which case it is dropped.
     """
+    named = [c for c in (time_col, event_col, group_col) if c is not None]
+    if len(set(named)) < len(named):
+        raise DatasetError(f"the time, event and group columns must differ, got {named}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: a BOM is not part of a name
             reader = csv.reader(fh)

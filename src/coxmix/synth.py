@@ -18,6 +18,9 @@ from coxmix.dataset import SurvivalDataset
 from coxmix.model import sample_assignments
 from coxmix.neural import log_softmax
 
+CENSORING_TOL = 0.02      # calibrated censored fraction: within this of the target
+CENSORING_MAX_STEPS = 60  # bisection steps before the calibration gives up
+
 
 class SynthError(ValueError):
     pass
@@ -171,10 +174,9 @@ def config_from_sidecar(sidecar):
     return SynthConfig(n=1, clusters=clusters, gating=tuple(tuple(row) for row in gating))
 
 
-def _calibrate_censoring(event_times, uniform_draws, target, tol=0.02,
-                         max_steps=60):
-    """Bisection on the exponential censoring rate so the observed
-    censored fraction hits the target within +-tol, or, when no attainable
+def _calibrate_censoring(event_times, uniform_draws, target):
+    """Bisection on the exponential censoring rate so the observed censored
+    fraction hits the target within CENSORING_TOL, or, when no attainable
     fraction k/n lies that close, the nearest attainable one. The fraction
     is monotone in the rate for fixed draws."""
     def frac(rate):
@@ -182,16 +184,16 @@ def _calibrate_censoring(event_times, uniform_draws, target, tol=0.02,
         return float(np.mean(event_times > c))
 
     miss = np.abs(np.arange(event_times.size + 1) / event_times.size - target)
-    if not (miss <= tol).any():
+    if not (miss <= CENSORING_TOL).any():
         target = np.argmin(miss) / event_times.size
 
     lo, hi = 1e-9, 1.0
     while frac(hi) < target and hi < 1e12:
         hi *= 4.0
-    for _ in range(max_steps):
+    for _ in range(CENSORING_MAX_STEPS):
         mid = np.sqrt(lo * hi)
         f = frac(mid)
-        if abs(f - target) <= tol:
+        if abs(f - target) <= CENSORING_TOL:
             return mid
         if f < target:
             lo = mid
@@ -199,4 +201,4 @@ def _calibrate_censoring(event_times, uniform_draws, target, tol=0.02,
             hi = mid
     raise SynthError(
         f"censoring calibration did not converge to {target:.3f} "
-        f"within {max_steps} bisection steps")
+        f"within {CENSORING_MAX_STEPS} bisection steps")

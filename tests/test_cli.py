@@ -312,6 +312,21 @@ class TestForkedFits:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--grid", "--batch", "8"), "batch_size must be at least 2 * n_clusters"),
+        (("--epochs", "0"), "max_epochs and patience must be >= 1"),
+    ])
+    def test_invalid_configuration_fails_before_any_fit(self, cohort_dir, tmp_path, cpus,
+                                                        capsys, monkeypatch, flags, message):
+        # every fit's configuration is checked first: --grid --batch 8 used to
+        # fail at its first K=6 fit, after 20 others and a fork
+        forks, fits, fit = cpus(2), [], cli.fit
+        monkeypatch.setattr(cli, "fit", lambda *a: fits.append(1) or fit(*a))
+        assert self.cv(cohort_dir, tmp_path / "made" / "o", *flags) == 1
+        assert capsys.readouterr().err.splitlines() == [f"coxmix cv: error: {message}"]
+        assert fits == [] and forks == []
+        assert not (tmp_path / "made").exists()
+
     @pytest.mark.parametrize("n_cpus, n_forks", [(1, 0), (8, 1)])
     def test_workers_never_outnumber_fits(self, cohort_dir, tmp_path, cpus, n_cpus, n_forks):
         forks = cpus(n_cpus)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,14 @@ class TestLoadCsv:
         path = write_csv(tmp_path, "x,x,time,event\n1,10,2,1\n2,20,3,0\n3,30,4,1\n")
         with pytest.raises(DatasetError, match="repeated column.*'x'"):
             load_csv(path, "time", "event")
+
+    @pytest.mark.parametrize("columns", [
+        ("event", "event"), ("time", "event", "time"), ("time", "event", "event")])
+    def test_time_event_and_group_columns_differ(self, tmp_path, columns):
+        # time read from the event column used to train on the event indicator
+        path = write_csv(tmp_path, "x,time,event\n1,2,1\n2,3,0\n")
+        with pytest.raises(DatasetError, match=re.escape(f"must differ, got {list(columns)}")):
+            load_csv(path, *columns)
 
     def test_unknown_drop_column_rejected(self, tmp_path):
         path = write_csv(tmp_path, "id,x,time,event\nA,1,2,1\nB,2,3,0\n")
