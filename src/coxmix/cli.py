@@ -86,19 +86,28 @@ def _load_dataset(args):
 
 def _resolve_horizons(spec, ds):
     """'q25,q50,q75' quantile tags (lower nearest-rank rule over the uncensored
-    event times) or explicit comma-separated times: at least one, all finite."""
+    event times) or explicit comma-separated times: at least one, all finite
+    and positive."""
     parts = [p.strip() for p in spec.split(",") if p.strip()]
-    out = [event_quantiles(ds, [float(p[1:]) / 100.0])[0] if p.startswith("q") else float(p)
-           for p in parts]
+    try:
+        out = [event_quantiles(ds, [float(p[1:]) / 100.0])[0] if p.startswith("q")
+               else float(p) for p in parts]
+    except ValueError as exc:  # an unparsed number or a tag outside (0, 100)
+        raise ValueError(f"--horizons {spec!r}: {exc}") from None
     if not out or not np.all(np.isfinite(out)):
         raise ValueError(f"--horizons needs at least one finite time, got {spec!r}")
+    if min(out) <= 0:  # no record can have an event by then
+        raise ValueError(f"--horizons needs positive times, got {spec!r} = {out}")
     return out
 
 
 def _dcm_config(args, **overrides):
     """The training flags as a DcmConfig; ``overrides`` replace fields
     (cv sets each fold's seed, and the grid n_clusters and hidden_dims)."""
-    hidden = tuple(int(v) for v in args.layers.split(",") if v.strip())
+    widths = [v.strip() for v in args.layers.split(",") if v.strip()]
+    if not all(v.isdecimal() and int(v) > 0 for v in widths):
+        raise ValueError(f"--layers needs comma-separated positive widths, got {args.layers!r}")
+    hidden = tuple(map(int, widths))
     return DcmConfig(**{
         "n_clusters": args.k, "hidden_dims": hidden, "lr": args.lr,
         "batch_size": args.batch, "max_epochs": args.epochs,
@@ -288,6 +297,8 @@ def cmd_cv(args, tracker):
     if args.grid and len(ds) < metrics_mod.MIN_GROUP_SIZE:  # it ranks on the unscored population
         raise metrics_mod.MetricError(
             f"--grid needs {metrics_mod.MIN_GROUP_SIZE} records, not {len(ds)}")
+    if not 2 <= args.folds <= len(ds):
+        raise ValueError(f"--folds must be from 2 to the {len(ds)} records, got {args.folds}")
     horizons = _resolve_horizons(args.horizons, ds)
     configs = ([{"n_clusters": k, "hidden_dims": (width,) * layers}
                 for k, layers, width in _GRID] if args.grid else [{}])  # {}: the flags alone

@@ -237,12 +237,18 @@ def _posterior(f, log_gate, events, table):
     """Log joint weights log(p(t, delta | k, x) * gate_k(x)), shape (N, K),
     and the posterior responsibilities: density^delta *
     conditional-survival^(1-delta) * gate, each row shifted by its max,
-    exponentiated, floored at EPS_DENSITY and normalized. ``log_gate``: the
-    log half of ``neural.log_softmax(logits)``."""
+    exponentiated, floored at EPS_DENSITY and normalized; a row with a NaN
+    weight gets 1/K. ``log_gate``: the log half of
+    ``neural.log_softmax(logits)``."""
     log_joint = cluster_log_densities(f, events, table) + log_gate
-    w = np.maximum(np.exp(log_joint - log_joint.max(axis=1, keepdims=True)), EPS_DENSITY)
-    w[~np.all(np.isfinite(w), axis=1)] = 1.0
-    return log_joint, w / w.sum(axis=1, keepdims=True)
+    shifted = log_joint - neural.over_clusters(np.maximum, log_joint)[:, None]
+    w = np.maximum(np.exp(shifted), EPS_DENSITY)
+    total = neural.over_clusters(np.add, w)
+    # each weight lies in [EPS_DENSITY, 1] or is NaN, so a row holds a NaN
+    # exactly where its sum is not finite
+    bad = ~np.isfinite(total)
+    w[bad], total[bad] = 1.0, w.shape[1]
+    return log_joint, w / total[:, None]
 
 
 def _q_loss(log_joint, gamma):
@@ -261,10 +267,12 @@ def e_step(model, x, times, events, heads=None, table=None):
 
 
 def sample_assignments(gamma, rng):
-    """Draw one categorical hard assignment per row from its posterior."""
+    """Draw one categorical hard assignment per row from its posterior: the
+    number of the first K - 1 cumulative posteriors below a uniform draw,
+    so a row whose posterior sums to just under 1 still gets a cluster."""
     u = rng.random(gamma.shape[0])
-    cdf = np.cumsum(gamma, axis=1)
-    return (u[:, None] > cdf).sum(axis=1).astype(int)
+    cdf = neural.over_clusters(np.add, gamma[:, :-1], accumulate=True)
+    return neural.over_clusters(np.add, (u[:, None] > cdf).astype(int))
 
 
 def update_baselines(model, log_hazards, times, events, zeta):

@@ -88,12 +88,39 @@ def forward(params, x):
     return a, cache
 
 
+NUMPY_ORDER_K = 8  # from this many clusters on, numpy reduces max and add in another order
+
+
+def over_clusters(ufunc, a, accumulate=False):
+    """``ufunc.reduce(a, axis=1)``, or ``ufunc.accumulate`` when
+    ``accumulate``, of an (N, K) array with the same bits, as K - 1 calls of
+    ``ufunc`` (np.add or np.maximum) on its columns: numpy's own loop over a
+    3-wide last axis takes several times as long. numpy's add reduction
+    starts from 0, so -0.0 sums to +0.0 and the sum chain starts from
+    ``a[:, 0] + 0``. From NUMPY_ORDER_K columns on (and at K = 0) numpy
+    reduces in another order, so there its own reduction runs; it
+    accumulates in column order at every K."""
+    k = a.shape[1]
+    if accumulate:
+        out = np.empty_like(a)
+        out[:, :1] = a[:, :1]
+        for j in range(1, k):
+            ufunc(out[:, j - 1], a[:, j], out=out[:, j])
+        return out
+    if not 0 < k < NUMPY_ORDER_K:
+        return ufunc.reduce(a, axis=1)
+    out = a[:, 0] + 0 if ufunc is np.add else a[:, 0].copy()
+    for j in range(1, k):
+        ufunc(out, a[:, j], out=out)
+    return out
+
+
 def log_softmax(logits):
-    """Row log-softmax and softmax, (z - log sum e^z, e^z / sum e^z), from
-    one exponential of the logits z shifted by their row max."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    """Row log-softmax and softmax of (N, K) logits z, (z - log sum e^z,
+    e^z / sum e^z), from one exponential of z shifted by its row max."""
+    z = logits - over_clusters(np.maximum, logits)[:, None]
     e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
+    total = over_clusters(np.add, e)[:, None]
     return z - np.log(total), e / total
 
 
@@ -114,14 +141,17 @@ def backward(params, heads, cache, rep, d_log_hazards, d_gating_logits):
         f_w=rep.T @ d_log_hazards, f_b=d_log_hazards.sum(axis=0),
         g_w=rep.T @ d_gating_logits, g_b=d_gating_logits.sum(axis=0),
     )
-    da = d_log_hazards @ heads.f_w.T + d_gating_logits @ heads.g_w.T
     gw, gb = [], []
-    for a_in, a_out, w in zip(reversed(cache), reversed([*cache[1:], rep]),
-                              reversed(params.weights)):
+    layers = list(zip(cache, [*cache[1:], rep], params.weights))
+    if layers:
+        da = d_log_hazards @ heads.f_w.T + d_gating_logits @ heads.g_w.T
+    for i in reversed(range(len(layers))):
+        a_in, a_out, w = layers[i]
         dz = da * (a_out > 0)  # relu(z) > 0 exactly where z > 0
         gw.append(a_in.T @ dz)
         gb.append(dz.sum(axis=0))
-        da = dz @ w.T
+        if i:  # the input features take no gradient
+            da = dz @ w.T
     mlp_grads = MlpParams(
         weights=gw[::-1], biases=gb[::-1], layer_dims=params.layer_dims)
     return mlp_grads, head_grads

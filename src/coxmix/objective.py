@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from coxmix.neural import over_clusters
+
 
 class ObjectiveError(ValueError):
     pass
@@ -69,7 +71,7 @@ def q_hat(times, events, gamma, zeta, log_hazards, gate):
     Returned negated, as (loss, d_loss/d_log_hazards, d_loss/d_gating_logits).
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(np.abs(gamma.sum(axis=1) - 1.0) > 1e-6):
+    if np.any(np.abs(over_clusters(np.add, gamma) - 1.0) > 1e-6):
         raise ObjectiveError("gamma rows must lie on the simplex")
     zeta = np.asarray(zeta, dtype=int)
     f = np.asarray(log_hazards, dtype=float)

@@ -498,6 +498,31 @@ def test_horizons_must_be_given_and_finite(cohort_dir, model_dir, tmp_path, caps
     assert not out.exists()  # the --out directory it made is removed too
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--horizons", "-1"),  # scored as a perfect model before any event
+    ("predict", "--horizons", "q50,0"),
+    ("cv", "--horizons", "-1"),
+    ("eval", "--horizons", "qabc"),
+    ("predict", "--horizons", "q150"),
+    ("cv", "--layers", "abc"),
+    ("cv", "--layers", "0"),
+    ("cv", "--folds", "1"),
+])
+def test_bad_flag_value_names_the_flag(cohort_dir, model_dir, tmp_path, capsys,
+                                       command, flag, value):
+    """A horizon <= 0 is refused, and every refused value names its flag:
+    these used to print Python's parse error or a library argument's name."""
+    args = {"cv": ["--k", "2", "--layers", "8", "--epochs", "1", "--folds", "2"]}.get(
+        command, ["--model", str(model_dir / "model.json")])
+    out = tmp_path / "o"
+    code = run([command, "--data", str(cohort_dir / "cohort.csv"), "--group-col", "group",
+                *args, f"{flag}={value}", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"coxmix {command}: error: {flag}")
+    assert not out.exists()
+
+
 def test_runs_without_scipy(tmp_path):
     """numpy is the only runtime dependency: importing the package and its
     CLI loads no scipy, and synth -> train -> predict -> eval succeed in a

@@ -20,13 +20,14 @@ from conftest import SEPARATED_CONFIG, exp_spline
 
 def hand_model(gate_logit_bias=(0.0, 0.0)):
     """Identity encoder on 1 feature, zero hazard heads, fixed gating bias,
-    baselines exp(-t) and exp(-2t)."""
+    one cluster per bias with baselines exp(-t), exp(-2t), ..."""
+    k = len(gate_logit_bias)
     params = neural.MlpParams(weights=[], biases=[], layer_dims=(1,))
     heads = neural.HeadParams(
-        f_w=np.zeros((1, 2)), f_b=np.zeros(2),
-        g_w=np.zeros((1, 2)), g_b=np.asarray(gate_logit_bias, dtype=float))
-    cfg = DcmConfig(n_clusters=2, hidden_dims=())
-    baselines = [exp_spline(rate=1.0, t_max=8.0), exp_spline(rate=2.0, t_max=8.0)]
+        f_w=np.zeros((1, k)), f_b=np.zeros(k),
+        g_w=np.zeros((1, k)), g_b=np.asarray(gate_logit_bias, dtype=float))
+    cfg = DcmConfig(n_clusters=k, hidden_dims=())
+    baselines = [exp_spline(rate=c + 1.0, t_max=8.0) for c in range(k)]
     return DcmModel(params, heads, baselines, cfg)
 
 
@@ -61,6 +62,19 @@ class TestEStep:
         np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(gamma > 0)
 
+    def test_row_with_nan_time_gets_uniform_posterior(self):
+        # distinct baselines exp(-t), exp(-2t), exp(-3t): every finite row's
+        # posterior is far from uniform, and a NaN time makes its row NaN
+        m = hand_model(gate_logit_bias=(0.0, 0.0, 0.0))
+        rng = np.random.default_rng(3)
+        x, times, events = rng.normal(size=(9, 1)), rng.exponential(1, 9), np.tile([0, 1, 1], 3)
+        nan_times = times.copy()
+        nan_times[4] = np.nan
+        gamma = e_step(m, x, nan_times, events)
+        assert np.array_equal(gamma[4], np.full(3, 1 / 3))
+        rest = np.arange(9) != 4
+        assert np.array_equal(gamma[rest], e_step(m, x[rest], times[rest], events[rest]))
+
     def test_non_finite_log_hazard_raises(self):
         # censored rows only: the density is not evaluated, the check still runs
         m = hand_model()
@@ -76,6 +90,15 @@ class TestSampleAssignments:
         z = sample_assignments(gamma, rng)
         freq = np.bincount(z, minlength=3) / z.size
         np.testing.assert_allclose(freq, [0.2, 0.3, 0.5], atol=0.01)
+
+    def test_draw_above_the_last_cumulative_posterior_picks_the_last_cluster(self):
+        # the row sums to 1 - 2**-52, so a draw of 1 - 2**-53 exceeds every
+        # cumulative posterior; it used to give cluster 2 of 0..1
+        class TopDraw:
+            def random(self, n):
+                return np.full(n, 1 - 2 ** -53)
+        gamma = np.array([[0.5, 0.5 - 2 ** -52]])
+        assert sample_assignments(gamma, TopDraw()).tolist() == [1]
 
     def test_degenerate_posterior(self):
         rng = np.random.default_rng(2)

@@ -9,8 +9,8 @@ between them; the metrics on one shared sample against each metric
 called alone; the weighted Kaplan-Meier against the records copied out;
 bootstrap replicates scored as record counts against the resamples
 copied out and scored from scratch; a resample's calibration bins
-against those of its copies; and the chunked CSV loader against the
-per-row one."""
+against those of its copies; the chunked CSV loader against the
+per-row one; and the column-wise cluster reductions against numpy's own."""
 
 import os
 import tempfile
@@ -31,7 +31,7 @@ from coxmix.metrics import (
     calibration_bins, concordance_td, ece,
 )
 from coxmix.model import DcmConfig, DcmModel, baseline_table, cluster_log_densities
-from coxmix.neural import init_params, log_softmax
+from coxmix.neural import init_params, log_softmax, over_clusters
 from coxmix.objective import partial_log_likelihood, q_hat
 from coxmix.spline import (
     EPS_DENSITY, EPS_SURVIVAL, fit_spline, spline_eval, spline_from_dict,
@@ -356,6 +356,53 @@ def test_stratified_likelihood_matches_brute_force(batch):
         expect_grad[rows] = g
     np.testing.assert_allclose(value, expect_value, rtol=1e-10, atol=1e-9)
     np.testing.assert_allclose(grad, expect_grad, rtol=1e-10, atol=1e-10)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -1.0, 1e300, -1e300]
+
+
+@st.composite
+def cluster_arrays(draw, non_finite=False):
+    """An (N, K) array, K in 1..12 and N in {0, 1, 128, 1000}: normals
+    scaled by powers of ten over a drawn spread, a drawn share of them
+    replaced by +-0, subnormals, +-1 and +-1e300 (and NaN and +-inf when
+    ``non_finite``), so some rows are all -0.0 and others round differently
+    in another order."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([0, 1, 128, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spread = draw(st.sampled_from([0, 5, 290]))
+    a = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-spread, spread + 1, size=(n, k))
+    pool = _SPECIAL + ([np.nan, np.inf, -np.inf] if non_finite else [])
+    special = rng.random((n, k)) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    a[special] = rng.choice(pool, special.sum())
+    return a
+
+
+def _numpy_and_column_reductions(a):
+    return [(a.max(axis=1), over_clusters(np.maximum, a)),
+            (a.sum(axis=1), over_clusters(np.add, a)),
+            (np.cumsum(a, axis=1), over_clusters(np.add, a, accumulate=True))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cluster_arrays())
+def test_column_reductions_keep_numpy_bits(a):
+    """On finite values the column-wise max, sum and cumulative sum are
+    numpy's bit for bit: -0.0 sums to +0.0 and, from 8 columns on, numpy's
+    own order is kept."""
+    for expect, got in _numpy_and_column_reductions(a):
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+
+@SETTINGS
+@given(cluster_arrays(non_finite=True))
+def test_column_reductions_keep_numpy_values_with_nan_and_inf(a):
+    with np.errstate(invalid="ignore"):  # inf - inf in a sum
+        for expect, got in _numpy_and_column_reductions(a):
+            assert got.shape == expect.shape
+            assert np.array_equal(got, expect, equal_nan=True)
 
 
 @st.composite
