@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import pickle
+import re
 import signal
 import sys
 from dataclasses import astuple, fields, replace
@@ -23,7 +24,7 @@ from coxmix import metrics as metrics_mod
 from coxmix import synth as synth_mod
 from coxmix.dataset import atomic_write, event_quantiles, k_fold_split, load_csv, standardize
 from coxmix.estimators import censoring_km
-from coxmix.model import DcmConfig, DcmModel, fit
+from coxmix.model import DcmConfig, DcmModel, ModelError, fit
 
 
 class _OutputTracker:
@@ -101,17 +102,23 @@ def _resolve_horizons(spec, ds):
     return out
 
 
-def _dcm_config(args, **overrides):
-    """The training flags as a DcmConfig; ``overrides`` replace fields
-    (cv sets each fold's seed, and the grid n_clusters and hidden_dims)."""
+def _dcm_config(args, fold=0, grid=None):
+    """The training flags as a DcmConfig: cv adds each ``fold``'s index to
+    --seed, and a --grid entry (k, layers, width) replaces --k and --layers.
+    A refused value names its flag, and the grid entry as grid.csv does."""
     widths = [v.strip() for v in args.layers.split(",") if v.strip()]
     if not all(v.isdecimal() and int(v) > 0 for v in widths):
         raise ValueError(f"--layers needs comma-separated positive widths, got {args.layers!r}")
-    hidden = tuple(map(int, widths))
-    return DcmConfig(**{
-        "n_clusters": args.k, "hidden_dims": hidden, "lr": args.lr,
-        "batch_size": args.batch, "max_epochs": args.epochs,
-        "patience": args.patience, "seed": args.seed, **overrides})
+    k, hidden = (grid[0], (grid[2],) * grid[1]) if grid else (args.k, tuple(map(int, widths)))
+    try:
+        return DcmConfig(n_clusters=k, hidden_dims=hidden, lr=args.lr, batch_size=args.batch,
+                         max_epochs=args.epochs, patience=args.patience, seed=args.seed + fold)
+    except ModelError as exc:  # its message names DcmConfig fields
+        flags = {"n_clusters": "--k", "hidden_dims": "--layers", "lr": "--lr",
+                 "batch_size": "--batch", "max_epochs": "--epochs", "patience": "--patience"}
+        message = re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc))
+        raise ValueError(f"{message} for grid configuration {_grid_name(*grid)}" if grid
+                         else message) from None
 
 
 # -- synth ----------------------------------------------------------------
@@ -164,8 +171,8 @@ def cmd_synth(args, tracker):
 # -- train ----------------------------------------------------------------
 
 def cmd_train(args, tracker):
-    ds = _load_dataset(args)
-    model = fit(standardize(ds), _dcm_config(args))
+    config = _dcm_config(args)  # a refused flag fails before --data is read
+    model = fit(standardize(_load_dataset(args)), config)
     model.save(tracker.path("model.json"))
     log = model.training_log
     _write_csv(tracker.path("training_log.csv"), log[0].keys(), map(dict.values, log))
@@ -220,6 +227,10 @@ def cmd_eval(args, tracker):
 
 _GRID = [(k, layers, width)
          for k in (3, 4, 6) for layers in (1, 2) for width in (50, 100)]
+
+
+def _grid_name(k, layers, width):
+    return f"k={k},layers={layers},width={width}"
 
 
 class WorkerError(RuntimeError):
@@ -300,23 +311,22 @@ def cmd_cv(args, tracker):
     if not 2 <= args.folds <= len(ds):
         raise ValueError(f"--folds must be from 2 to the {len(ds)} records, got {args.folds}")
     horizons = _resolve_horizons(args.horizons, ds)
-    configs = ([{"n_clusters": k, "hidden_dims": (width,) * layers}
-                for k, layers, width in _GRID] if args.grid else [{}])  # {}: the flags alone
+    configs = _GRID if args.grid else [None]  # None: the flags alone
     # every fit's configuration, validated before any split, fit or fork
-    tasks = [(_dcm_config(args, seed=args.seed + fold, **overrides), fold)
-             for overrides in configs for fold in range(args.folds)]
+    tasks = [(_dcm_config(args, fold, grid), fold)
+             for grid in configs for fold in range(args.folds)]
     fold_of = k_fold_split(ds, args.folds, args.seed)
-    folds = [(standardize(ds.subset(fold_of != fold)), fold_of == fold)
+    folds = [(standardize(ds.subset(fold_of != fold)), ds.subset(fold_of == fold))
              for fold in range(args.folds)]
 
     def fit_fold(task):
         config, fold = task
-        train, te = folds[fold]
-        return fit(train, config).predict_dataset(ds.subset(te), horizons)
+        train, test = folds[fold]
+        return fit(train, config).predict_dataset(test, horizons)
 
     pooled = np.full((len(configs), len(ds), len(horizons)), np.nan)  # [configuration, record]
     for i, surv in enumerate(_map_forked(fit_fold, tasks)):
-        pooled[i // args.folds, folds[i % args.folds][1]] = surv
+        pooled[i // args.folds, fold_of == i % args.folds] = surv
 
     best = 0  # the one configuration, unless --grid selects another
     extra = {"horizons": horizons}
@@ -326,7 +336,7 @@ def cmd_cv(args, tracker):
                                  for i, h in enumerate(horizons)])) for surv in pooled]
         order = sorted(range(len(_GRID)), key=lambda c: (briers[c], _GRID[c]))
         _write_csv(tracker.path("grid.csv"), ["config", "mean_brier"],
-                   [["k={},layers={},width={}".format(*_GRID[c]), briers[c]] for c in order])
+                   [[_grid_name(*_GRID[c]), briers[c]] for c in order])
         best = order[0]
         k, layers, width = _GRID[best]
         extra["selected"] = {"k": k, "layers": layers, "width": width,

@@ -15,6 +15,7 @@ a bare ``e_step`` build one for their own rows.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -53,14 +54,30 @@ class DcmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Each refused value raises a ModelError whose message starts with
+        its field's name."""
+        for name in ("n_clusters", "batch_size", "max_epochs", "patience", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(_is_integer(w) and w > 0 for w in self.hidden_dims):
+            raise ModelError(f"hidden_dims must be positive integers, got {self.hidden_dims!r}")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real):
+            raise ModelError(f"lr must be a real number, got {self.lr!r}")
         if self.n_clusters < 1:
-            raise ModelError("n_clusters must be >= 1")
+            raise ModelError(f"n_clusters must be >= 1, got {self.n_clusters}")
         if self.batch_size < 2 * self.n_clusters:
-            raise ModelError("batch_size must be at least 2 * n_clusters")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ModelError("max_epochs and patience must be >= 1")
+            raise ModelError(f"batch_size must be at least 2 * n_clusters = "
+                             f"{2 * self.n_clusters}, got {self.batch_size}")
+        for name in ("max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ModelError(f"lr must be finite and positive, got {self.lr}")
+
+
+def _is_integer(value):
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class DcmModel:
@@ -301,7 +318,7 @@ def expected_q_loss(model, x, times, events):
                                baseline_table(model.baselines, times)))
 
 
-def _refresh_phase(model, x, times, events, table, rng):
+def _refresh_phase(model, train, table, rng):
     """One encoder pass over the training rows: draw hard assignments
     against the current baseline table, refresh the baselines, build their
     table and score the training objective against it. Returns (starved
@@ -309,11 +326,11 @@ def _refresh_phase(model, x, times, events, table, rng):
     heads are freed on return: kept until the next epoch, they stop the
     allocator from handing the freed encoder activations back, which raises
     peak memory."""
-    f, (log_gate, _) = model._heads_out(x)
-    zeta = sample_assignments(_posterior(f, log_gate, events, table)[1], rng)
-    starved = update_baselines(model, f, times, events, zeta)
-    table = baseline_table(model.baselines, times)
-    return starved, _q_loss(*_posterior(f, log_gate, events, table)), table
+    f, (log_gate, _) = model._heads_out(train.features)
+    zeta = sample_assignments(_posterior(f, log_gate, train.events, table)[1], rng)
+    starved = update_baselines(model, f, train.times, train.events, zeta)
+    table = baseline_table(model.baselines, train.times)
+    return starved, _q_loss(*_posterior(f, log_gate, train.events, table)), table
 
 
 def fit(dataset, config):
@@ -327,45 +344,37 @@ def fit(dataset, config):
     """
     if dataset.events.sum() == 0:
         raise ModelError("cannot fit with no observed events")
-    n, d = dataset.features.shape
     rng = np.random.default_rng(config.seed)
-
-    perm = rng.permutation(n)
-    n_val = max(int(round(VAL_FRACTION * n)), 1) if n >= 20 else 0
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if dataset.events[train_idx].sum() == 0:
+    perm = rng.permutation(len(dataset))
+    n_val = max(int(round(VAL_FRACTION * perm.size)), 1) if perm.size >= 20 else 0
+    train, val = dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
+    if train.events.sum() == 0:
         raise ModelError("no events left in the training split")
+    if val.events.sum() == 0:  # below 20 records or no validation event: monitor on train
+        val = train
 
-    xt = dataset.features[train_idx]
-    tt = dataset.times[train_idx]
-    et = dataset.events[train_idx]
-    xv = dataset.features[val_idx]
-    tv = dataset.times[val_idx]
-    ev = dataset.events[val_idx]
-    if n_val == 0 or ev.sum() == 0:  # tiny datasets: monitor on train
-        xv, tv, ev = xt, tt, et
-
-    layer_dims = (d, *config.hidden_dims)
-    params, heads = neural.init_params(layer_dims, config.n_clusters, config.seed)
-    pooled = fit_spline(kaplan_meier(tt, et))
+    params, heads = neural.init_params((train.features.shape[1], *config.hidden_dims),
+                                       config.n_clusters, config.seed)
+    pooled = fit_spline(kaplan_meier(train.times, train.events))
     model = DcmModel(params, heads,
                      baselines=[pooled] * config.n_clusters,
                      config=config,
                      standardization=dataset.standardization,
                      feature_names=dataset.feature_names)
     adam = neural.AdamState.create(params, heads, config.lr)
-    table = tuple(np.repeat(c, config.n_clusters, axis=1) for c in baseline_table([pooled], tt))
+    table = tuple(np.repeat(c, config.n_clusters, axis=1)
+                  for c in baseline_table([pooled], train.times))
 
     best = (np.inf, None, None)
     stale = 0
     for epoch in range(config.max_epochs):
-        order = rng.permutation(len(train_idx))
+        order = rng.permutation(len(train))
         batch_losses = []
         for lo in range(0, len(order), config.batch_size):
             rows = order[lo:lo + config.batch_size]
             if rows.size < 2 * config.n_clusters:
                 continue
-            xb, tb, eb = xt[rows], tt[rows], et[rows]
+            xb, tb, eb = train.features[rows], train.times[rows], train.events[rows]
             rep, cache = neural.forward(model.params, xb)
             f, g = neural.heads_forward(model.heads, rep)
             gate = neural.log_softmax(g)  # one gate for both steps
@@ -377,8 +386,8 @@ def fit(dataset, config):
             neural.adam_step(*neural.backward(model.params, model.heads, cache, rep, d_f, d_g), adam)
             batch_losses.append(loss)
 
-        starved, train_q, table = _refresh_phase(model, xt, tt, et, table, rng)
-        val_q = expected_q_loss(model, xv, tv, ev)
+        starved, train_q, table = _refresh_phase(model, train, table, rng)
+        val_q = expected_q_loss(model, val.features, val.times, val.events)
         if not np.isfinite(val_q):
             raise ModelError(f"non-finite objective at epoch {epoch}")
         model.training_log.append({
@@ -397,6 +406,6 @@ def fit(dataset, config):
             if stale >= config.patience:
                 break
 
-    if best[1] is not None:  # the parameters are views into adam.theta
-        adam.theta[:], model.baselines = best[1:]
+    # epoch 0's finite val_q beats np.inf; the parameters are views into adam.theta
+    adam.theta[:], model.baselines = best[1:]
     return model

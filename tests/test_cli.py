@@ -162,14 +162,17 @@ class TestTrain:
         assert "error" in capsys.readouterr().err
         assert not out.exists()  # the --out directory it made is removed too
 
-    @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--lr", "-0.01"]])
-    def test_untrainable_values_fail(self, cohort_dir, tmp_path, capsys, flag):
-        # --epochs 0 used to save an untrained model, --lr -0.01 to train
+    @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--lr", "-0.01"], ["--k", "0"]])
+    def test_untrainable_values_fail(self, tmp_path, capsys, flag):
+        # --epochs 0 used to save an untrained model, --lr -0.01 to train, and
+        # --k 0 to report n_clusters; the flags are checked before --data is
+        # read, so the missing file is not what fails
         out = tmp_path / "o"
-        code = run(["train", "--data", str(cohort_dir / "cohort.csv"), "--group-col", "group",
-                    "--k", "2", "--layers", "8", *flag, "--out", str(out)])
+        code = run(["train", "--data", str(tmp_path / "nope.csv"), "--k", "2", "--layers", "8",
+                    *flag, "--out", str(out)])
         assert code == 1
-        assert "must be" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"coxmix train: error: {flag[0]} must be")
         assert not out.exists()  # the --out directory it made is removed too
 
 
@@ -313,9 +316,12 @@ class TestForkedFits:
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
 
     @pytest.mark.parametrize("flags, message", [
-        (("--grid", "--batch", "8"), "batch_size must be at least 2 * n_clusters"),
-        (("--epochs", "0"), "max_epochs and patience must be >= 1"),
-    ])
+        (("--grid", "--batch", "8"),
+         "--batch must be at least 2 * --k = 12, got 8 for grid configuration k=6,layers=1,width=50"),
+        (("--epochs", "0"), "--epochs must be >= 1, got 0"),
+        (("--k", "0"), "--k must be >= 1, got 0"),
+        (("--lr", "0"), "--lr must be finite and positive, got 0.0"),
+    ], ids=["grid_batch", "epochs", "k", "lr"])
     def test_invalid_configuration_fails_before_any_fit(self, cohort_dir, tmp_path, cpus,
                                                         capsys, monkeypatch, flags, message):
         # every fit's configuration is checked first: --grid --batch 8 used to

@@ -309,7 +309,15 @@ class TestPersistence:
         (("standardization", "std"), lambda v: [0.0, *v[1:]], "std must be positive"),
         (("feature_names",), lambda v: v[:-1], "feature_names disagree with the input width"),
         (("splines",), lambda v: v[:-1], "baseline count must equal n_clusters"),
-    ], ids=["layer_count", "std", "feature_names", "spline_count"])
+        # these used to load and predict: True acts as 1, and a fraction as its value
+        (("config", "n_clusters"), lambda v: True, "n_clusters must be an integer"),
+        (("config", "patience"), lambda v: True, "patience must be an integer"),
+        (("config", "batch_size"), lambda v: 12.5, "batch_size must be an integer"),
+        (("config", "max_epochs"), lambda v: 2.5, "max_epochs must be an integer"),
+        (("config", "seed"), lambda v: 1.5, "seed must be an integer"),
+    ], ids=["layer_count", "std", "feature_names", "spline_count", "bool_n_clusters",
+            "bool_patience", "fractional_batch_size", "fractional_max_epochs",
+            "fractional_seed"])
     def test_inconsistent_file_names_its_fault(self, saved_model, tmp_path, path, change,
                                                message):
         _, payload = saved_model
@@ -548,6 +556,22 @@ class TestFit:
         with pytest.raises(ModelError, match="no events left in the training split"):
             fit(bad, DcmConfig(n_clusters=2, seed=0))
 
+    @pytest.mark.parametrize("n, n_val", [(15, 0), (40, 4)])
+    def test_monitors_the_training_rows_without_validation_events(self, n, n_val):
+        # below 20 records fit holds no row out; at 40 it holds out the first
+        # 4 of its (seed 0) permutation, all censored here. Either way it
+        # monitors the training rows: the refresh's rows against the
+        # refresh's table, so each epoch's val_q is its train_q
+        ds, _ = generate_cohort(SEPARATED_CONFIG)
+        events = ds.events[:n].copy()
+        events[np.random.default_rng(0).permutation(n)[:n_val]] = 0
+        sub = SurvivalDataset(features=ds.features[:n], times=ds.times[:n],
+                              events=events, feature_names=ds.feature_names)
+        m = fit(sub, DcmConfig(n_clusters=2, hidden_dims=(8,), max_epochs=3, patience=10,
+                               seed=0))
+        assert len(m.training_log) == 3
+        assert [e["val_q"] for e in m.training_log] == [e["train_q"] for e in m.training_log]
+
     def test_no_events_raises(self):
         ds, _ = generate_cohort(SEPARATED_CONFIG)
         from coxmix.dataset import SurvivalDataset
@@ -563,10 +587,24 @@ class TestFit:
         with pytest.raises(ModelError):
             DcmConfig(n_clusters=10, batch_size=12)
 
-    @pytest.mark.parametrize("bad", [{"max_epochs": 0}, {"patience": 0}, {"lr": -0.01},
-                                     {"lr": 0.0}, {"lr": np.nan}, {"lr": np.inf}])
+    @pytest.mark.parametrize("bad", [
+        {"max_epochs": 0}, {"patience": 0}, {"lr": -0.01}, {"lr": 0.0}, {"lr": np.nan},
+        {"lr": np.inf}, {"n_clusters": True}, {"patience": True}, {"batch_size": 12.5},
+        {"max_epochs": 2.5}, {"seed": 1.5}, {"seed": np.bool_(True)},
+        {"hidden_dims": (2.5,)}, {"hidden_dims": (0,)}, {"hidden_dims": (4, True)},
+        {"lr": True}, {"lr": "0.01"}])
     def test_config_rejects_untrainable_values(self, bad):
         # max_epochs 0 used to fit nothing, patience 0 to act as 1, and a
-        # non-positive or non-finite lr to train anyway
-        with pytest.raises(ModelError):
+        # non-positive or non-finite lr to train anyway; a bool acted as 0 or
+        # 1, a fractional width or epoch count died in fit with a bare
+        # TypeError, and a width of 0 failed only in neural.init_params
+        (field,) = bad
+        with pytest.raises(ModelError, match=f"^{field} "):
             DcmConfig(**bad)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = DcmConfig(n_clusters=np.int64(2), hidden_dims=(np.int32(4),), lr=np.float32(0.01),
+                        batch_size=np.int64(8), max_epochs=np.int8(2), patience=np.int16(1),
+                        seed=np.uint8(3))
+        ds, _ = generate_cohort(SEPARATED_CONFIG)
+        assert len(fit(ds.subset(np.arange(100)), cfg).training_log) == 2
