@@ -102,17 +102,17 @@ def _resolve_horizons(spec, ds):
     return out
 
 
-def _dcm_config(args, fold=0, grid=None):
-    """The training flags as a DcmConfig: cv adds each ``fold``'s index to
-    --seed, and a --grid entry (k, layers, width) replaces --k and --layers.
-    A refused value names its flag, and the grid entry as grid.csv does."""
+def _dcm_config(args, grid=None):
+    """The training flags as a DcmConfig; a --grid entry (k, layers, width)
+    replaces --k and --layers. A refused value names its flag, and the grid
+    entry as grid.csv does."""
     widths = [v.strip() for v in args.layers.split(",") if v.strip()]
     if not all(v.isdecimal() and int(v) > 0 for v in widths):
         raise ValueError(f"--layers needs comma-separated positive widths, got {args.layers!r}")
     k, hidden = (grid[0], (grid[2],) * grid[1]) if grid else (args.k, tuple(map(int, widths)))
     try:
         return DcmConfig(n_clusters=k, hidden_dims=hidden, lr=args.lr, batch_size=args.batch,
-                         max_epochs=args.epochs, patience=args.patience, seed=args.seed + fold)
+                         max_epochs=args.epochs, patience=args.patience, seed=args.seed)
     except ModelError as exc:  # its message names DcmConfig fields
         flags = {"n_clusters": "--k", "hidden_dims": "--layers", "lr": "--lr",
                  "batch_size": "--batch", "max_epochs": "--epochs", "patience": "--patience"}
@@ -304,6 +304,9 @@ def _map_forked(fn, tasks):
 
 
 def cmd_cv(args, tracker):
+    configs = _GRID if args.grid else [None]  # None: the flags alone
+    # a refused flag fails before --data is read, as in train
+    checked = [_dcm_config(args, grid) for grid in configs]
     ds = _load_dataset(args)
     if args.grid and len(ds) < metrics_mod.MIN_GROUP_SIZE:  # it ranks on the unscored population
         raise metrics_mod.MetricError(
@@ -311,10 +314,10 @@ def cmd_cv(args, tracker):
     if not 2 <= args.folds <= len(ds):
         raise ValueError(f"--folds must be from 2 to the {len(ds)} records, got {args.folds}")
     horizons = _resolve_horizons(args.horizons, ds)
-    configs = _GRID if args.grid else [None]  # None: the flags alone
-    # every fit's configuration, validated before any split, fit or fork
-    tasks = [(_dcm_config(args, fold, grid), fold)
-             for grid in configs for fold in range(args.folds)]
+    # every fit's configuration, built before any split, fit or fork: a
+    # fold adds its index to --seed
+    tasks = [(replace(config, seed=config.seed + fold), fold)
+             for config in checked for fold in range(args.folds)]
     fold_of = k_fold_split(ds, args.folds, args.seed)
     folds = [(standardize(ds.subset(fold_of != fold)), ds.subset(fold_of == fold))
              for fold in range(args.folds)]
@@ -361,7 +364,7 @@ def _add_shared(p):
                         "feature instead of failing")
     p.add_argument("--drop-columns", default="",
                    help="comma-separated columns to exclude from the features")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -395,7 +398,7 @@ def build_parser():
                    help="JSON file with clusters/gating overriding --preset")
     p.add_argument("--censoring", type=float, default=0.0)
     p.add_argument("--with-groups", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

@@ -7,9 +7,10 @@ Adam step on the hard-assignment objective; once per epoch the per-cluster
 Breslow baselines are recomputed over the full training data and re-splined.
 Every posterior reads the baselines through a baseline table: each row's
 S0 and dS0/dt under every cluster's spline. The baselines are fixed between
-refreshes, so the training rows' table is built once per refresh and the
-minibatch E-steps gather their rows from it; the validation objective and
-a bare ``e_step`` build one for their own rows.
+refreshes, so the training rows' table is built once per refresh; each
+epoch puts it in the epoch's row order once, with the rows themselves, and
+the minibatch E-steps slice it. The validation objective and a bare
+``e_step`` build one for their own rows.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class DcmConfig:
             raise ModelError(f"lr must be a real number, got {self.lr!r}")
         if self.n_clusters < 1:
             raise ModelError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        if self.seed < 0:  # numpy's generators refuse it
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 2 * self.n_clusters:
             raise ModelError(f"batch_size must be at least 2 * n_clusters = "
                              f"{2 * self.n_clusters}, got {self.batch_size}")
@@ -242,7 +245,7 @@ def cluster_log_densities(log_hazards, events, table):
     exp(f_k) * log S_k(t) for censored rows. Shape (N, K). ``table`` holds
     the rows' (S0, dS0) from ``baseline_table``."""
     f = np.asarray(log_hazards, dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ModelError("non-finite log hazard")
     ev = np.asarray(events, dtype=int)[:, None] == 1
     s0, ds0 = table
@@ -333,6 +336,35 @@ def _refresh_phase(model, train, table, rng):
     return starved, _q_loss(*_posterior(f, log_gate, train.events, table)), table
 
 
+def _minibatch_phase(model, train, table, adam, rng):
+    """One sweep of minibatch EM over the training rows in a fresh random
+    order: per minibatch an E-step against the baseline ``table``, a draw of
+    hard assignments and one Adam step. The rows and their table entries are
+    put in that order once, and each minibatch slices the ordered copies.
+    Returns the minibatch losses. The copies are freed on return, before the
+    refresh allocates."""
+    order = rng.permutation(len(train))
+    x, times, events = train.features[order], train.times[order], train.events[order]
+    s0, ds0 = table[0][order], table[1][order]
+    k, size = model.config.n_clusters, model.config.batch_size
+    losses = []
+    # batch_size >= 2K, so only a short final minibatch can hold fewer than
+    # 2K rows; it is skipped
+    for lo in range(0, order.size - 2 * k + 1, size):
+        xb, tb, eb = x[lo:lo + size], times[lo:lo + size], events[lo:lo + size]
+        rep, cache = neural.forward(model.params, xb)
+        f, g = neural.heads_forward(model.heads, rep)
+        gate = neural.log_softmax(g)  # one gate for both steps
+        gamma = e_step(model, xb, tb, eb, heads=(f, gate),
+                       table=(s0[lo:lo + size], ds0[lo:lo + size]))
+        zeta = sample_assignments(gamma, rng)
+        # M-step: one Adam step on the hard-assignment objective
+        loss, d_f, d_g = objective.q_hat(tb, eb, gamma, zeta, f, gate)
+        neural.adam_step(*neural.backward(model.params, model.heads, cache, rep, d_f, d_g), adam)
+        losses.append(loss)
+    return losses
+
+
 def fit(dataset, config):
     """Train a Cox mixture on a (standardized) dataset.
 
@@ -368,24 +400,7 @@ def fit(dataset, config):
     best = (np.inf, None, None)
     stale = 0
     for epoch in range(config.max_epochs):
-        order = rng.permutation(len(train))
-        batch_losses = []
-        for lo in range(0, len(order), config.batch_size):
-            rows = order[lo:lo + config.batch_size]
-            if rows.size < 2 * config.n_clusters:
-                continue
-            xb, tb, eb = train.features[rows], train.times[rows], train.events[rows]
-            rep, cache = neural.forward(model.params, xb)
-            f, g = neural.heads_forward(model.heads, rep)
-            gate = neural.log_softmax(g)  # one gate for both steps
-            gamma = e_step(model, xb, tb, eb, heads=(f, gate),
-                           table=(table[0][rows], table[1][rows]))
-            zeta = sample_assignments(gamma, rng)
-            # M-step: one Adam step on the hard-assignment objective
-            loss, d_f, d_g = objective.q_hat(tb, eb, gamma, zeta, f, gate)
-            neural.adam_step(*neural.backward(model.params, model.heads, cache, rep, d_f, d_g), adam)
-            batch_losses.append(loss)
-
+        batch_losses = _minibatch_phase(model, train, table, adam, rng)
         starved, train_q, table = _refresh_phase(model, train, table, rng)
         val_q = expected_q_loss(model, val.features, val.times, val.events)
         if not np.isfinite(val_q):

@@ -126,7 +126,11 @@ def log_softmax(logits):
 
 def heads_forward(heads, rep):
     """Affine heads: (log_hazards, gating_logits), each (N, K)."""
-    return rep @ heads.f_w + heads.f_b, rep @ heads.g_w + heads.g_b
+    f = rep @ heads.f_w
+    f += heads.f_b
+    g = rep @ heads.g_w
+    g += heads.g_b
+    return f, g
 
 
 def backward(params, heads, cache, rep, d_log_hazards, d_gating_logits):
@@ -138,18 +142,19 @@ def backward(params, heads, cache, rep, d_log_hazards, d_gating_logits):
     if d_log_hazards.shape != (rep.shape[0], heads.f_w.shape[1]):
         raise NeuralError("upstream gradient shape mismatch")
     head_grads = HeadParams(
-        f_w=rep.T @ d_log_hazards, f_b=d_log_hazards.sum(axis=0),
-        g_w=rep.T @ d_gating_logits, g_b=d_gating_logits.sum(axis=0),
+        f_w=rep.T @ d_log_hazards, f_b=np.add.reduce(d_log_hazards, axis=0),
+        g_w=rep.T @ d_gating_logits, g_b=np.add.reduce(d_gating_logits, axis=0),
     )
     gw, gb = [], []
     layers = list(zip(cache, [*cache[1:], rep], params.weights))
     if layers:
-        da = d_log_hazards @ heads.f_w.T + d_gating_logits @ heads.g_w.T
+        da = d_log_hazards @ heads.f_w.T
+        da += d_gating_logits @ heads.g_w.T
     for i in reversed(range(len(layers))):
         a_in, a_out, w = layers[i]
-        dz = da * (a_out > 0)  # relu(z) > 0 exactly where z > 0
+        dz = np.multiply(da, a_out > 0, out=da)  # relu(z) > 0 exactly where z > 0
         gw.append(a_in.T @ dz)
-        gb.append(dz.sum(axis=0))
+        gb.append(np.add.reduce(dz, axis=0))
         if i:  # the input features take no gradient
             da = dz @ w.T
     mlp_grads = MlpParams(
@@ -164,13 +169,15 @@ def _flatten(params, heads):
 @dataclass
 class AdamState:
     """The parameters as one contiguous vector ``theta``, with the first
-    and second moment accumulators over it."""
+    and second moment accumulators over it; ``bounds`` holds each array's
+    (start, stop) in it, in ``_flatten`` order."""
 
     theta: np.ndarray
     m: np.ndarray
     v: np.ndarray
     step: int
     lr: float
+    bounds: tuple
 
     @classmethod
     def create(cls, params, heads, lr):
@@ -178,24 +185,29 @@ class AdamState:
         ``params`` and ``heads`` to its view into it."""
         arrs = _flatten(params, heads)
         theta = np.concatenate([a.ravel() for a in arrs])
-        parts = np.split(theta, np.cumsum([a.size for a in arrs])[:-1])
-        views = [part.reshape(a.shape) for a, part in zip(arrs, parts)]
+        stops = np.cumsum([a.size for a in arrs]).tolist()
+        bounds = tuple(zip([0, *stops[:-1]], stops))
+        views = [theta[lo:hi].reshape(a.shape) for a, (lo, hi) in zip(arrs, bounds)]
         n = len(params.weights)
         params.weights, params.biases = views[:n], views[n:2 * n]
         heads.f_w, heads.f_b, heads.g_w, heads.g_b = views[2 * n:]
         return cls(theta=theta, m=np.zeros_like(theta), v=np.zeros_like(theta),
-                   step=0, lr=lr)
+                   step=0, lr=lr, bounds=bounds)
 
 
 def adam_step(mlp_grads, head_grads, state):
     """In-place Adam update of ``state.theta`` with bias correction, after
     clipping the global gradient norm at GRAD_CLIP_NORM. Raises on
-    non-finite gradients or parameters."""
-    grads = _flatten(mlp_grads, head_grads)
-    total = np.sqrt(sum(float(np.sum(a * a)) for a in grads))
+    non-finite gradients or parameters.
+
+    The norm's square is summed array by array, each array's share one
+    reduction over its slice of a single squared vector: the bits of
+    ``np.sum(a * a)`` per array, without a temporary per array."""
+    g = np.concatenate([a.ravel() for a in _flatten(mlp_grads, head_grads)])
+    sq = g * g
+    total = np.sqrt(sum(float(np.add.reduce(sq[lo:hi])) for lo, hi in state.bounds))
     if not np.isfinite(total):
         raise NeuralError("non-finite gradient; training aborted")
-    g = np.concatenate([a.ravel() for a in grads])
     if total > GRAD_CLIP_NORM:
         g *= GRAD_CLIP_NORM / total
 
@@ -207,5 +219,5 @@ def adam_step(mlp_grads, head_grads, state):
     state.v *= ADAM_BETA2
     state.v += (1 - ADAM_BETA2) * g * g
     state.theta -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
-    if not np.all(np.isfinite(state.theta)):
+    if not np.isfinite(state.theta).all():
         raise NeuralError("non-finite parameter after update")

@@ -31,32 +31,32 @@ def partial_log_likelihood(log_hazards, times, events, strata=None):
     f = np.asarray(log_hazards, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ObjectiveError("non-finite log hazards")
     if events.sum() == 0:
         return 0.0, np.zeros_like(f)
     strata = np.zeros(f.size, dtype=int) if strata is None else np.asarray(strata, dtype=int)
 
-    order = np.argsort(times, kind="stable")
+    order = times.argsort(kind="stable")
     t, e, fo, so = times[order], events[order], f[order], strata[order]
     member = so[:, None] == np.arange(so.max() + 1)  # (N, K) stratum indicator
     fmax = np.where(member, fo[:, None], -np.inf).max(axis=0)
     w = np.exp(fo - fmax[so])
     # risk-set sums over {j in stratum k : t_j >= t_i}, shared within a tie group
-    tail = np.cumsum(np.where(member, w[:, None], 0.0)[::-1], axis=0)[::-1]
+    tail = np.where(member, w[:, None], 0.0)[::-1].cumsum(axis=0)[::-1]
     first = np.concatenate(([True], t[1:] != t[:-1]))  # rows that start a tie group
-    start = np.flatnonzero(first)
+    start = first.nonzero()[0]
     denom = tail[start]  # (groups, K), stratum k scaled by exp(-fmax_k)
     d = np.add.reduceat(member * e[:, None], start)  # events per distinct time and stratum
 
     ev = d > 0
-    value = float(np.sum(fo[e == 1])
-                  - np.sum(d[ev] * (np.log(denom[ev]) + fmax[np.nonzero(ev)[1]])))
+    value = float(fo[e == 1].sum()
+                  - (d[ev] * (np.log(denom[ev]) + fmax[ev.nonzero()[1]])).sum())
 
     # gradient: delta_i - exp(f_i) * sum_{event times <= t_i} d / riskset_sum
-    ratio_cum = np.cumsum(np.divide(d, denom, out=np.zeros(denom.shape), where=ev), axis=0)
+    ratio_cum = np.divide(d, denom, out=np.zeros(denom.shape), where=ev).cumsum(axis=0)
     grad = np.empty_like(f)
-    grad[order] = e - w * ratio_cum[np.cumsum(first) - 1, so]  # row's tie group, stratum
+    grad[order] = e - w * ratio_cum[first.cumsum() - 1, so]  # row's tie group, stratum
     return value, grad
 
 
@@ -71,7 +71,7 @@ def q_hat(times, events, gamma, zeta, log_hazards, gate):
     Returned negated, as (loss, d_loss/d_log_hazards, d_loss/d_gating_logits).
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(np.abs(over_clusters(np.add, gamma) - 1.0) > 1e-6):
+    if (np.abs(over_clusters(np.add, gamma) - 1.0) > 1e-6).any():
         raise ObjectiveError("gamma rows must lie on the simplex")
     zeta = np.asarray(zeta, dtype=int)
     f = np.asarray(log_hazards, dtype=float)
@@ -80,4 +80,4 @@ def q_hat(times, events, gamma, zeta, log_hazards, gate):
     val, grad = partial_log_likelihood(f[rows, zeta], times, events, strata=zeta)
     d_f = np.zeros_like(f)
     d_f[rows, zeta] = grad
-    return -(float(np.sum(gamma * gate[0])) + val), -d_f, -(gamma - gate[1])
+    return -(float((gamma * gate[0]).sum()) + val), -d_f, -(gamma - gate[1])

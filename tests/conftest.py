@@ -232,6 +232,22 @@ def per_array_adam_step(arrays, grads, state, beta1=0.9, beta2=0.999, eps=1e-8,
         a -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
+def per_array_backward(params, heads, cache, rep, d_log_hazards, d_gating_logits):
+    """Reference for ``neural.backward``: every product and sum in a new
+    array, as ``neural._flatten`` lists the gradients (weights, biases,
+    then f_w, f_b, g_w, g_b)."""
+    gw, gb = [], []
+    outs = [*cache[1:], rep]
+    da = d_log_hazards @ heads.f_w.T + d_gating_logits @ heads.g_w.T
+    for i in reversed(range(len(params.weights))):
+        dz = da * (outs[i] > 0)
+        gw.insert(0, cache[i].T @ dz)
+        gb.insert(0, dz.sum(axis=0))
+        da = dz @ params.weights[i].T
+    return [*gw, *gb, rep.T @ d_log_hazards, d_log_hazards.sum(axis=0),
+            rep.T @ d_gating_logits, d_gating_logits.sum(axis=0)]
+
+
 def random_survival_instance(rng, n, tie_prob=0.3):
     """Times with deliberate ties, mixed censoring, random log hazards."""
     times = rng.integers(1, max(n // 2, 2), size=n).astype(float)

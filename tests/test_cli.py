@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import coxmix
-from coxmix import cli
+from coxmix import cli, objective
 from coxmix.cli import main
 from coxmix.model import DcmModel, ModelError
+from coxmix.neural import _flatten, init_params
 
 
 def run(argv):
@@ -176,6 +177,32 @@ class TestTrain:
         assert not out.exists()  # the --out directory it made is removed too
 
 
+def test_train_with_every_minibatch_skipped(tmp_path, monkeypatch):
+    """On 15 records at --k 8 --batch 16 the one minibatch holds fewer than
+    2K = 16 rows, so every epoch is its baseline refresh alone: train writes
+    the initial encoder and heads, a blank batch loss per epoch, and the same
+    bytes each run."""
+    def no_step(*args):
+        raise AssertionError("a minibatch step ran")
+
+    monkeypatch.setattr(objective, "q_hat", no_step)
+    cohort = tmp_path / "s"
+    assert run(["synth", "--n", "15", "--preset", "crossing", "--seed", "3",
+                "--out", str(cohort)]) == 0
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(["train", "--data", str(cohort / "cohort.csv"), "--k", "8", "--batch", "16",
+                    "--out", str(out)]) == 0
+    log = read_csv(outs[0] / "training_log.csv")
+    assert len(log) > 2 and all(row[3] == "" for row in log[1:])
+    model = DcmModel.load(str(outs[0] / "model.json"))
+    initial = _flatten(*init_params(model.params.layer_dims, 8, seed=0))
+    for got, want in zip(_flatten(model.params, model.heads), initial, strict=True):
+        assert np.array_equal(got, want)
+    for name in ("model.json", "training_log.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 class TestPredict:
     def test_outputs(self, cohort_dir, model_dir, tmp_path):
         code = run(["predict", "--data", str(cohort_dir / "cohort.csv"),
@@ -248,6 +275,20 @@ class TestCv:
         pop = [r for r in report[1:] if r[2] == "population"]
         assert len(pop) == 4  # one row per metric
         assert (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--k", "0"], "--k must be"),
+        (["--grid", "--batch", "8"], "--batch must be at least"),
+    ])
+    def test_training_flags_checked_before_data(self, tmp_path, capsys, flags, named):
+        # cv used to read --data first, as train no longer does, and report
+        # the missing file rather than the flag
+        out = tmp_path / "o"
+        assert run(["cv", "--data", str(tmp_path / "missing.csv"), *flags,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"coxmix cv: error: {named}"), err
+        assert not out.exists()
 
     def test_grid_splits_and_standardizes_once(self, cohort_dir, tmp_path, monkeypatch):
         # 12 configurations share one split and one standardization per fold
@@ -442,6 +483,20 @@ def test_negative_bootstrap_rejected(cohort_dir, model_dir, tmp_path, capsys, co
         run([command, "--data", str(cohort_dir / "cohort.csv"), "--group-col", "group",
              *args, "--horizons", "q50", "--bootstrap", "-3", "--out", str(out)])
     assert "--bootstrap: must be 0 or more" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("synth", ["--n", "10", "--spec"]), ("train", ["--data"]), ("eval", ["--model", "m", "--data"]),
+    ("cv", ["--data"]), ("predict", ["--model", "m", "--data"])])
+def test_negative_seed_refused_by_name(tmp_path, capsys, command, args):
+    """numpy's generators refuse a negative seed: --seed -1 stops every
+    command while its flags are parsed, before any file is read. train used
+    to read --data first and then print an error that named no flag."""
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit):
+        run([command, *args, str(tmp_path / "missing"), "--seed", "-1", "--out", str(out)])
+    assert "--seed: must be 0 or more, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

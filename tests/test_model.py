@@ -590,14 +590,15 @@ class TestFit:
     @pytest.mark.parametrize("bad", [
         {"max_epochs": 0}, {"patience": 0}, {"lr": -0.01}, {"lr": 0.0}, {"lr": np.nan},
         {"lr": np.inf}, {"n_clusters": True}, {"patience": True}, {"batch_size": 12.5},
-        {"max_epochs": 2.5}, {"seed": 1.5}, {"seed": np.bool_(True)},
+        {"max_epochs": 2.5}, {"seed": 1.5}, {"seed": np.bool_(True)}, {"seed": -1},
         {"hidden_dims": (2.5,)}, {"hidden_dims": (0,)}, {"hidden_dims": (4, True)},
         {"lr": True}, {"lr": "0.01"}])
     def test_config_rejects_untrainable_values(self, bad):
         # max_epochs 0 used to fit nothing, patience 0 to act as 1, and a
         # non-positive or non-finite lr to train anyway; a bool acted as 0 or
         # 1, a fractional width or epoch count died in fit with a bare
-        # TypeError, and a width of 0 failed only in neural.init_params
+        # TypeError, a width of 0 failed only in neural.init_params, and a
+        # negative seed only in numpy's generator
         (field,) = bad
         with pytest.raises(ModelError, match=f"^{field} "):
             DcmConfig(**bad)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import PerArrayAdam, per_array_adam_step
+from conftest import PerArrayAdam, per_array_adam_step, per_array_backward
 from coxmix.neural import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, GRAD_CLIP_NORM, HeadParams,
     MlpParams, NeuralError, _flatten, adam_step, backward, forward, heads_forward,
@@ -124,6 +124,22 @@ class TestBackward:
             backward(p, h, cache, rep, np.zeros((2, 5)), np.zeros((2, 5)))
 
 
+class TestBackwardOracle:
+    @pytest.mark.parametrize("dims", [(5, 7), (5, 7, 6), (5,)],
+                             ids=["one_layer", "two_layers", "identity"])
+    def test_matches_per_array_oracle(self, dims):
+        # backward's in-place products and reductions give the oracle's bits
+        p, h = init_params(dims, 3, seed=2)
+        rng = np.random.default_rng(6)
+        rep, cache = forward(p, rng.normal(size=(41, 5)))
+        d_f, d_g = rng.normal(size=(2, 41, 3))
+        want = per_array_backward(p, h, cache, rep, d_f, d_g)
+        got = _flatten(*backward(p, h, cache, rep, d_f, d_g))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
 class TestAdam:
     def test_three_steps_match_reference(self):
         # one scalar weight, constant unit gradient, checked against a
@@ -182,14 +198,25 @@ class TestFlatAdam:
     def test_five_steps_match_per_array_oracle(self, grad_scale):
         # a 2-hidden-layer net; backprop gradients scaled below and far
         # above the clip norm
-        p, h = init_params((5, 7, 6), 3, seed=4)
+        self.check_five_steps((5, 7, 6), grad_scale)
+
+    @pytest.mark.parametrize("grad_scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("dims", [(5,), (5, 150, 37)], ids=["identity", "wide"])
+    def test_other_layouts_match_per_array_oracle(self, dims, grad_scale):
+        # the identity encoder's vector holds the heads alone; the wide
+        # net's arrays are long enough for numpy's blocked pairwise sums
+        self.check_five_steps(dims, grad_scale)
+
+    @staticmethod
+    def check_five_steps(dims, grad_scale):
+        p, h = init_params(dims, 3, seed=4)
         ref_arrays = [a.copy() for a in _flatten(p, h)]
         state = AdamState.create(p, h, lr=0.01)
         ref = PerArrayAdam(ref_arrays, lr=0.01)
         rng = np.random.default_rng(9)
         clipped = []
         for _ in range(5):
-            x = rng.normal(size=(32, 5))
+            x = rng.normal(size=(32, dims[0]))
             rep, cache = forward(p, x)
             f, g = heads_forward(h, rep)
             mg, hg = backward(p, h, cache, rep, grad_scale * rng.normal(size=f.shape),
