@@ -12,7 +12,7 @@ import contextlib
 import csv
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,14 +60,9 @@ class SurvivalDataset:
 
     def subset(self, idx) -> "SurvivalDataset":
         idx = np.asarray(idx)
-        return SurvivalDataset(
-            features=self.features[idx],
-            times=self.times[idx],
-            events=self.events[idx],
-            feature_names=self.feature_names,
-            groups=None if self.groups is None else self.groups[idx],
-            standardization=self.standardization,
-        )
+        return replace(self, features=self.features[idx], times=self.times[idx],
+                       events=self.events[idx],
+                       groups=None if self.groups is None else self.groups[idx])
 
 
 CHUNK_ROWS = 1024  # records load_csv converts per numpy call
@@ -162,24 +157,26 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
 def standardize(ds):
     """Transform each feature column to zero mean, unit standard deviation.
 
-    Standard deviation uses the N-1 divisor. Constant columns are shifted to
-    zero and divided by 1. Returns the standardized dataset, with the
+    Standard deviation uses the N-1 divisor. A column is constant when its
+    standard deviation is at most 1e-12 times its largest |value|, in any
+    unit; it is shifted to zero and divided by 1. A column whose standard
+    deviation overflows, or underflows to 0 while its values differ, raises
+    a DatasetError naming it. Returns the standardized dataset, with the
     (mean, std) used recorded as its ``standardization``; a model applies
     them to held-out data in ``DcmModel.predict_dataset``.
     """
     if len(ds) == 0:
         raise DatasetError("cannot standardize an empty dataset")
-    mean = ds.features.mean(axis=0)
-    std = ds.features.std(axis=0, ddof=1) if len(ds) > 1 else np.zeros(ds.features.shape[1])
-    std = np.where(std < 1e-12, 1.0, std)
-    return SurvivalDataset(
-        features=(ds.features - mean) / std,
-        times=ds.times,
-        events=ds.events,
-        feature_names=ds.feature_names,
-        groups=ds.groups,
-        standardization=(mean, std),
-    )
+    x = ds.features
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite std is refused below
+        mean = x.mean(axis=0)
+        std = x.std(axis=0, ddof=1) if len(ds) > 1 else np.zeros(x.shape[1])
+    bad = ~np.isfinite(std) | ((std == 0) & (x.min(axis=0) < x.max(axis=0)))
+    if bad.any():
+        raise DatasetError(f"feature {ds.feature_names[bad.argmax()]!r}: its standard deviation "
+                           "is not a finite positive float at this scale; rescale the column")
+    std = np.where(std <= 1e-12 * np.abs(x).max(axis=0), 1.0, std)
+    return replace(ds, features=(x - mean) / std, standardization=(mean, std))
 
 
 def event_quantiles(ds, probs):

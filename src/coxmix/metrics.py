@@ -10,6 +10,7 @@ to avoid the event's own censoring contribution.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class _Pairs:
     weights. For each record with an event by the horizon (a query, in
     record order), ``weights`` gives the weight of the later records (time
     above the query's) ranked above it in prediction, tied with it, and in
-    all. Built once per sample and shared by the bootstrap resamples of
-    the sample.
+    all. Built once per horizon sample (``_Sample.pairs``) and shared by
+    the bootstrap resamples of the sample.
 
     Each count is a sum of weights over intervals of the records in a few
     fixed orders, laid end to end in ``perm``, so a weighting costs one
@@ -140,7 +141,8 @@ class _Sample:
     stratum's own records. ``at`` adds one horizon and the predictions
     there. A metric given ``sample=`` reads everything from it. The inputs
     are checked here and in ``at``, once per sample: resamples copy them
-    checked."""
+    checked. A resample is a copy of its horizon sample, so it inherits the
+    ``pairs`` and ``risk_ranks`` that sample has already built."""
 
     def __init__(self, times, events, g_curve=None):
         self.times = np.asarray(times, dtype=float)
@@ -177,7 +179,6 @@ class _Sample:
         out.pi_order, out.ranks = _stable_order(out.pi)
         out.due = np.flatnonzero((self.events == 1) & (self.times <= horizon))
         out.late = np.flatnonzero(self.times > horizon)
-        out._fixed = {}
         return out
 
     def resampled(self, counts, like=None):
@@ -192,12 +193,20 @@ class _Sample:
             out.w, out.g_curve, out.g_left = like.w, like.g_curve, like.g_left
         return out
 
-    def fixed(self, key, build):
-        """build(), made once per key: for what depends on the records and
-        predictions but not on their weights, shared with the resamples."""
-        if key not in self._fixed:
-            self._fixed[key] = build()
-        return self._fixed[key]
+    @functools.cached_property
+    def pairs(self):
+        """The comparable pairs at this horizon, for any record weights."""
+        return _Pairs(self)
+
+    @functools.cached_property
+    def risk_ranks(self):
+        """Dense ranks of the risk 1 - pi, ascending along the reversed
+        prediction order: predictions whose 1 - pi round to the same float tie."""
+        by_risk = self.pi_order[::-1]
+        risk = 1.0 - self.pi[by_risk]
+        ranks = np.empty(risk.size, dtype=np.intp)
+        ranks[by_risk] = np.cumsum(np.r_[False, risk[1:] != risk[:-1]])
+        return ranks
 
     def cases(self):
         """The IPCW cases, as a mask over ``due``: the due records in the
@@ -236,27 +245,16 @@ def concordance_td(surv_probs, times, events, g_curve, horizon, *, sample=None):
     """
     if sample is None:
         sample = _Sample(times, events, g_curve).at(surv_probs, horizon, probabilities=False)
-    pairs = sample.fixed("pairs", lambda: _Pairs(sample))
     cases = sample.cases()
     # of the later records, those predicted to survive longer, those tied
     # in prediction, and all of them, per case in record order
-    higher, tied, later = pairs.weights(sample.w)[:, cases]
+    higher, tied, later = sample.pairs.weights(sample.w)[:, cases]
     cases = sample.due[cases]
     w = sample.w[cases] / sample.g_left[cases] ** 2
     den = float(np.sum(w * later))
     if den == 0:
         raise MetricError("no comparable pairs at this horizon")
     return float(np.sum(w * (higher + 0.5 * tied))) / den
-
-
-def _risk_ranks(sample):
-    """Dense ranks of the risk 1 - pi, ascending along the reversed
-    prediction order: predictions whose 1 - pi round to the same float tie."""
-    by_risk = sample.pi_order[::-1]
-    risk = 1.0 - sample.pi[by_risk]
-    ranks = np.empty(risk.size, dtype=np.intp)
-    ranks[by_risk] = np.cumsum(np.r_[False, risk[1:] != risk[:-1]])
-    return ranks
 
 
 def auc_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
@@ -270,12 +268,12 @@ def auc_ipcw(surv_probs, times, events, g_curve, horizon, *, sample=None):
     """
     if sample is None:
         sample = _Sample(times, events, g_curve).at(surv_probs, horizon, probabilities=False)
+    ranks = sample.risk_ranks  # built before the check, so the resamples inherit it
     cases = sample.due[sample.cases()]
     controls, w = sample.late, sample.w
     n_controls = w[controls].sum()
     if cases.size == 0 or n_controls == 0:
         raise MetricError("need at least one case and one control at this horizon")
-    ranks = sample.fixed("risk ranks", lambda: _risk_ranks(sample))
     # per risk rank, the controls below it plus half those tied with it
     tied = np.bincount(ranks[controls], w[controls], minlength=w.size)
     wins = np.cumsum(tied) - 0.5 * tied
@@ -390,8 +388,8 @@ def bootstrap_se(metric_fn, n_records, n_replicates=100, seed=0):
     or an array of values with NaN where one is undefined on that resample.
     Replicates where it raises are dropped. Returns (mean, se, used,
     defined): the mean and SE of each value over the replicates that define
-    it, the number of replicates scored and, per value, the number that
-    define it.
+    it (the SE is NaN where fewer than two do), the number of replicates
+    scored and, per value, the number that define it.
     """
     if n_records < 2:
         raise MetricError("need at least 2 records to bootstrap")
@@ -412,7 +410,7 @@ def bootstrap_se(metric_fn, n_records, n_replicates=100, seed=0):
         if col.size == 0:
             stats.append((np.nan, np.nan, 0))
         else:
-            stats.append((col.mean(), col.std(ddof=1) if col.size > 1 else 0.0, col.size))
+            stats.append((col.mean(), col.std(ddof=1) if col.size > 1 else np.nan, col.size))
     mean, se, defined = (np.reshape(v, values.shape[1:])[()] for v in zip(*stats))
     return mean, se, len(values), defined
 

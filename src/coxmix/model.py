@@ -25,8 +25,8 @@ from coxmix import neural, objective
 from coxmix.dataset import atomic_write
 from coxmix.estimators import breslow, kaplan_meier
 from coxmix.spline import (
-    EPS_DENSITY, density_given_cluster, fit_spline, spline_eval, spline_from_dict,
-    spline_to_dict, spline_value_and_slope,
+    density_given_cluster, fit_spline, spline_eval, spline_from_dict, spline_to_dict,
+    spline_value_and_slope,
 )
 
 MODEL_FORMAT_VERSION = 3  # versions 1 and 2 still load: they hold every version-3 key
@@ -35,6 +35,7 @@ MODEL_FORMAT_VERSION = 3  # versions 1 and 2 still load: they hold every version
 _RETIRED_CONFIG_KEYS = ("use_prior_in_estep", "baseline_smoothing",
                         "max_spline_knots", "val_fraction")
 VAL_FRACTION = 0.1  # share of rows fit holds out to monitor the objective
+POSTERIOR_FLOOR = 1e-10  # least unnormalized posterior weight; dimensionless
 
 
 class ModelError(ValueError):
@@ -149,10 +150,7 @@ class DcmModel:
                 "weights": [w.tolist() for w in self.params.weights],
                 "biases": [b.tolist() for b in self.params.biases],
             },
-            "heads": {
-                "f_w": self.heads.f_w.tolist(), "f_b": self.heads.f_b.tolist(),
-                "g_w": self.heads.g_w.tolist(), "g_b": self.heads.g_b.tolist(),
-            },
+            "heads": {k: v.tolist() for k, v in vars(self.heads).items()},
             "splines": [spline_to_dict(b) for b in self.baselines],
         }
         with atomic_write(path) as fh:
@@ -257,14 +255,15 @@ def _posterior(f, log_gate, events, table):
     """Log joint weights log(p(t, delta | k, x) * gate_k(x)), shape (N, K),
     and the posterior responsibilities: density^delta *
     conditional-survival^(1-delta) * gate, each row shifted by its max,
-    exponentiated, floored at EPS_DENSITY and normalized; a row with a NaN
-    weight gets 1/K. ``log_gate``: the log half of
+    exponentiated, floored at POSTERIOR_FLOOR (a share of the row's largest
+    weight, so it does not depend on the unit of time) and normalized; a row
+    with a NaN weight gets 1/K. ``log_gate``: the log half of
     ``neural.log_softmax(logits)``."""
     log_joint = cluster_log_densities(f, events, table) + log_gate
     shifted = log_joint - neural.over_clusters(np.maximum, log_joint)[:, None]
-    w = np.maximum(np.exp(shifted), EPS_DENSITY)
+    w = np.maximum(np.exp(shifted), POSTERIOR_FLOOR)
     total = neural.over_clusters(np.add, w)
-    # each weight lies in [EPS_DENSITY, 1] or is NaN, so a row holds a NaN
+    # each weight lies in [POSTERIOR_FLOOR, 1] or is NaN, so a row holds a NaN
     # exactly where its sum is not finite
     bad = ~np.isfinite(total)
     w[bad], total[bad] = 1.0, w.shape[1]

@@ -10,7 +10,7 @@ and latent labels live in a sidecar so trained models can never see them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -132,10 +132,7 @@ def generate_cohort(config):
         "event_times": event_times.tolist(),
         "censor_rate": censor_rate,
         "gating": [list(row) for row in config.gating],
-        "clusters": [
-            {"shape": c.shape, "scale": c.scale, "beta": list(c.beta)}
-            for c in config.clusters
-        ],
+        "clusters": [asdict(c) for c in config.clusters],
     }
     return ds, sidecar
 

@@ -584,6 +584,32 @@ def test_bad_flag_value_names_the_flag(cohort_dir, model_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_latin1_file_refused_in_one_line(cohort_dir, tmp_path, capsys):
+    """A Latin-1 copy of the cohort fails with one error line that names
+    the file, and leaves no --out directory."""
+    latin1, out = tmp_path / "latin1.csv", tmp_path / "o"
+    text = (cohort_dir / "cohort.csv").read_text(encoding="utf-8")
+    latin1.write_bytes(text.replace(",neg", ",négatif").encode("latin-1"))
+    assert run(["train", "--data", str(latin1), "--group-col", "group", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"coxmix train: error: {latin1}: the file is not UTF-8 text"]
+    assert not out.exists()
+
+
+def test_bool_n_clusters_in_model_file_refused(cohort_dir, model_dir, tmp_path, capsys):
+    """A model file's config must hold integers: "n_clusters": true used to
+    act as 1. predict fails with one line naming the file and the field."""
+    text = (model_dir / "model.json").read_text()
+    bad, out = tmp_path / "bool_k.json", tmp_path / "o"
+    bad.write_text(re.sub(r'"n_clusters": \d+', '"n_clusters": true', text))
+    assert '"n_clusters": true' in bad.read_text()
+    assert run(["predict", "--data", str(cohort_dir / "cohort.csv"), "--group-col", "group",
+                "--model", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"coxmix predict: error: {bad}: n_clusters ")
+    assert not out.exists()
+
+
 def test_runs_without_scipy(tmp_path):
     """numpy is the only runtime dependency: importing the package and its
     CLI loads no scipy, and synth -> train -> predict -> eval succeed in a

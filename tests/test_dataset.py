@@ -177,6 +177,23 @@ class TestStandardize:
         np.testing.assert_allclose(out.features, 0.0)
         np.testing.assert_allclose(out.standardization[1], [1.0])
 
+    def test_constant_relative_to_the_column_scale(self):
+        # spreads of 1e-14 and 1e-9 are not constant beside values of that
+        # size; 1e-9 beside 1e6 is
+        x = np.array([[1e-14, 1e6, 7.0], [3e-14, 1e6 + 1e-9, 7.0], [2e-14, 1e6, 7.0]])
+        ds = SurvivalDataset(features=x, times=np.ones(3), events=np.ones(3, dtype=int),
+                             feature_names=("a", "b", "c"))
+        std = standardize(ds).standardization[1]
+        assert std[0] == x[:, 0].std(ddof=1) and std[1:].tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-300])
+    def test_unrepresentable_spread_names_the_column(self, scale):
+        ds = make_ds(n=20, d=3, seed=2)
+        ds = SurvivalDataset(features=ds.features * [1.0, scale, 1.0], times=ds.times,
+                             events=ds.events, feature_names=("a", "b", "c"))
+        with pytest.raises(DatasetError, match="^feature 'b': "):
+            standardize(ds)
+
 
 class TestEventQuantiles:
     def test_nearest_rank(self):

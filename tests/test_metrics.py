@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -492,6 +493,25 @@ class TestBootstrap:
             assert (mean[i], se[i], defined[i]) == (m, s, u)
         assert 0 < defined[1] < 40
 
+    def test_one_replicate_gives_no_se(self):
+        # one replicate measures no spread: its SE used to read 0.0
+        mean, se, used, defined = bootstrap_se(weighted_mean(np.arange(10.0)), 10,
+                                               n_replicates=1, seed=0)
+        assert used == defined == 1
+        assert np.isfinite(mean) and np.isnan(se)
+
+    def test_value_one_replicate_defines_gets_no_se(self):
+        # the other value keeps its SE; n (defined) still says one replicate
+        mean_of, calls = weighted_mean(np.arange(10.0)), []
+
+        def values(counts):
+            calls.append(1)
+            return np.array([mean_of(counts), 1.0 if len(calls) == 3 else np.nan])
+
+        mean, se, used, defined = bootstrap_se(values, 10, n_replicates=6, seed=0)
+        assert used == 6 and defined.tolist() == [6, 1]
+        assert se[0] > 0 and mean[1] == 1.0 and np.isnan(se[1])
+
     def test_all_fail_raises(self):
         def broken(counts):
             raise MetricError("nope")
@@ -536,6 +556,25 @@ def test_one_censoring_fit_and_one_g_lookup_per_sample(monkeypatch):
     values = metrics_mod._sample_metrics(samples, counts)
     assert np.isfinite(values).all()
     assert calls == ["censoring_km", "eval_left"] * 2
+
+
+def test_pairs_and_risk_ranks_built_once_per_stratum_and_horizon(monkeypatch):
+    """The bootstrap resamples of a stratum at a horizon are copies of its
+    sample, scored after it, so they reuse its pair structure and risk
+    ranks: 3 strata x 3 horizons build 9 of each, whatever the replicates."""
+    built, pairs = [], metrics_mod._Pairs
+    monkeypatch.setattr(metrics_mod, "_Pairs", lambda s: built.append("pairs") or pairs(s))
+    ranks = metrics_mod._Sample.risk_ranks.func
+    counted = functools.cached_property(lambda s: built.append("ranks") or ranks(s))
+    counted.__set_name__(metrics_mod._Sample, "risk_ranks")
+    monkeypatch.setattr(metrics_mod._Sample, "risk_ranks", counted)
+    rng = np.random.default_rng(6)
+    times = rng.integers(1, 30, 240).astype(float)
+    events = (rng.random(240) < 0.7).astype(int)
+    rows = evaluate_by_group(rng.random((240, 3)), times, events, [5.0, 10.0, 20.0],
+                             groups=np.repeat(["a", "b"], 120), n_replicates=5, seed=1)
+    assert {r.n for r in rows} == {5}
+    assert built.count("pairs") == built.count("ranks") == 9
 
 
 def test_rank_and_brier_metrics_never_build_the_pair_structure(monkeypatch):

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from coxmix import model as model_mod
 from coxmix import neural, objective
 from coxmix import spline as spline_mod
-from coxmix.dataset import SurvivalDataset, standardize
+from coxmix.dataset import DatasetError, SurvivalDataset, standardize
 from coxmix.model import (
     DcmConfig, DcmModel, ModelError, e_step, expected_q_loss, fit,
     sample_assignments, update_baselines,
 )
 from coxmix.synth import generate_cohort
-from conftest import SEPARATED_CONFIG, exp_spline
+from conftest import CROSSING_CONFIG, SEPARATED_CONFIG, exp_spline
 
 
 def hand_model(gate_logit_bias=(0.0, 0.0)):
@@ -501,6 +501,27 @@ class TestFit:
             n_clusters=3, hidden_dims=(8,), batch_size=16, max_epochs=2,
             patience=10, seed=0))
         assert len(gates) == len(passes) == (11 + 2) * len(m.training_log)
+
+    def test_predictions_do_not_depend_on_feature_units(self):
+        # standardize's constant-column test is relative to the column's
+        # scale: at x 1e-14 the spread used to fall below an absolute 1e-12,
+        # the column went unscaled and predictions moved by 0.15. A spread
+        # that overflows (x 1e160) or underflows to 0 (x 1e-300) is refused.
+        ds, _ = generate_cohort(replace(CROSSING_CONFIG, n=300, seed=8))
+        cfg = DcmConfig(n_clusters=3, hidden_dims=(20,), lr=1e-2, max_epochs=3,
+                        patience=3, seed=3)
+        horizons = np.quantile(ds.times, [0.25, 0.5, 0.75])
+
+        def predictions(scale):
+            scaled = replace(ds, features=ds.features * scale)
+            return fit(standardize(scaled), cfg).predict_dataset(scaled, horizons)
+
+        reference = predictions(1.0)
+        for scale in (2.0, 1e-6, 1e-14):
+            np.testing.assert_allclose(predictions(scale), reference, rtol=0, atol=1e-8)
+        for scale in (1e160, 1e-300):
+            with pytest.raises(DatasetError, match="^feature 'x0': its standard deviation"):
+                predictions(scale)
 
     def test_best_epoch_restore_equals_shorter_fit(self):
         # the restored best epoch b < last epoch must be exactly the model
