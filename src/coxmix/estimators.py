@@ -54,21 +54,19 @@ class StepSurvivalCurve:
         return self._eval(t, "left")
 
 
-def _deaths_by_time(times, events, groups, time_order=None):
+def _deaths_by_time(times, events, groups):
     """Records sorted by group, then time, and split at each distinct
     (group, time). Returns the sort order, the sorted groups and, per
     distinct (group, time), its first sorted position and its number of
-    events. ``time_order`` is np.argsort(times, kind="stable"), computed
-    here unless given; sorted stably by group it is that order."""
-    if time_order is None:
-        time_order = np.argsort(times, kind="stable")
+    events. Times already in order sort in microseconds."""
+    time_order = np.argsort(times, kind="stable")
     order = time_order[np.argsort(groups[time_order], kind="stable")]
     t, g = times[order], groups[order]
     start = np.flatnonzero(np.r_[True, (t[1:] != t[:-1]) | (g[1:] != g[:-1])])
     return order, g, start, np.add.reduceat(events[order], start)
 
 
-def _km_increments(times, events, groups, time_order=None, weights=None):
+def _km_increments(times, events, groups, weights=None):
     """The product-limit estimate within each group: for each distinct
     event time of a group, the group, the time and the increment of -log
     survival. Ties: all events at a time share the risk set; same-time
@@ -83,7 +81,7 @@ def _km_increments(times, events, groups, time_order=None, weights=None):
     w = np.ones(times.size, dtype=int) if weights is None else np.asarray(weights)
     if w.shape != times.shape or w.dtype.kind not in "iu" or (w < 0).any():
         raise EstimatorError("weights must be non-negative integers, one per record")
-    order, g, start, deaths = _deaths_by_time(times, events * w, groups, time_order)
+    order, g, start, deaths = _deaths_by_time(times, events * w, groups)
     # the weight from each distinct time to the end of its group
     before = np.zeros(times.size + 1, dtype=w.dtype)
     np.cumsum(w[order], out=before[1:])
@@ -94,39 +92,35 @@ def _km_increments(times, events, groups, time_order=None, weights=None):
         return g[first], times[order[first]], -np.log1p(-deaths[keep] / at_risk[keep])
 
 
-def kaplan_meier(times, events, *, weights=None, time_order=None):
+def kaplan_meier(times, events, *, weights=None):
     """Product-limit survival estimate with knots at distinct event times.
     ``weights`` are non-negative integer record counts (EstimatorError
-    otherwise) and ``time_order`` is np.argsort(times, kind="stable") if
-    given, as in kaplan_meier_at."""
-    _, knots, inc = _km_increments(times, events, np.zeros(np.size(times), dtype=int),
-                                   time_order, weights)
+    otherwise)."""
+    _, knots, inc = _km_increments(times, events, np.zeros(np.size(times), dtype=int), weights)
     return StepSurvivalCurve(knot_times=knots, cum_hazard=np.cumsum(inc))
 
 
-def kaplan_meier_at(times, events, groups, t, *, time_order=None, weights=None):
+def kaplan_meier_at(times, events, groups, t, *, weights=None):
     """Product-limit survival at time t within each group 0..max(groups):
     for every k, the value kaplan_meier(times[groups == k],
     events[groups == k])(t), computed in one pass over all records.
-    ``time_order``, if given, is np.argsort(times, kind="stable"), which
-    saves a sort and leaves every bit of the result unchanged. ``weights``
-    are integer record counts. Integer labels keep their type: numpy sorts
-    8- and 16-bit ones stably by radix."""
+    ``weights`` are integer record counts. Integer labels keep their type:
+    numpy sorts 8- and 16-bit ones stably by radix."""
     groups = np.asarray(groups)
     groups = groups if groups.dtype.kind in "iu" else groups.astype(int)
-    g, knots, inc = _km_increments(times, events, groups, time_order, weights)
+    g, knots, inc = _km_increments(times, events, groups, weights)
     sel = knots <= t
     # bincount adds each group's increments in time order, the order of
     # kaplan_meier's cumulative sum
     return np.exp(-np.bincount(g[sel], inc[sel], minlength=int(groups.max()) + 1))
 
 
-def censoring_km(times, events, *, weights=None, time_order=None):
+def censoring_km(times, events, *, weights=None):
     """Kaplan-Meier estimate of the censoring distribution G: the
     product-limit curve with the flipped indicator 1-event, with the
     options of kaplan_meier."""
     events = np.asarray(events, dtype=int)
-    return kaplan_meier(times, 1 - events, weights=weights, time_order=time_order)
+    return kaplan_meier(times, 1 - events, weights=weights)
 
 
 def breslow(times, events, log_hazards):

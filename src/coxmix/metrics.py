@@ -187,8 +187,8 @@ class _Sample:
         ``like``, the same resample at another horizon."""
         out = copy.copy(self)
         if like is None:
-            out._weigh(counts, censoring_km(self.times, self.events, weights=counts,
-                                            time_order=self.time_order))
+            out._weigh(counts, censoring_km(self.sorted_times, self.events[self.time_order],
+                                            weights=counts[self.time_order]))
         else:
             out.w, out.g_curve, out.g_left = like.w, like.g_curve, like.g_left
         return out
@@ -331,7 +331,7 @@ def calibration_bins(surv_probs, times, events, horizon, n_bins=DEFAULT_ECE_BINS
         np.append(times[by_time], np.full(n_bins, np.inf)),
         np.append(events[by_time], np.zeros(n_bins, dtype=int)),
         np.append(in_bin[:cut], np.arange(n_bins)).astype(np.min_scalar_type(n_bins - 1)),
-        sample.horizon, time_order=np.arange(cut + n_bins), weights=np.append(
+        sample.horizon, weights=np.append(
             np.ones(cut, dtype=np.intp), np.bincount(in_bin[cut:], minlength=n_bins)))
     # past t_max the curve is flat, so km > 0 there means S(t_max) > 0
     defined = ~((sample.horizon > t_max) & (last_events == 0) & (km > 0))
@@ -434,7 +434,7 @@ def _stratum_samples(surv_matrix, times, events, horizons):
     """One stratum as one sample per horizon and column of surv_matrix,
     all sharing one censoring fit, one time order and one G(T-) per record."""
     sample = _Sample(times, events)
-    sample._weigh(sample.w, censoring_km(times, events, time_order=sample.time_order))
+    sample._weigh(sample.w, censoring_km(sample.sorted_times, sample.events[sample.time_order]))
     return [sample.at(pi, h, probabilities=True) for pi, h in zip(surv_matrix.T, horizons)]
 
 

@@ -347,8 +347,8 @@ def _minibatch_phase(model, train, table, adam, rng):
     s0, ds0 = table[0][order], table[1][order]
     k, size = model.config.n_clusters, model.config.batch_size
     losses = []
-    # batch_size >= 2K, so only a short final minibatch can hold fewer than
-    # 2K rows; it is skipped
+    # batch_size >= 2K and fit keeps >= 2K rows, so only a short final
+    # minibatch, never the first, can hold fewer than 2K rows; it is skipped
     for lo in range(0, order.size - 2 * k + 1, size):
         xb, tb, eb = x[lo:lo + size], times[lo:lo + size], events[lo:lo + size]
         rep, cache = neural.forward(model.params, xb)
@@ -373,6 +373,8 @@ def fit(dataset, config):
     objective fails to improve for ``patience`` epochs and returns the
     best-validation snapshot.
     """
+    if dataset.features.shape[1] == 0:
+        raise ModelError("cannot fit without a feature column")
     if dataset.events.sum() == 0:
         raise ModelError("cannot fit with no observed events")
     rng = np.random.default_rng(config.seed)
@@ -381,6 +383,9 @@ def fit(dataset, config):
     train, val = dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
     if train.events.sum() == 0:
         raise ModelError("no events left in the training split")
+    if len(train) < 2 * config.n_clusters:  # no minibatch could take a step
+        raise ModelError(f"{config.n_clusters} clusters need at least "
+                         f"{2 * config.n_clusters} training records, got {len(train)}")
     if val.events.sum() == 0:  # below 20 records or no validation event: monitor on train
         val = train
 
@@ -408,7 +413,7 @@ def fit(dataset, config):
             "epoch": epoch,
             "train_q": train_q,
             "val_q": val_q,
-            "batch_loss": float(np.mean(batch_losses)) if batch_losses else None,
+            "batch_loss": float(np.mean(batch_losses)),
             "starved_clusters": starved,
         })
 

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 import coxmix
-from coxmix import cli, objective
+from coxmix import cli
 from coxmix.cli import main
 from coxmix.model import DcmModel, ModelError
-from coxmix.neural import _flatten, init_params
 
 
 def run(argv):
@@ -177,30 +176,33 @@ class TestTrain:
         assert not out.exists()  # the --out directory it made is removed too
 
 
-def test_train_with_every_minibatch_skipped(tmp_path, monkeypatch):
-    """On 15 records at --k 8 --batch 16 the one minibatch holds fewer than
-    2K = 16 rows, so every epoch is its baseline refresh alone: train writes
-    the initial encoder and heads, a blank batch loss per epoch, and the same
-    bytes each run."""
-    def no_step(*args):
-        raise AssertionError("a minibatch step ran")
-
-    monkeypatch.setattr(objective, "q_hat", no_step)
+@pytest.mark.parametrize("command, got", [("train", 15), ("cv", 12)])
+def test_training_split_no_minibatch_can_use_refused(tmp_path, capsys, command, got):
+    """On 15 records at --k 8 --batch 16 no minibatch holds 2K = 16 rows
+    (cv's folds train on 12), so no Adam step could run: the command fails
+    in one line naming both counts, before it leaves an untrained model."""
     cohort = tmp_path / "s"
     assert run(["synth", "--n", "15", "--preset", "crossing", "--seed", "3",
                 "--out", str(cohort)]) == 0
-    outs = [tmp_path / "a", tmp_path / "b"]
-    for out in outs:
-        assert run(["train", "--data", str(cohort / "cohort.csv"), "--k", "8", "--batch", "16",
-                    "--out", str(out)]) == 0
-    log = read_csv(outs[0] / "training_log.csv")
-    assert len(log) > 2 and all(row[3] == "" for row in log[1:])
-    model = DcmModel.load(str(outs[0] / "model.json"))
-    initial = _flatten(*init_params(model.params.layer_dims, 8, seed=0))
-    for got, want in zip(_flatten(model.params, model.heads), initial, strict=True):
-        assert np.array_equal(got, want)
-    for name in ("model.json", "training_log.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run([command, "--data", str(cohort / "cohort.csv"), "--k", "8", "--batch", "16",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"coxmix {command}: error: 8 clusters need at least 16 training records, got {got}"]
+    assert not out.exists()
+
+
+def test_featureless_dataset_refused_by_name(cohort_dir, tmp_path, capsys):
+    # a time,event-only CSV loads; fit names the missing features itself
+    rows = read_csv(cohort_dir / "cohort.csv")
+    data = tmp_path / "time_event.csv"
+    data.write_text("".join(f"{row[3]},{row[4]}\n" for row in rows))
+    out = tmp_path / "o"
+    assert run(["train", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "coxmix train: error: cannot fit without a feature column"]
+    assert not out.exists()
 
 
 class TestPredict:

@@ -440,7 +440,7 @@ class TestFit:
         for entry in m.training_log:
             assert set(entry) == {"epoch", "train_q", "val_q", "batch_loss",
                                   "starved_clusters"}
-            assert np.isfinite(entry["val_q"])
+            assert np.isfinite(entry["val_q"]) and np.isfinite(entry["batch_loss"])
 
     def test_one_encoder_pass_per_phase(self, monkeypatch):
         # per epoch: one pass per minibatch, shared by its E-step and M-step

@@ -6,11 +6,12 @@ stratified partial likelihood against one likelihood per cluster; the
 baseline table against direct spline evaluation; the spline's slope
 outside its knots; the spline against scipy's PchipInterpolator
 between them; the metrics on one shared sample against each metric
-called alone; the weighted Kaplan-Meier against the records copied out;
-bootstrap replicates scored as record counts against the resamples
-copied out and scored from scratch; a resample's calibration bins
-against those of its copies; the chunked CSV loader against the
-per-row one; and the column-wise cluster reductions against numpy's own."""
+called alone; the weighted Kaplan-Meier against the records copied out
+and against the records in any order; bootstrap replicates scored as
+record counts against the resamples copied out and scored from scratch;
+a resample's calibration bins against those of its copies; the chunked
+CSV loader against the per-row one; and the column-wise cluster
+reductions against numpy's own."""
 
 import os
 import tempfile
@@ -153,8 +154,7 @@ def test_shared_sample_matches_metrics_called_alone(cohort, n_horizons):
     """One sample scored with one censoring fit, time order and G(T-), and
     one prediction order per horizon, gives every metric's bits of the
     metric called alone, on tied times, tied predictions and censoring.
-    kaplan_meier_at keeps its bits given the time order, and the stable
-    order and dense ranks are numpy's."""
+    The stable order and dense ranks are numpy's."""
     _, times, events, _, rng = cohort
     surv = np.round(rng.random((times.size, n_horizons)), rng.integers(1, 3))
     horizons = [float(t) for t in rng.choice(times, n_horizons)]
@@ -166,11 +166,6 @@ def test_shared_sample_matches_metrics_called_alone(cohort, n_horizons):
         order, ranks = metrics._stable_order(x)
         assert np.array_equal(order, np.argsort(x, kind="stable"))
         assert np.array_equal(ranks, np.unique(x, return_inverse=True)[1])
-    order = np.argsort(times, kind="stable")
-    groups = rng.integers(0, 5, times.size)
-    for t in horizons:
-        assert (kaplan_meier_at(times, events, groups, t, time_order=order).tobytes()
-                == kaplan_meier_at(times, events, groups, t).tobytes())
 
 
 @SETTINGS
@@ -188,11 +183,30 @@ def test_weighted_kaplan_meier_is_the_expanded_records(cohort):
         assert got.knot_times.tobytes() == want.knot_times.tobytes()
         assert got.cum_hazard.tobytes() == want.cum_hazard.tobytes()
     groups = rng.integers(0, 4, times.size)
-    got = kaplan_meier_at(times, events, groups, horizon, weights=counts,
-                          time_order=np.argsort(times, kind="stable"))
+    got = kaplan_meier_at(times, events, groups, horizon, weights=counts)
     want = kaplan_meier_at(times[idx], events[idx], groups[idx], horizon)
     assert got[:want.size].tobytes() == want.tobytes()
     assert np.all(got[want.size:] == 1.0)  # labels drawn zero times
+
+
+@SETTINGS
+@given(cohorts(min_size=1, max_size=60))
+def test_kaplan_meier_does_not_depend_on_row_order(cohort):
+    """Any permutation of the records, time order among them, gives the
+    bits of the fit on the records as given: the curve and the censoring
+    curve with integer weights, and the per-group value with weights and
+    groups. Evaluation fits its records in time order and relies on this."""
+    _, times, events, horizon, rng = cohort
+    counts, groups = rng.integers(0, 4, times.size), rng.integers(0, 4, times.size)
+    want_at = kaplan_meier_at(times, events, groups, horizon, weights=counts)
+    for perm in (rng.permutation(times.size), np.argsort(times, kind="stable")):
+        t, e, w = times[perm], events[perm], counts[perm]
+        for fit in (kaplan_meier, censoring_km):
+            got, want = fit(t, e, weights=w), fit(times, events, weights=counts)
+            assert got.knot_times.tobytes() == want.knot_times.tobytes()
+            assert got.cum_hazard.tobytes() == want.cum_hazard.tobytes()
+        got_at = kaplan_meier_at(t, e, groups[perm], horizon, weights=w)
+        assert got_at.tobytes() == want_at.tobytes()
 
 
 @SETTINGS
