@@ -25,8 +25,7 @@ from coxmix import neural, objective
 from coxmix.dataset import atomic_write
 from coxmix.estimators import breslow, kaplan_meier
 from coxmix.spline import (
-    density_given_cluster, fit_spline, spline_eval, spline_from_dict, spline_to_dict,
-    spline_value_and_slope,
+    density_given_cluster, fit_spline, spline_from_dict, spline_to_dict, spline_value_and_slope,
 )
 
 MODEL_FORMAT_VERSION = 3  # versions 1 and 2 still load: they hold every version-3 key
@@ -106,19 +105,10 @@ class DcmModel:
         return f, neural.log_softmax(g)
 
     def predict_survival(self, x, t):
-        """Mixture survival P(T > t | x) = sum_k S_k(t)^exp(f_k(x)) *
-        gate_k(x), shape x.shape[:-1] + t.shape for a vector or (N, d)
-        batch x and a scalar or grid t; a single value is a Python float."""
-        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-        f, (_, w) = self._heads_out(np.atleast_2d(x))  # w: (N, K) gate
-        ef = np.exp(f)                              # (N, K)
-        out = np.zeros((f.shape[0], t.size))
-        for k, bl in enumerate(self.baselines):
-            s0 = spline_eval(bl, t.reshape(-1))     # (H,)
-            out += w[:, k:k + 1] * np.power(s0[None, :], ef[:, k:k + 1])
-        np.minimum(out, 1.0, out=out)  # the gate weights may sum to 1 + 1 ulp
-        out = out.reshape(x.shape[:-1] + t.shape)
-        return float(out) if out.ndim == 0 else out
+        """Mixture survival P(T > t | x) of a vector or (N, d) batch x at a
+        scalar or grid t, by ``mixture_survival`` over the spline baselines."""
+        f, (_, w) = self._heads_out(np.atleast_2d(np.asarray(x, dtype=float)))
+        return mixture_survival(x, t, f, w, self.baselines)
 
     def predict_dataset(self, ds, horizons):
         """Survival at each horizon for every row of a raw (unstandardized)
@@ -283,6 +273,20 @@ def e_step(model, x, times, events, heads=None, table=None):
     f, gate = model._heads_out(x) if heads is None else heads
     table = baseline_table(model.baselines, times) if table is None else table
     return _posterior(f, gate[0], events, table)[1]
+
+
+def mixture_survival(x, t, f, w, baselines):
+    """sum_k w_k * S0_k(t)^exp(f_k), clamped at 1, for the (N, K) log hazards f
+    and gate w of x's rows and K baseline survival callables S0_k; shape
+    x.shape[:-1] + t.shape, and a single value is a Python float."""
+    t = np.asarray(t, dtype=float)
+    ef = np.exp(f)
+    out = np.zeros((f.shape[0], t.size))
+    for k, s0 in enumerate(baselines):
+        out += w[:, k:k + 1] * np.power(s0(t.reshape(-1))[None, :], ef[:, k:k + 1])
+    np.minimum(out, 1.0, out=out)  # the gate weights may sum to 1 + 1 ulp
+    out = out.reshape(np.shape(x)[:-1] + t.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_assignments(gamma, rng):

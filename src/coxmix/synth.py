@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from coxmix.dataset import SurvivalDataset
-from coxmix.model import sample_assignments
+from coxmix.model import mixture_survival, sample_assignments
 from coxmix.neural import log_softmax
 
 CENSORING_TOL = 0.02      # calibrated censored fraction: within this of the target
@@ -73,18 +73,12 @@ class SynthConfig:
 
 
 def true_survival(config, x, t):
-    """Ground-truth conditional survival S(t | x) under the generator:
-    the gate-weighted mixture of per-cluster proportional-hazards
-    survivals. x is (d,) or (N, d); t scalar or grid."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    w = log_softmax(x @ np.asarray(config.gating, dtype=float).T)[1]
-    out = np.zeros((x.shape[0], t.size))
-    for k, spec in enumerate(config.clusters):
-        s0 = spec.baseline_survival(t)
-        ef = np.exp(x @ np.asarray(spec.beta, dtype=float))
-        out += w[:, k:k + 1] * np.power(s0[None, :], ef[:, None])
-    return np.squeeze(out)
+    """Ground-truth conditional survival S(t | x) under the generator, by
+    ``mixture_survival`` over the Weibull baselines and linear heads."""
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    f = np.stack([rows @ np.asarray(c.beta, dtype=float) for c in config.clusters], axis=1)
+    w = log_softmax(rows @ np.asarray(config.gating, dtype=float).T)[1]
+    return mixture_survival(x, t, f, w, [c.baseline_survival for c in config.clusters])
 
 
 def generate_cohort(config):

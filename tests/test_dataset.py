@@ -267,3 +267,28 @@ class TestSurvivalDataset:
         with pytest.raises(DatasetError, match="features must be finite"):
             SurvivalDataset(features=np.array([[0.0], [np.nan]]), times=np.ones(2),
                             events=np.array([1, 0]), feature_names=("x",))
+
+
+def _dataset(features, times, names):
+    return SurvivalDataset(features=features, times=times,
+                           events=np.ones(len(times), dtype=int), feature_names=names)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda p: _dataset(np.zeros(3), np.ones(3), ("x",)),
+                 "features must be a 2-d array", id="1d_features"),
+    pytest.param(lambda p: _dataset(np.zeros((3, 1)), np.ones(2), ("x",)),
+                 "times/events length must match feature rows", id="short_times"),
+    pytest.param(lambda p: _dataset(np.zeros((1, 1)), np.ones(1), ("x", "y")),
+                 "feature_names length must equal feature count", id="extra_name"),
+    pytest.param(lambda p: load_csv(write_csv(p, ""), "time", "event"),
+                 "empty file", id="empty_file"),
+    pytest.param(lambda p: load_csv(write_csv(p, "x,time,event\n0,1,1\n"), "time", "event",
+                                    group_col="g"),
+                 "missing group column 'g'", id="missing_group"),
+    pytest.param(lambda p: standardize(make_ds(n=0)),
+                 "cannot standardize an empty dataset", id="standardize_empty"),
+])
+def test_named_errors(tmp_path, call, message):
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        call(tmp_path)

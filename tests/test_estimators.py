@@ -111,3 +111,14 @@ class TestBreslow:
     def test_non_finite_rejected(self):
         with pytest.raises(EstimatorError):
             breslow([1.0], [1], [np.inf])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: StepSurvivalCurve(knot_times=np.array([1.0, 2.0]),
+                                           cum_hazard=np.array([0.5])),
+                 "knot/hazard length mismatch", id="knot_hazard_lengths"),
+    pytest.param(lambda: breslow([], [], []), "empty input", id="breslow_empty"),
+])
+def test_named_errors(call, message):
+    with pytest.raises(EstimatorError, match=message):
+        call()

@@ -187,3 +187,12 @@ class TestQHat:
                         ld = q_hat(t, e, gamma, zeta, f, log_softmax(dn))[0]
                     num[i, j] = (lu - ld) / (2 * eps)
             np.testing.assert_allclose(grad, num, rtol=1e-4, atol=1e-7)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: partial_log_likelihood([np.nan, 0.0], [1.0, 2.0], [1, 0]),
+                 "non-finite log hazards", id="nan_log_hazard"),
+])
+def test_named_errors(call, message):
+    with pytest.raises(ObjectiveError, match=message):
+        call()

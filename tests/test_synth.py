@@ -3,16 +3,36 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coxmix import neural
 from coxmix.estimators import kaplan_meier
+from coxmix.model import DcmConfig, DcmModel
 from coxmix.synth import (
     ClusterSpec, SynthConfig, SynthError, config_from_sidecar, generate_cohort,
     true_survival,
 )
-from conftest import CROSSING_CONFIG
+from conftest import CROSSING_CONFIG, SEPARATED_CONFIG, exp_spline
+
+# the generators of CI's cohort, synth --n 2000 --censoring 0.3 --seed 3 with
+# --preset crossing or separated; the features depend on n, d and the seed alone
+CI_CONFIGS = {"crossing": replace(CROSSING_CONFIG, n=2000, seed=3),
+              "separated": replace(SEPARATED_CONFIG, n=2000, seed=3, censoring_fraction=0.3)}
 
 
 def exponential_cluster(rate, beta):
     return ClusterSpec(shape=1.0, scale=1.0 / rate, beta=tuple(beta))
+
+
+def generator_model(cfg):
+    """A DcmModel with the generator's parameters: a linear encoder, the
+    clusters' betas as hazard head, the gating rows as gate head, and the
+    clusters' Weibull survivals as baselines."""
+    k = len(cfg.clusters)
+    heads = neural.HeadParams(
+        f_w=np.array([c.beta for c in cfg.clusters], dtype=float).T, f_b=np.zeros(k),
+        g_w=np.array(cfg.gating, dtype=float).T, g_b=np.zeros(k))
+    params = neural.MlpParams(weights=[], biases=[], layer_dims=(cfg.n_features,))
+    return DcmModel(params, heads, [c.baseline_survival for c in cfg.clusters],
+                    DcmConfig(n_clusters=k, hidden_dims=()))
 
 
 def single_exponential(n=5000, rate=0.8, seed=0, censoring=0.0):
@@ -159,3 +179,43 @@ class TestTrueSurvival:
         t = np.array([1.0, 3.0])
         np.testing.assert_allclose(true_survival(cfg2, x, t),
                                    true_survival(CROSSING_CONFIG, x, t))
+
+    @pytest.mark.parametrize("preset", sorted(CI_CONFIGS))
+    def test_at_most_one(self, preset):
+        # the gate weights may sum to 1 + 1 ulp: 1.0000000000000002 at t = 0
+        # for 72 crossing and 80 separated rows, which ece refused
+        cfg = CI_CONFIGS[preset]
+        x = generate_cohort(cfg)[0].features
+        assert true_survival(cfg, x, 0.0).max() <= 1.0
+        assert true_survival(cfg, x, np.array([0.0, 1e-9, 1.0])).max() <= 1.0
+
+    @pytest.mark.parametrize("t", [1.0, np.array([1.0]), np.array([0.5, 1.0, 2.0])],
+                             ids=["scalar", "one", "grid"])
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((1, 3)), np.zeros((4, 3))],
+                             ids=["vector", "one_row", "rows"])
+    def test_shape_follows_predict_survival(self, x, t):
+        # a single value was a 0-d array, and one row on a grid lost its row axis
+        model = generator_model(CROSSING_CONFIG)
+        model.baselines = [exp_spline(), exp_spline()]  # the model's own baseline type
+        got = true_survival(CROSSING_CONFIG, x, t)
+        want = model.predict_survival(x, t)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) == x.shape[:-1] + np.shape(t)
+
+    def test_generator_model_predicts_the_truth(self):
+        cfg = CI_CONFIGS["crossing"]
+        x = generate_cohort(cfg)[0].features
+        t = np.array([0.0, 0.5, 1.0, 3.0, 6.0, 12.0])
+        got = generator_model(cfg).predict_survival(x, t)
+        want = true_survival(cfg, x, t)
+        assert got.shape == want.shape == (2000, 6)
+        np.testing.assert_allclose(got, want, rtol=1e-12)  # x @ f_w is one matrix product
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: SynthConfig(n=1, clusters=(), gating=()),
+                 "need at least one cluster", id="no_cluster"),
+])
+def test_named_errors(call, message):
+    with pytest.raises(SynthError, match=message):
+        call()
