@@ -25,7 +25,7 @@ horizon = event_quantiles(ds, [0.5])[0]
 g = censoring_km(ds.times, ds.events)
 
 # Evaluate the ground-truth predictor against a deliberately degraded one.
-pi_true = np.atleast_1d(true_survival(config, ds.features, horizon))
+pi_true = true_survival(config, ds.features, horizon)
 rng = np.random.default_rng(0)
 pi_noisy = np.clip(pi_true + rng.normal(0, 0.25, len(ds)), 0.001, 0.999)
 

@@ -143,9 +143,8 @@ class DcmModel:
             "heads": {k: v.tolist() for k, v in vars(self.heads).items()},
             "splines": [spline_to_dict(b) for b in self.baselines],
         }
-        with atomic_write(path) as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        with atomic_write(path) as fh:  # dumps runs the C encoder, dump never does
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path):
@@ -221,10 +220,11 @@ def baseline_table(baselines, times):
     dS0_k/dt(t_i), as two (N, K) arrays filled one curve at a time with one
     interval lookup per curve. Every posterior reads its rows from one."""
     times = np.asarray(times, dtype=float)
+    order = times.argsort()  # searchsorted runs several times faster on ascending times
     s0 = np.empty((times.size, len(baselines)))
     ds0 = np.empty_like(s0)
     for k, bl in enumerate(baselines):
-        s0[:, k], ds0[:, k] = spline_value_and_slope(bl, times)
+        s0[order, k], ds0[order, k] = spline_value_and_slope(bl, times[order])
     return s0, ds0
 
 
@@ -363,7 +363,8 @@ def _minibatch_phase(model, train, table, adam, rng):
         zeta = sample_assignments(gamma, rng)
         # M-step: one Adam step on the hard-assignment objective
         loss, d_f, d_g = objective.q_hat(tb, eb, gamma, zeta, f, gate)
-        neural.adam_step(*neural.backward(model.params, model.heads, cache, rep, d_f, d_g), adam)
+        neural.adam_step(*neural.backward(model.params, model.heads, cache, rep, d_f, d_g,
+                                          out=adam.grads), adam)
         losses.append(loss)
     return losses
 

@@ -5,6 +5,7 @@ optimizer. Implemented directly in numpy; no autodiff framework.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,17 +134,22 @@ def heads_forward(heads, rep):
     return f, g
 
 
-def backward(params, heads, cache, rep, d_log_hazards, d_gating_logits):
+def backward(params, heads, cache, rep, d_log_hazards, d_gating_logits, out=None):
     """Exact gradients of a scalar loss given its gradients wrt the two
     head outputs. Returns (mlp gradients, head gradients) mirroring the
-    parameter structures."""
+    parameter structures; with ``out``, arrays in ``_flatten`` order such
+    as ``AdamState.grads``, they are written into those, each whole."""
     d_log_hazards = np.asarray(d_log_hazards, dtype=float)
     d_gating_logits = np.asarray(d_gating_logits, dtype=float)
     if d_log_hazards.shape != (rep.shape[0], heads.f_w.shape[1]):
         raise NeuralError("upstream gradient shape mismatch")
+    n = len(params.weights)
+    dst = [None] * (2 * n + 4) if out is None else out
     head_grads = HeadParams(
-        f_w=rep.T @ d_log_hazards, f_b=np.add.reduce(d_log_hazards, axis=0),
-        g_w=rep.T @ d_gating_logits, g_b=np.add.reduce(d_gating_logits, axis=0),
+        f_w=np.matmul(rep.T, d_log_hazards, out=dst[-4]),
+        f_b=np.add.reduce(d_log_hazards, axis=0, out=dst[-3]),
+        g_w=np.matmul(rep.T, d_gating_logits, out=dst[-2]),
+        g_b=np.add.reduce(d_gating_logits, axis=0, out=dst[-1]),
     )
     gw, gb = [], []
     layers = list(zip(cache, [*cache[1:], rep], params.weights))
@@ -153,8 +159,8 @@ def backward(params, heads, cache, rep, d_log_hazards, d_gating_logits):
     for i in reversed(range(len(layers))):
         a_in, a_out, w = layers[i]
         dz = np.multiply(da, a_out > 0, out=da)  # relu(z) > 0 exactly where z > 0
-        gw.append(a_in.T @ dz)
-        gb.append(np.add.reduce(dz, axis=0))
+        gw.append(np.matmul(a_in.T, dz, out=dst[i]))
+        gb.append(np.add.reduce(dz, axis=0, out=dst[n + i]))
         if i:  # the input features take no gradient
             da = dz @ w.T
     mlp_grads = MlpParams(
@@ -169,12 +175,15 @@ def _flatten(params, heads):
 @dataclass
 class AdamState:
     """The parameters as one contiguous vector ``theta``, with the first
-    and second moment accumulators over it; ``bounds`` holds each array's
-    (start, stop) in it, in ``_flatten`` order."""
+    and second moment accumulators and the gradient ``grad`` over it;
+    ``bounds`` holds each array's (start, stop) in these, in ``_flatten``
+    order, and ``grads`` the arrays' views into ``grad``."""
 
     theta: np.ndarray
     m: np.ndarray
     v: np.ndarray
+    grad: np.ndarray
+    grads: list
     step: int
     lr: float
     bounds: tuple
@@ -185,31 +194,37 @@ class AdamState:
         ``params`` and ``heads`` to its view into it."""
         arrs = _flatten(params, heads)
         theta = np.concatenate([a.ravel() for a in arrs])
+        grad = np.zeros_like(theta)
         stops = np.cumsum([a.size for a in arrs]).tolist()
         bounds = tuple(zip([0, *stops[:-1]], stops))
-        views = [theta[lo:hi].reshape(a.shape) for a, (lo, hi) in zip(arrs, bounds)]
+        views, grads = ([vec[lo:hi].reshape(a.shape) for a, (lo, hi) in zip(arrs, bounds)]
+                        for vec in (theta, grad))
         n = len(params.weights)
         params.weights, params.biases = views[:n], views[n:2 * n]
         heads.f_w, heads.f_b, heads.g_w, heads.g_b = views[2 * n:]
         return cls(theta=theta, m=np.zeros_like(theta), v=np.zeros_like(theta),
-                   step=0, lr=lr, bounds=bounds)
+                   grad=grad, grads=grads, step=0, lr=lr, bounds=bounds)
 
 
 def adam_step(mlp_grads, head_grads, state):
     """In-place Adam update of ``state.theta`` with bias correction, after
     clipping the global gradient norm at GRAD_CLIP_NORM. Raises on
-    non-finite gradients or parameters.
+    non-finite gradients or parameters. Gradients other than the views
+    ``state.grads`` are copied into them first.
 
     The norm's square is summed array by array, each array's share one
     reduction over its slice of a single squared vector: the bits of
     ``np.sum(a * a)`` per array, without a temporary per array."""
-    g = np.concatenate([a.ravel() for a in _flatten(mlp_grads, head_grads)])
+    for dst, src in zip(state.grads, _flatten(mlp_grads, head_grads), strict=True):
+        if src is not dst:
+            dst[...] = np.reshape(src, dst.shape)
+    g = state.grad
     sq = g * g
-    total = np.sqrt(sum(float(np.add.reduce(sq[lo:hi])) for lo, hi in state.bounds))
-    if not np.isfinite(total):
+    total = math.sqrt(sum(float(np.add.reduce(sq[lo:hi])) for lo, hi in state.bounds))
+    if not math.isfinite(total):
         raise NeuralError("non-finite gradient; training aborted")
     if total > GRAD_CLIP_NORM:
-        g *= GRAD_CLIP_NORM / total
+        g *= GRAD_CLIP_NORM / total  # in place: the next step writes every element anew
 
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step

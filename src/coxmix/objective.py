@@ -23,10 +23,10 @@ def partial_log_likelihood(log_hazards, times, events, strata=None):
     time holds everyone in its stratum with time >= it; tied events share
     one denominator. One sort serves all strata (Kalbfleisch & Prentice
     1980): each stratum's risk sums are a reverse cumulative sum down its
-    column of an (N, K) array that is zero off the stratum's rows, shifted
-    by the stratum's max so |f| up to ~50 stays finite. The zeros are
-    exact, so a stratum gets the bits it gets alone. Zero events gives
-    (0, zeros).
+    column of an (N, K) array that holds each row's weight in its stratum's
+    column and zeros elsewhere, the weight exp(f) shifted by the stratum's
+    max so |f| up to ~50 stays finite. The zeros are exact, so a stratum
+    gets the bits it gets alone. Zero events gives (0, zeros).
     """
     f = np.asarray(log_hazards, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -39,15 +39,19 @@ def partial_log_likelihood(log_hazards, times, events, strata=None):
 
     order = times.argsort(kind="stable")
     t, e, fo, so = times[order], events[order], f[order], strata[order]
-    member = so[:, None] == np.arange(so.max() + 1)  # (N, K) stratum indicator
-    fmax = np.where(member, fo[:, None], -np.inf).max(axis=0)
+    k = so.max() + 1
+    fmax = np.full(k, -np.inf)
+    np.maximum.at(fmax, so, fo)  # each stratum's max, in any order
     w = np.exp(fo - fmax[so])
     # risk-set sums over {j in stratum k : t_j >= t_i}, shared within a tie group
-    tail = np.where(member, w[:, None], 0.0)[::-1].cumsum(axis=0)[::-1]
+    tail = np.zeros((so.size, k))
+    tail[np.arange(so.size), so] = w
+    tail = tail[::-1].cumsum(axis=0)[::-1]
     first = np.concatenate(([True], t[1:] != t[:-1]))  # rows that start a tie group
-    start = first.nonzero()[0]
-    denom = tail[start]  # (groups, K), stratum k scaled by exp(-fmax_k)
-    d = np.add.reduceat(member * e[:, None], start)  # events per distinct time and stratum
+    group = first.cumsum() - 1  # each row's tie group
+    denom = tail[first]  # (groups, K), stratum k scaled by exp(-fmax_k)
+    # events per distinct time and stratum; sums of integers, so exact
+    d = np.bincount(group * k + so, weights=e, minlength=denom.size).reshape(denom.shape)
 
     ev = d > 0
     value = float(fo[e == 1].sum()
@@ -56,7 +60,7 @@ def partial_log_likelihood(log_hazards, times, events, strata=None):
     # gradient: delta_i - exp(f_i) * sum_{event times <= t_i} d / riskset_sum
     ratio_cum = np.divide(d, denom, out=np.zeros(denom.shape), where=ev).cumsum(axis=0)
     grad = np.empty_like(f)
-    grad[order] = e - w * ratio_cum[first.cumsum() - 1, so]  # row's tie group, stratum
+    grad[order] = e - w * ratio_cum[group, so]
     return value, grad
 
 

@@ -96,8 +96,9 @@ def spline_value_and_slope(s, t):
     monotone cubic's value and slope between knots (the knot value and 0
     for a single knot), the exponential constant-hazard tail and its slope
     -tail_hazard * tail past the last knot, and NaN at a NaN time. Every
-    point gets the cubic at t clipped to the knots (one interval lookup)
-    and the tail, and keeps its piece. S is clipped to [EPS_SURVIVAL, 1]
+    point gets the cubic at t clipped to the knots (one interval lookup);
+    the points past the last knot then get the tail, and those before the
+    first knot 1 and 0. S is clipped to [EPS_SURVIVAL, 1]
     (the cubic never overshoots the knots, so this guards the floor), dS/dt
     to at most -EPS_DENSITY, so the implied event density is positive."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -108,10 +109,11 @@ def spline_value_and_slope(s, t):
     x2 = x * x  # terms summed in scipy PPoly's order, so its bits are kept
     val = y0 + c * x + b * x2 + a * (x2 * x)
     slope = c + b * x * 2 + a * x2 * 3
-    tail = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * np.maximum(t - hi, 0.0))
-    before, after = t < lo, t > hi
-    val = np.where(before, 1.0, np.where(after, tail, val))
-    slope = np.where(before, 0.0, np.where(after, -s.tail_hazard * tail, slope))
+    after = t > hi
+    tail = max(s.values[-1], EPS_SURVIVAL) * np.exp(-s.tail_hazard * (t[after] - hi))
+    val[after], slope[after] = tail, -s.tail_hazard * tail
+    before = t < lo
+    val[before], slope[before] = 1.0, 0.0
     return np.clip(val, EPS_SURVIVAL, 1.0, out=val), np.minimum(slope, -EPS_DENSITY, out=slope)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 from coxmix.dataset import DatasetError, SurvivalDataset
 from coxmix.estimators import StepSurvivalCurve
 from coxmix.model import ModelError
+from coxmix.objective import ObjectiveError
 from coxmix.spline import (
     EPS_DENSITY, EPS_SURVIVAL, density_given_cluster, fit_spline, spline_eval,
     spline_value_and_slope,
@@ -179,6 +180,43 @@ def unstratified_partial_likelihood(log_hazards, times, events):
     pos = np.repeat(np.arange(start.size), np.diff(np.append(start, t.size)))
     grad = np.empty_like(f)
     grad[order] = e - w * ratio_cum[pos]
+    return value, grad
+
+
+def membership_partial_likelihood(log_hazards, times, events, strata=None):
+    """Reference for ``objective.partial_log_likelihood``: the earlier version
+    that builds the (N, K) stratum membership matrix and takes each
+    stratum's max, risk-set column and event counts through it. Copied as
+    it was, input checks included."""
+    f = np.asarray(log_hazards, dtype=float)
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    if not np.isfinite(f).all():
+        raise ObjectiveError("non-finite log hazards")
+    if events.sum() == 0:
+        return 0.0, np.zeros_like(f)
+    strata = np.zeros(f.size, dtype=int) if strata is None else np.asarray(strata, dtype=int)
+
+    order = times.argsort(kind="stable")
+    t, e, fo, so = times[order], events[order], f[order], strata[order]
+    member = so[:, None] == np.arange(so.max() + 1)  # (N, K) stratum indicator
+    fmax = np.where(member, fo[:, None], -np.inf).max(axis=0)
+    w = np.exp(fo - fmax[so])
+    # risk-set sums over {j in stratum k : t_j >= t_i}, shared within a tie group
+    tail = np.where(member, w[:, None], 0.0)[::-1].cumsum(axis=0)[::-1]
+    first = np.concatenate(([True], t[1:] != t[:-1]))  # rows that start a tie group
+    start = first.nonzero()[0]
+    denom = tail[start]  # (groups, K), stratum k scaled by exp(-fmax_k)
+    d = np.add.reduceat(member * e[:, None], start)  # events per distinct time and stratum
+
+    ev = d > 0
+    value = float(fo[e == 1].sum()
+                  - (d[ev] * (np.log(denom[ev]) + fmax[ev.nonzero()[1]])).sum())
+
+    # gradient: delta_i - exp(f_i) * sum_{event times <= t_i} d / riskset_sum
+    ratio_cum = np.divide(d, denom, out=np.zeros(denom.shape), where=ev).cumsum(axis=0)
+    grad = np.empty_like(f)
+    grad[order] = e - w * ratio_cum[first.cumsum() - 1, so]  # row's tie group, stratum
     return value, grad
 
 

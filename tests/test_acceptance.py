@@ -242,7 +242,7 @@ def test_criterion_07_calibration_oracle():
     horizons = event_quantiles(ds, [0.25, 0.5, 0.75])
     true_vals, bad_vals = [], []
     for h in horizons:
-        pi = np.atleast_1d(true_survival(cfg, ds.features, h))
+        pi = true_survival(cfg, ds.features, h)
         true_vals.append(ece(pi, ds.times, ds.events, h))
         bad_vals.append(ece(pi ** 2, ds.times, ds.events, h))
     ok = all(v < 0.02 for v in true_vals) and all(

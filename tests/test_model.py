@@ -1,3 +1,4 @@
+import io
 import json
 import warnings
 from dataclasses import replace
@@ -104,6 +105,28 @@ class TestSampleAssignments:
         rng = np.random.default_rng(2)
         gamma = np.tile([0.0, 1.0], (100, 1))
         assert np.all(sample_assignments(gamma, rng) == 1)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_count_matches_column_sums_on_boundaries(self, k):
+        # draws exactly on a cumulative posterior and one ulp either side of
+        # it, some on posteriors tied by a zero, against the comparisons
+        # with each cumulative column summed one column at a time
+        rng = np.random.default_rng(k)
+        gamma = rng.dirichlet(np.full(k, 0.5), size=60)
+        gamma[::4, rng.integers(k)] = 0.0
+        cdf = np.cumsum(gamma[:, :-1], axis=1)
+        on = cdf[np.arange(60), rng.integers(k - 1, size=60)] if k > 1 else rng.random(60)
+        u = np.concatenate([on, np.nextafter(on, -1.0), np.nextafter(on, 2.0)])
+        gamma, cdf = np.tile(gamma, (3, 1)), np.tile(cdf, (3, 1))
+
+        class Draws:
+            def random(self, n):
+                assert n == u.size
+                return u
+        want = np.zeros(u.size, dtype=int)
+        for j in range(k - 1):
+            want += u > cdf[:, j]
+        assert np.array_equal(sample_assignments(gamma, Draws()), want)
 
 
 class TestPredictSurvival:
@@ -386,6 +409,14 @@ class TestPersistence:
         assert set(payload["mlp"]) == {"weights", "biases"}
         for s in payload["splines"]:
             assert set(s) == {"knots", "values"}
+
+    def test_saved_bytes_are_those_of_streaming_json_dump(self, saved_model, tmp_path):
+        m, payload = saved_model
+        path = tmp_path / "model.json"
+        m.save(path)
+        buf = io.StringIO()
+        json.dump(payload, buf, sort_keys=True)
+        assert path.read_bytes() == (buf.getvalue() + "\n").encode("utf-8")
 
     def test_format_1_file_loads_and_predicts_the_same(self, saved_model, tmp_path):
         # format 1 also stored each spline's tail hazard and fallback flag

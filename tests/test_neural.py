@@ -139,6 +139,26 @@ class TestBackwardOracle:
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dims", [(5, 7, 6), (5,)], ids=["two_layers", "identity"])
+    def test_out_views_get_the_oracle_bits_and_step_as_copies(self, dims):
+        # fit's path: backward writes into AdamState's gradient views, and
+        # the step from them is the step from the same gradients copied in
+        rng = np.random.default_rng(6)
+        p, h = init_params(dims, 3, seed=2)
+        state = AdamState.create(p, h, lr=0.01)
+        p2, h2 = init_params(dims, 3, seed=2)
+        state2 = AdamState.create(p2, h2, lr=0.01)
+        for scale in (1e-3, 1e3):  # unclipped, then clipped in place
+            rep, cache = forward(p, rng.normal(size=(41, 5)))
+            d_f, d_g = scale * rng.normal(size=(2, 41, 3))
+            want = per_array_backward(p, h, cache, rep, d_f, d_g)
+            got = backward(p, h, cache, rep, d_f, d_g, out=state.grads)
+            for a, view, b in zip(_flatten(*got), state.grads, want, strict=True):
+                assert a is view and np.array_equal(a, b)
+            adam_step(*got, state)
+            adam_step(*backward(p2, h2, cache, rep, d_f, d_g), state2)
+            assert state.theta.tobytes() == state2.theta.tobytes()
+
 
 class TestAdam:
     def test_three_steps_match_reference(self):

@@ -2,7 +2,8 @@
 and the partial likelihood against the brute-force oracles in conftest, on
 random data with tied times, tied predictions and random censoring; the
 range and monotonicity of the mixture's survival predictions; the
-stratified partial likelihood against one likelihood per cluster; the
+stratified partial likelihood against one likelihood per cluster and
+against the membership-matrix version it replaced; the
 baseline table against direct spline evaluation; the spline's slope
 outside its knots; the spline against scipy's PchipInterpolator
 between them; the metrics on one shared sample against each metric
@@ -41,8 +42,8 @@ from coxmix.spline import (
 from conftest import (
     brute_force_breslow, brute_force_km, brute_force_partial_likelihood, ipcw_pair_auc,
     ipcw_pair_concordance, masked_cluster_log_densities, masked_spline_value_and_slope,
-    materialised_replicate, metrics_called_alone, per_cluster_q_hat, per_row_load_csv,
-    per_row_log_densities,
+    materialised_replicate, membership_partial_likelihood, metrics_called_alone,
+    per_cluster_q_hat, per_row_load_csv, per_row_log_densities,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -370,6 +371,24 @@ def test_stratified_likelihood_matches_brute_force(batch):
         expect_grad[rows] = g
     np.testing.assert_allclose(value, expect_value, rtol=1e-10, atol=1e-9)
     np.testing.assert_allclose(grad, expect_grad, rtol=1e-10, atol=1e-10)
+
+
+@SETTINGS
+@given(clustered_batches(), st.data())
+def test_stratified_likelihood_keeps_membership_matrix_bits(batch, data):
+    """The likelihood without the membership matrix gives the value and
+    gradient bytes of the version with it: one stratum, the batch's
+    clusters, and those clusters relabelled in order with gaps (labels up
+    to 7, e.g. only 0 and 4 present)."""
+    times, events, _, zeta, f, _ = batch
+    fz = f[np.arange(zeta.size), zeta]
+    labels = sorted(data.draw(st.sets(st.integers(0, 7), min_size=f.shape[1],
+                                      max_size=f.shape[1])))
+    for strata in (None, zeta, np.array(labels)[zeta]):
+        value, grad = partial_log_likelihood(fz, times, events, strata=strata)
+        ref_value, ref_grad = membership_partial_likelihood(fz, times, events, strata=strata)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
 
 
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -1.0, 1e300, -1e300]
