@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import pickle
-import re
 import signal
 import sys
 from dataclasses import astuple, fields, replace
@@ -24,7 +23,7 @@ from coxmix import metrics as metrics_mod
 from coxmix import synth as synth_mod
 from coxmix.dataset import atomic_write, event_quantiles, k_fold_split, load_csv, standardize
 from coxmix.estimators import censoring_km
-from coxmix.model import DcmConfig, DcmModel, ModelError, fit
+from coxmix.model import ConfigError, DcmConfig, DcmConfigError, DcmModel, fit
 
 
 class _OutputTracker:
@@ -108,17 +107,15 @@ def _dcm_config(args, grid=None):
     entry as grid.csv does."""
     widths = [v.strip() for v in args.layers.split(",") if v.strip()]
     if not all(v.isdecimal() and int(v) > 0 for v in widths):
-        raise ValueError(f"--layers needs comma-separated positive widths, got {args.layers!r}")
+        raise DcmConfigError("{hidden_dims} needs comma-separated positive widths, got {!r}",
+                             args.layers)
     k, hidden = (grid[0], (grid[2],) * grid[1]) if grid else (args.k, tuple(map(int, widths)))
     try:
         return DcmConfig(n_clusters=k, hidden_dims=hidden, lr=args.lr, batch_size=args.batch,
                          max_epochs=args.epochs, patience=args.patience, seed=args.seed)
-    except ModelError as exc:  # its message names DcmConfig fields
-        flags = {"n_clusters": "--k", "hidden_dims": "--layers", "lr": "--lr",
-                 "batch_size": "--batch", "max_epochs": "--epochs", "patience": "--patience"}
-        message = re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc))
-        raise ValueError(f"{message} for grid configuration {_grid_name(*grid)}" if grid
-                         else message) from None
+    except ConfigError as exc:
+        where = f" for grid configuration {_grid_name(*grid)}" if grid else ""
+        raise ValueError(exc.render("flag") + where) from None
 
 
 # -- synth ----------------------------------------------------------------
@@ -354,30 +351,6 @@ def cmd_cv(args, tracker):
 
 # -- argument parsing --------------------------------------------------------
 
-def _add_shared(p):
-    p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--time-col", default="time")
-    p.add_argument("--event-col", default="event")
-    p.add_argument("--group-col", default=None)
-    p.add_argument("--drop-missing", action="store_true",
-                   help="drop rows with a missing or non-finite time, event or "
-                        "feature instead of failing")
-    p.add_argument("--drop-columns", default="",
-                   help="comma-separated columns to exclude from the features")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--out", required=True, help="output directory")
-
-
-def _add_train_flags(p):
-    p.add_argument("--k", type=int, default=3, help="number of mixture components")
-    p.add_argument("--layers", default="100",
-                   help="comma-separated hidden widths; empty for a linear model")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--patience", type=int, default=3)
-
-
 def _non_negative_int(text):
     value = int(text)
     if value < 0:
@@ -386,52 +359,56 @@ def _non_negative_int(text):
 
 
 def build_parser():
+    """One table of flags: each is declared once with the commands that take it,
+    which list them in its order; a config field's flag is named in its metadata."""
     parser = argparse.ArgumentParser(
         prog="coxmix",
         description="Cox mixture survival models: synthesize, train, evaluate.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, func, text in (("synth", cmd_synth, "generate a synthetic censored cohort"),
+                             ("train", cmd_train, "fit a model on a CSV dataset"),
+                             ("eval", cmd_eval, "evaluate a saved model"),
+                             ("cv", cmd_cv, "k-fold cross-validation with pooled report"),
+                             ("predict", cmd_predict, "survival probabilities at horizons")):
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].set_defaults(func=func)
 
-    p = sub.add_parser("synth", help="generate a synthetic censored cohort")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--preset", choices=sorted(_PRESETS), default="ph")
-    p.add_argument("--spec", default=None,
-                   help="JSON file with clusters/gating overriding --preset")
-    p.add_argument("--censoring", type=float, default=0.0)
-    p.add_argument("--with-groups", action="store_true")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    def add(names, flag, **kwargs):  # a config field's metadata gives its flag and help
+        for name in names.split():
+            commands[name].add_argument(flag, **kwargs)
 
-    p = sub.add_parser("train", help="fit a model on a CSV dataset")
-    _add_shared(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a saved model")
-    _add_shared(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--horizons", default="q25,q50,q75",
-                   help="qNN quantile tags or explicit times, comma separated")
-    p.add_argument("--bootstrap", type=_non_negative_int, default=100)
-    p.add_argument("--dump-baselines", action="store_true")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("cv", help="k-fold cross-validation with pooled report")
-    _add_shared(p)
-    _add_train_flags(p)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--horizons", default="q25,q50,q75")
-    p.add_argument("--bootstrap", type=_non_negative_int, default=100)
-    p.add_argument("--grid", action="store_true",
-                   help="sweep K/layers/width and select by lowest pooled Brier")
-    p.set_defaults(func=cmd_cv)
-
-    p = sub.add_parser("predict", help="survival probabilities at horizons")
-    _add_shared(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--horizons", default="q25,q50,q75")
-    p.set_defaults(func=cmd_predict)
-
+    cohort = {f.name: f for f in fields(synth_mod.SynthConfig)}
+    add("synth", **cohort["n"].metadata, type=int, required=True)
+    add("synth", "--preset", choices=sorted(_PRESETS), default="ph")
+    add("synth", "--spec", help="JSON file with clusters/gating overriding --preset")
+    censoring = cohort["censoring_fraction"]
+    add("synth", **censoring.metadata, type=float, default=censoring.default)
+    add("synth", **cohort["with_groups"].metadata, action="store_true")
+    data = "train eval cv predict"  # every command that reads a CSV
+    add(data, "--data", required=True, help="input CSV path")
+    add(data, "--time-col", default="time")
+    add(data, "--event-col", default="event")
+    add(data, "--group-col")
+    add(data, "--drop-missing", action="store_true",
+        help="drop rows with a missing or non-finite time, event or feature instead of failing")
+    add(data, "--drop-columns", default="",
+        help="comma-separated columns to exclude from the features")
+    add("synth " + data, "--seed", type=_non_negative_int, default=0)
+    add("synth " + data, "--out", required=True, help="output directory")
+    for f in fields(DcmConfig):  # every field but seed, which --seed sets
+        if f.name == "hidden_dims":  # the one flag that is not of its field's type
+            add("train cv", **f.metadata, default=",".join(map(str, f.default)))
+        elif f.metadata:
+            add("train cv", **f.metadata, type=type(f.default), default=f.default)
+    add("cv", "--folds", type=int, default=5)
+    add("eval predict", "--model", required=True, help="model.json written by train")
+    add("eval cv predict", "--horizons", default="q25,q50,q75",
+        help="qNN quantile tags or explicit times, comma separated")
+    add("eval cv", "--bootstrap", type=_non_negative_int, default=100)
+    add("eval", "--dump-baselines", action="store_true")
+    add("cv", "--grid", action="store_true",
+        help="sweep K/layers/width and select by lowest pooled Brier")
     return parser
 
 
@@ -443,6 +420,8 @@ def main(argv=None):
         args.func(args, tracker)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         tracker.cleanup()
+        if isinstance(exc, ConfigError):  # a flag set the refused field: name the flag
+            exc = exc.render("flag")
         print(f"coxmix {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0

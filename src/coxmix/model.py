@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -41,41 +41,64 @@ class ModelError(ValueError):
     pass
 
 
+class ConfigError(ValueError):
+    """A refused value of a subclass's dataclass ``config``: a ``str.format`` template
+    over its field names, then the positional values. ``str()`` writes each field as
+    its name, ``render(key)`` as its metadata's ``key`` entry where it has one."""
+
+    def render(self, key=None):
+        template, *values = self.args
+        return template.format(*values, **{f.name: f.metadata.get(key, f.name)
+                                           for f in fields(self.config)})
+
+    __str__ = render
+
+
 @dataclass
 class DcmConfig:
-    """Training configuration. Defaults follow: Adam lr 1e-3, minibatch
-    128, degree-3 baseline splines."""
+    """Training configuration. Each field but ``seed``, which every command's
+    --seed sets, names its command-line ``flag`` and the flag's ``help`` text."""
 
-    n_clusters: int = 3
-    hidden_dims: tuple = (100,)
-    lr: float = 1e-3
-    batch_size: int = 128
-    max_epochs: int = 50
-    patience: int = 3
+    n_clusters: int = field(default=3, metadata={
+        "flag": "--k", "help": "number of mixture components"})
+    hidden_dims: tuple = field(default=(100,), metadata={
+        "flag": "--layers", "help": "comma-separated hidden widths; empty for a linear model"})
+    lr: float = field(default=1e-3, metadata={
+        "flag": "--lr", "help": "Adam's learning rate; finite and positive"})
+    batch_size: int = field(default=128, metadata={
+        "flag": "--batch", "help": "rows per minibatch; at least 2 per mixture component"})
+    max_epochs: int = field(default=50, metadata={
+        "flag": "--epochs", "help": "most EM epochs; at least 1"})
+    patience: int = field(default=3, metadata={
+        "flag": "--patience", "help": "epochs without a lower validation loss before stopping"})
     seed: int = 0
 
     def __post_init__(self):
-        """Each refused value raises a ModelError whose message starts with
-        its field's name."""
+        """Each refused value raises a DcmConfigError whose message starts with its field."""
         for name in ("n_clusters", "batch_size", "max_epochs", "patience", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            if not _is_integer(value := getattr(self, name)):
+                raise DcmConfigError("{" + name + "} must be an integer, got {!r}", value)
         if not all(_is_integer(w) and w > 0 for w in self.hidden_dims):
-            raise ModelError(f"hidden_dims must be positive integers, got {self.hidden_dims!r}")
+            raise DcmConfigError("{hidden_dims} must be positive integers, got {!r}",
+                                 self.hidden_dims)
         if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real):
-            raise ModelError(f"lr must be a real number, got {self.lr!r}")
+            raise DcmConfigError("{lr} must be a real number, got {!r}", self.lr)
         if self.n_clusters < 1:
-            raise ModelError(f"n_clusters must be >= 1, got {self.n_clusters}")
+            raise DcmConfigError("{n_clusters} must be >= 1, got {}", self.n_clusters)
         if self.seed < 0:  # numpy's generators refuse it
-            raise ModelError(f"seed must be >= 0, got {self.seed}")
+            raise DcmConfigError("{seed} must be >= 0, got {}", self.seed)
         if self.batch_size < 2 * self.n_clusters:
-            raise ModelError(f"batch_size must be at least 2 * n_clusters = "
-                             f"{2 * self.n_clusters}, got {self.batch_size}")
+            raise DcmConfigError("{batch_size} must be at least 2 * {n_clusters} = {}, got {}",
+                                 2 * self.n_clusters, self.batch_size)
         for name in ("max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if (value := getattr(self, name)) < 1:
+                raise DcmConfigError("{" + name + "} must be >= 1, got {}", value)
         if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ModelError(f"lr must be finite and positive, got {self.lr}")
+            raise DcmConfigError("{lr} must be finite and positive, got {}", self.lr)
+
+
+class DcmConfigError(ConfigError, ModelError):
+    config = DcmConfig
 
 
 def _is_integer(value):

@@ -10,12 +10,12 @@ and latent labels live in a sidecar so trained models can never see them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from coxmix.dataset import SurvivalDataset
-from coxmix.model import mixture_survival, sample_assignments
+from coxmix.model import ConfigError, mixture_survival, sample_assignments
 from coxmix.neural import log_softmax
 
 CENSORING_TOL = 0.02      # calibrated censored fraction: within this of the target
@@ -46,18 +46,21 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n: int
+    n: int = field(metadata={"flag": "--n", "help": "number of records"})  # as DcmConfig's
     clusters: tuple            # tuple of ClusterSpec
     gating: tuple              # K rows of d gating coefficients
-    censoring_fraction: float = 0.0
+    censoring_fraction: float = field(default=0.0, metadata={
+        "flag": "--censoring", "help": "target censored fraction, from 0 to 0.95"})
     seed: int = 0
-    with_groups: bool = False  # label rows by the sign of the first covariate
+    with_groups: bool = field(default=False, metadata={
+        "flag": "--with-groups", "help": "label rows pos or neg by the sign of x0"})
 
     def __post_init__(self):
         if self.n < 1:
-            raise SynthError(f"need at least one record, got n={self.n}")
+            raise SynthConfigError("{n} needs at least one record, got {}", self.n)
         if not 0.0 <= self.censoring_fraction <= 0.95:
-            raise SynthError("censoring fraction must be in [0, 0.95]")
+            raise SynthConfigError("{censoring_fraction} must be in [0, 0.95], got {}",
+                                   self.censoring_fraction)
         if len(self.clusters) < 1:
             raise SynthError("need at least one cluster")
         if len(self.gating) != len(self.clusters):
@@ -70,6 +73,10 @@ class SynthConfig:
     @property
     def n_features(self):
         return len(self.clusters[0].beta)
+
+
+class SynthConfigError(ConfigError, SynthError):
+    config = SynthConfig
 
 
 def true_survival(config, x, t):

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import pytest
 import coxmix
 from coxmix import cli
 from coxmix.cli import main
-from coxmix.model import DcmModel, ModelError
+from coxmix.model import DcmConfig, DcmModel, ModelError
+from coxmix.synth import SynthConfig
 
 
 def run(argv):
@@ -115,6 +117,52 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("coxmix synth: error: ") and named in err, err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "-5"], "--n needs at least one record, got -5"),
+    (["--n", "10", "--censoring", "1.5"], "--censoring must be in [0, 0.95], got 1.5"),
+], ids=["n", "censoring"])
+def test_synth_refusals_name_their_flag(tmp_path, capsys, flags, message):
+    # these printed "need at least one record, got n=-5" and "censoring
+    # fraction must be in [0, 0.95]", which named no flag
+    out = tmp_path / "o"
+    assert run(["synth", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"coxmix synth: error: {message}"]
+    assert not out.exists()
+
+
+class TestFlagTable:
+    """A config field's flag takes its name, default and help text from the field."""
+
+    TRAINING_FLAGS = ["--k", "--layers", "--lr", "--batch", "--epochs", "--patience"]
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_training_defaults_are_the_config_defaults(self, command):
+        args = cli.build_parser().parse_args([command, "--data", "d.csv", "--out", "o"])
+        assert cli._dcm_config(args) == DcmConfig()
+
+    def test_synth_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["synth", "--n", "5", "--out", "o"])
+        default = {f.name: f.default for f in fields(SynthConfig)}
+        assert args.censoring == default["censoring_fraction"]
+        assert args.with_groups is default["with_groups"]
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "cv", "predict"])
+    def test_help(self, command, capsys, monkeypatch):
+        # argparse formats the help texts only here: a % in one would crash it
+        monkeypatch.setenv("COLUMNS", "200")  # no help text is wrapped
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args([command, "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        helps = {f.metadata["flag"]: f.metadata["help"] for f in fields(DcmConfig) if f.metadata}
+        assert list(helps) == self.TRAINING_FLAGS
+        trains = command in ("train", "cv")
+        for flag, help_text in helps.items():
+            assert (f"{flag} {flag[2:].upper()} {help_text}" in text) is trains
+        horizons = "--horizons HORIZONS qNN quantile tags or explicit times, comma separated"
+        assert (horizons in text) is (command in ("eval", "cv", "predict"))
 
 
 class TestTrain:

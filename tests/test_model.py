@@ -451,6 +451,13 @@ class TestPersistence:
 
 
 class TestFit:
+    def test_non_finite_objective_raises(self, monkeypatch):
+        # a NaN validation objective stops training by name before it is logged
+        monkeypatch.setattr(model_mod, "expected_q_loss", lambda *args: np.nan)
+        ds, _ = generate_cohort(SEPARATED_CONFIG)
+        with pytest.raises(ModelError, match="^non-finite objective at epoch 0$"):
+            fit(ds.subset(np.arange(200)), DcmConfig(n_clusters=2, hidden_dims=(8,)))
+
     def test_deterministic_given_seed(self):
         ds, _ = generate_cohort(SEPARATED_CONFIG)
         sub = ds.subset(np.arange(400))

@@ -212,6 +212,17 @@ class TestAdam:
         with pytest.raises(NeuralError):
             adam_step(bad, gz, state)
 
+    def test_non_finite_parameter_raises(self):
+        # every gradient is finite and nonzero, but an infinite rate steps to -inf
+        p, h = tiny_net()
+        state = AdamState.create(p, h, lr=np.inf)
+        ones = MlpParams(weights=[np.ones_like(w) for w in p.weights],
+                         biases=[np.ones_like(b) for b in p.biases], layer_dims=p.layer_dims)
+        head_ones = HeadParams(f_w=np.ones_like(h.f_w), f_b=np.ones_like(h.f_b),
+                               g_w=np.ones_like(h.g_w), g_b=np.ones_like(h.g_b))
+        with pytest.raises(NeuralError, match="^non-finite parameter after update$"):
+            adam_step(ones, head_ones, state)
+
 
 class TestFlatAdam:
     @pytest.mark.parametrize("grad_scale", [1e-3, 1e3])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coxmix import neural
+from coxmix import synth as synth_mod
 from coxmix.estimators import kaplan_meier
 from coxmix.model import DcmConfig, DcmModel
 from coxmix.synth import (
@@ -215,7 +216,18 @@ class TestTrueSurvival:
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: SynthConfig(n=1, clusters=(), gating=()),
                  "need at least one cluster", id="no_cluster"),
+    # a refused field starts its message; the command line writes its flag there
+    pytest.param(lambda: single_exponential(n=0),
+                 "^n needs at least one record, got 0$", id="n"),
+    pytest.param(lambda: single_exponential(censoring=0.99),
+                 r"^censoring_fraction must be in \[0, 0\.95\], got 0\.99$", id="censoring"),
 ])
 def test_named_errors(call, message):
     with pytest.raises(SynthError, match=message):
         call()
+
+
+def test_calibration_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(synth_mod, "CENSORING_MAX_STEPS", 0)
+    with pytest.raises(SynthError, match="did not converge to 0.300 within 0 bisection steps"):
+        generate_cohort(single_exponential(n=200, censoring=0.3))
