@@ -102,20 +102,24 @@ def _resolve_horizons(spec, ds):
 
 
 def _dcm_config(args, grid=None):
-    """The training flags as a DcmConfig; a --grid entry (k, layers, width)
-    replaces --k and --layers. A refused value names its flag, and the grid
-    entry as grid.csv does."""
+    """The training flags as a DcmConfig, checked also under --grid; a --grid
+    entry (k, layers, width) then replaces --k and --layers. A refused value
+    names its flag, and a refused grid entry names itself as grid.csv does."""
     widths = [v.strip() for v in args.layers.split(",") if v.strip()]
     if not all(v.isdecimal() and int(v) > 0 for v in widths):
         raise DcmConfigError("{hidden_dims} needs comma-separated positive widths, got {!r}",
                              args.layers)
-    k, hidden = (grid[0], (grid[2],) * grid[1]) if grid else (args.k, tuple(map(int, widths)))
+    where = ""
     try:
-        return DcmConfig(n_clusters=k, hidden_dims=hidden, lr=args.lr, batch_size=args.batch,
-                         max_epochs=args.epochs, patience=args.patience, seed=args.seed)
+        config = DcmConfig(n_clusters=args.k, hidden_dims=tuple(map(int, widths)), lr=args.lr,
+                           batch_size=args.batch, max_epochs=args.epochs,
+                           patience=args.patience, seed=args.seed)
+        if grid:
+            where = f" for grid configuration {_grid_name(*grid)}"
+            config = replace(config, n_clusters=grid[0], hidden_dims=(grid[2],) * grid[1])
     except ConfigError as exc:
-        where = f" for grid configuration {_grid_name(*grid)}" if grid else ""
         raise ValueError(exc.render("flag") + where) from None
+    return config
 
 
 # -- synth ----------------------------------------------------------------

@@ -157,25 +157,31 @@ def load_csv(path, time_col, event_col, group_col=None, drop_missing=False,
 def standardize(ds):
     """Transform each feature column to zero mean, unit standard deviation.
 
-    Standard deviation uses the N-1 divisor. A column is constant when its
+    Standard deviation uses the N-1 divisor. Both are taken of each column
+    divided by a power of two at or below its largest |value|, then
+    multiplied back: the scaling is exact, so ordinary columns keep their
+    bits and no finite column's sums overflow. A column is constant when its
     standard deviation is at most 1e-12 times its largest |value|, in any
     unit; it is shifted to zero and divided by 1. A column whose standard
-    deviation overflows, or underflows to 0 while its values differ, raises
-    a DatasetError naming it. Returns the standardized dataset, with the
-    (mean, std) used recorded as its ``standardization``; a model applies
-    them to held-out data in ``DcmModel.predict_dataset``.
+    deviation exceeds the float range, or underflows to 0 while its values
+    differ, raises a DatasetError naming it. Returns the standardized
+    dataset, with the (mean, std) used recorded as its ``standardization``;
+    a model applies them to held-out data in ``DcmModel.predict_dataset``.
     """
     if len(ds) == 0:
         raise DatasetError("cannot standardize an empty dataset")
     x = ds.features
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite std is refused below
-        mean = x.mean(axis=0)
-        std = x.std(axis=0, ddof=1) if len(ds) > 1 else np.zeros(x.shape[1])
+    amax = np.abs(x).max(axis=0)
+    scale = np.ldexp(1.0, np.frexp(amax)[1] - 1)
+    u = x / scale
+    with np.errstate(over="ignore"):  # a std beyond the float range is refused below
+        mean = u.mean(axis=0) * scale
+        std = u.std(axis=0, ddof=1) * scale if len(ds) > 1 else np.zeros(x.shape[1])
     bad = ~np.isfinite(std) | ((std == 0) & (x.min(axis=0) < x.max(axis=0)))
     if bad.any():
         raise DatasetError(f"feature {ds.feature_names[bad.argmax()]!r}: its standard deviation "
                            "is not a finite positive float at this scale; rescale the column")
-    std = np.where(std <= 1e-12 * np.abs(x).max(axis=0), 1.0, std)
+    std = np.where(std <= 1e-12 * amax, 1.0, std)
     return replace(ds, features=(x - mean) / std, standardization=(mean, std))
 
 

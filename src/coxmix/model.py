@@ -386,8 +386,8 @@ def _minibatch_phase(model, train, table, adam, rng):
         zeta = sample_assignments(gamma, rng)
         # M-step: one Adam step on the hard-assignment objective
         loss, d_f, d_g = objective.q_hat(tb, eb, gamma, zeta, f, gate)
-        neural.adam_step(*neural.backward(model.params, model.heads, cache, rep, d_f, d_g,
-                                          out=adam.grads), adam)
+        neural.backward(model.params, model.heads, cache, rep, d_f, d_g, adam.grads)
+        neural.adam_step(adam)
         losses.append(loss)
     return losses
 

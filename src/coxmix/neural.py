@@ -134,38 +134,29 @@ def heads_forward(heads, rep):
     return f, g
 
 
-def backward(params, heads, cache, rep, d_log_hazards, d_gating_logits, out=None):
+def backward(params, heads, cache, rep, d_log_hazards, d_gating_logits, out):
     """Exact gradients of a scalar loss given its gradients wrt the two
-    head outputs. Returns (mlp gradients, head gradients) mirroring the
-    parameter structures; with ``out``, arrays in ``_flatten`` order such
-    as ``AdamState.grads``, they are written into those, each whole."""
+    head outputs, each written whole into ``out``: arrays in ``_flatten``
+    order, such as ``AdamState.grads``."""
     d_log_hazards = np.asarray(d_log_hazards, dtype=float)
     d_gating_logits = np.asarray(d_gating_logits, dtype=float)
     if d_log_hazards.shape != (rep.shape[0], heads.f_w.shape[1]):
         raise NeuralError("upstream gradient shape mismatch")
+    np.matmul(rep.T, d_log_hazards, out=out[-4])
+    np.add.reduce(d_log_hazards, axis=0, out=out[-3])
+    np.matmul(rep.T, d_gating_logits, out=out[-2])
+    np.add.reduce(d_gating_logits, axis=0, out=out[-1])
     n = len(params.weights)
-    dst = [None] * (2 * n + 4) if out is None else out
-    head_grads = HeadParams(
-        f_w=np.matmul(rep.T, d_log_hazards, out=dst[-4]),
-        f_b=np.add.reduce(d_log_hazards, axis=0, out=dst[-3]),
-        g_w=np.matmul(rep.T, d_gating_logits, out=dst[-2]),
-        g_b=np.add.reduce(d_gating_logits, axis=0, out=dst[-1]),
-    )
-    gw, gb = [], []
-    layers = list(zip(cache, [*cache[1:], rep], params.weights))
-    if layers:
+    if n:
         da = d_log_hazards @ heads.f_w.T
         da += d_gating_logits @ heads.g_w.T
-    for i in reversed(range(len(layers))):
-        a_in, a_out, w = layers[i]
-        dz = np.multiply(da, a_out > 0, out=da)  # relu(z) > 0 exactly where z > 0
-        gw.append(np.matmul(a_in.T, dz, out=dst[i]))
-        gb.append(np.add.reduce(dz, axis=0, out=dst[n + i]))
+    outs = [*cache[1:], rep]  # each hidden layer's output
+    for i in reversed(range(n)):
+        dz = np.multiply(da, outs[i] > 0, out=da)  # relu(z) > 0 exactly where z > 0
+        np.matmul(cache[i].T, dz, out=out[i])
+        np.add.reduce(dz, axis=0, out=out[n + i])
         if i:  # the input features take no gradient
-            da = dz @ w.T
-    mlp_grads = MlpParams(
-        weights=gw[::-1], biases=gb[::-1], layer_dims=params.layer_dims)
-    return mlp_grads, head_grads
+            da = dz @ params.weights[i].T
 
 
 def _flatten(params, heads):
@@ -206,18 +197,14 @@ class AdamState:
                    grad=grad, grads=grads, step=0, lr=lr, bounds=bounds)
 
 
-def adam_step(mlp_grads, head_grads, state):
-    """In-place Adam update of ``state.theta`` with bias correction, after
-    clipping the global gradient norm at GRAD_CLIP_NORM. Raises on
-    non-finite gradients or parameters. Gradients other than the views
-    ``state.grads`` are copied into them first.
+def adam_step(state):
+    """In-place Adam update of ``state.theta`` from ``state.grad``, with bias
+    correction, after clipping the global gradient norm at GRAD_CLIP_NORM.
+    Raises on non-finite gradients or parameters.
 
     The norm's square is summed array by array, each array's share one
     reduction over its slice of a single squared vector: the bits of
     ``np.sum(a * a)`` per array, without a temporary per array."""
-    for dst, src in zip(state.grads, _flatten(mlp_grads, head_grads), strict=True):
-        if src is not dst:
-            dst[...] = np.reshape(src, dst.shape)
     g = state.grad
     sq = g * g
     total = math.sqrt(sum(float(np.add.reduce(sq[lo:hi])) for lo, hi in state.bounds))

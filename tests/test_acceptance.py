@@ -71,11 +71,10 @@ def test_criterion_01_gradient_exactness():
             return val, cache, rep, d_f, d_g
 
         val, cache, rep, d_f, d_g = loss()
-        mg, hg = neural.backward(params, heads, cache, rep, d_f, d_g)
-
-        arrs = [(params.weights[0], mg.weights[0]), (params.biases[0], mg.biases[0]),
-                (heads.f_w, hg.f_w), (heads.f_b, hg.f_b),
-                (heads.g_w, hg.g_w), (heads.g_b, hg.g_b)]
+        grads = [np.full_like(a, np.nan) for a in neural._flatten(params, heads)]
+        neural.backward(params, heads, cache, rep, d_f, d_g, grads)
+        # (weights, bias, f_w, f_b, g_w, g_b), each paired with its gradient
+        arrs = list(zip(neural._flatten(params, heads), grads))
         eps = 1e-6
         diffs, scales = [], []
         for arr, grad in arrs:
@@ -96,8 +95,9 @@ def test_criterion_01_gradient_exactness():
         # relative to the instance's overall gradient scale: components with
         # an exactly zero gradient (the hazard bias, by shift invariance of
         # the partial likelihood) would otherwise divide finite-difference
-        # noise by itself
-        worst = max(worst, float(np.max(diffs) / max(np.max(scales), 1e-12)))
+        # noise by itself; np.maximum, unlike max(), keeps a NaN such as an
+        # unwritten gradient's
+        worst = float(np.maximum(worst, np.max(diffs) / max(np.max(scales), 1e-12)))
     elapsed = time.time() - start
     report(1, "gradient exactness", worst < 1e-4 and elapsed < 10,
            f"worst rel err {worst:.2e}, {elapsed:.1f}s")

@@ -411,8 +411,10 @@ class TestForkedFits:
          "--batch must be at least 2 * --k = 12, got 8 for grid configuration k=6,layers=1,width=50"),
         (("--epochs", "0"), "--epochs must be >= 1, got 0"),
         (("--k", "0"), "--k must be >= 1, got 0"),
+        # the flags' own configuration is checked under --grid too
+        (("--grid", "--k", "0"), "--k must be >= 1, got 0"),
         (("--lr", "0"), "--lr must be finite and positive, got 0.0"),
-    ], ids=["grid_batch", "epochs", "k", "lr"])
+    ], ids=["grid_batch", "epochs", "k", "grid_k", "lr"])
     def test_invalid_configuration_fails_before_any_fit(self, cohort_dir, tmp_path, cpus,
                                                         capsys, monkeypatch, flags, message):
         # every fit's configuration is checked first: --grid --batch 8 used to

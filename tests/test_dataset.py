@@ -186,12 +186,24 @@ class TestStandardize:
         std = standardize(ds).standardization[1]
         assert std[0] == x[:, 0].std(ddof=1) and std[1:].tolist() == [1.0, 1.0]
 
-    @pytest.mark.parametrize("scale", [1e160, 1e-300])
-    def test_unrepresentable_spread_names_the_column(self, scale):
+    @pytest.mark.parametrize("scale", [1e160, 1e-300, 1e300])
+    def test_every_finite_scale_is_standardized(self, scale):
+        # the spread of column b used to overflow (x 1e160, x 1e300) or
+        # underflow to 0 (x 1e-300), and the column was refused
         ds = make_ds(n=20, d=3, seed=2)
-        ds = SurvivalDataset(features=ds.features * [1.0, scale, 1.0], times=ds.times,
-                             events=ds.events, feature_names=("a", "b", "c"))
-        with pytest.raises(DatasetError, match="^feature 'b': "):
+        out = standardize(SurvivalDataset(features=ds.features * [1.0, scale, 1.0],
+                                          times=ds.times, events=ds.events,
+                                          feature_names=ds.feature_names))
+        ref = standardize(ds)
+        np.testing.assert_allclose(out.features, ref.features, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.standardization[1],
+                                   ref.standardization[1] * [1.0, scale, 1.0], rtol=1e-12)
+
+    def test_spread_beyond_the_float_range_names_the_column(self):
+        x = np.array([[0.0, -1.7e308], [1.0, 1.7e308]])  # column b's std is 2.4e308
+        ds = SurvivalDataset(features=x, times=np.ones(2), events=np.ones(2, dtype=int),
+                             feature_names=("a", "b"))
+        with pytest.raises(DatasetError, match="^feature 'b': its standard deviation"):
             standardize(ds)
 
 

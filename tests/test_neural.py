@@ -13,6 +13,12 @@ def tiny_net(seed=0, dims=(3, 4), k=2):
     return init_params(dims, k, seed)
 
 
+def nan_grads(params, heads):
+    """Gradient arrays in ``_flatten`` order, all NaN: an array that
+    ``backward`` leaves unwritten stays NaN."""
+    return [np.full_like(a, np.nan) for a in _flatten(params, heads)]
+
+
 class TestInit:
     def test_deterministic(self):
         p1, h1 = tiny_net(seed=5)
@@ -92,25 +98,24 @@ class TestBackward:
         target_f = rng.normal(size=(6, 2))
         target_g = rng.normal(size=(6, 2))
 
-        def loss_and_grads():
+        def loss():
             rep, cache = forward(p, x)
             f, g = heads_forward(h, rep)
             val = 0.5 * np.sum((f - target_f) ** 2) + 0.5 * np.sum((g - target_g) ** 2)
-            return val, backward(p, h, cache, rep, f - target_f, g - target_g)
+            return val, cache, rep, f - target_f, g - target_g
 
-        _, (mg, hg) = loss_and_grads()
+        grads = nan_grads(p, h)
+        backward(p, h, *loss()[1:], grads)
         eps = 1e-6
-        for arr, grad in [(p.weights[0], mg.weights[0]), (p.weights[1], mg.weights[1]),
-                          (p.biases[0], mg.biases[0]), (h.f_w, hg.f_w),
-                          (h.g_w, hg.g_w), (h.f_b, hg.f_b)]:
+        for arr, grad in zip(_flatten(p, h), grads, strict=True):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in range(min(arr.size, 8)):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                up, _ = loss_and_grads()
+                up = loss()[0]
                 arr[idx] = orig - eps
-                dn, _ = loss_and_grads()
+                dn = loss()[0]
                 arr[idx] = orig
                 np.testing.assert_allclose(grad[idx], (up - dn) / (2 * eps),
                                            rtol=1e-5, atol=1e-8)
@@ -121,43 +126,42 @@ class TestBackward:
         x = np.zeros((2, 3))
         rep, cache = forward(p, x)
         with pytest.raises(NeuralError):
-            backward(p, h, cache, rep, np.zeros((2, 5)), np.zeros((2, 5)))
+            backward(p, h, cache, rep, np.zeros((2, 5)), np.zeros((2, 5)), nan_grads(p, h))
 
 
 class TestBackwardOracle:
     @pytest.mark.parametrize("dims", [(5, 7), (5, 7, 6), (5,)],
                              ids=["one_layer", "two_layers", "identity"])
     def test_matches_per_array_oracle(self, dims):
-        # backward's in-place products and reductions give the oracle's bits
+        # backward's in-place products and reductions give the oracle's bits,
+        # in every array of its NaN-filled output
         p, h = init_params(dims, 3, seed=2)
         rng = np.random.default_rng(6)
         rep, cache = forward(p, rng.normal(size=(41, 5)))
         d_f, d_g = rng.normal(size=(2, 41, 3))
         want = per_array_backward(p, h, cache, rep, d_f, d_g)
-        got = _flatten(*backward(p, h, cache, rep, d_f, d_g))
+        got = nan_grads(p, h)
+        assert backward(p, h, cache, rep, d_f, d_g, got) is None
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b)
 
     @pytest.mark.parametrize("dims", [(5, 7, 6), (5,)], ids=["two_layers", "identity"])
-    def test_out_views_get_the_oracle_bits_and_step_as_copies(self, dims):
-        # fit's path: backward writes into AdamState's gradient views, and
-        # the step from them is the step from the same gradients copied in
+    def test_out_views_get_the_oracle_bits(self, dims):
+        # fit's path: backward writes into AdamState's gradient views
         rng = np.random.default_rng(6)
         p, h = init_params(dims, 3, seed=2)
         state = AdamState.create(p, h, lr=0.01)
-        p2, h2 = init_params(dims, 3, seed=2)
-        state2 = AdamState.create(p2, h2, lr=0.01)
         for scale in (1e-3, 1e3):  # unclipped, then clipped in place
             rep, cache = forward(p, rng.normal(size=(41, 5)))
             d_f, d_g = scale * rng.normal(size=(2, 41, 3))
             want = per_array_backward(p, h, cache, rep, d_f, d_g)
-            got = backward(p, h, cache, rep, d_f, d_g, out=state.grads)
-            for a, view, b in zip(_flatten(*got), state.grads, want, strict=True):
-                assert a is view and np.array_equal(a, b)
-            adam_step(*got, state)
-            adam_step(*backward(p2, h2, cache, rep, d_f, d_g), state2)
-            assert state.theta.tobytes() == state2.theta.tobytes()
+            state.grad[:] = np.nan
+            backward(p, h, cache, rep, d_f, d_g, state.grads)
+            for view, b in zip(state.grads, want, strict=True):
+                assert np.array_equal(view, b)
+            assert np.array_equal(state.grad, np.concatenate([b.ravel() for b in want]))
+            adam_step(state)
 
 
 class TestAdam:
@@ -170,14 +174,11 @@ class TestAdam:
                        g_w=np.zeros((1, 1)), g_b=np.zeros(1))
         lr = 0.1
         state = AdamState.create(p, h, lr)
-        g = MlpParams(weights=[np.array([[1.0]])], biases=[np.zeros(1)],
-                      layer_dims=(1, 1))
-        gz = HeadParams(f_w=np.zeros((1, 1)), f_b=np.zeros(1),
-                        g_w=np.zeros((1, 1)), g_b=np.zeros(1))
 
         w_ref, m, v = 0.0, 0.0, 0.0
         for step in range(1, 4):
-            adam_step(g, gz, state)
+            state.grads[0][...] = 1.0  # every other gradient is 0
+            adam_step(state)
             m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * 1.0
             v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * 1.0
             mh = m / (1 - ADAM_BETA1 ** step)
@@ -191,11 +192,8 @@ class TestAdam:
         h = HeadParams(f_w=np.zeros((1, 1)), f_b=np.zeros(1),
                        g_w=np.zeros((1, 1)), g_b=np.zeros(1))
         state = AdamState.create(p, h, lr=1.0)
-        huge = MlpParams(weights=[np.array([[1e6]])], biases=[np.zeros(1)],
-                         layer_dims=(1, 1))
-        gz = HeadParams(f_w=np.zeros((1, 1)), f_b=np.zeros(1),
-                        g_w=np.zeros((1, 1)), g_b=np.zeros(1))
-        adam_step(huge, gz, state)
+        state.grads[0][...] = 1e6
+        adam_step(state)
         # effective gradient was clipped to GRAD_CLIP_NORM; first Adam step
         # is -lr * sign(g) regardless of magnitude, so just check finiteness
         assert np.isfinite(p.weights[0][0, 0])
@@ -204,24 +202,17 @@ class TestAdam:
     def test_non_finite_gradient_raises(self):
         p, h = tiny_net()
         state = AdamState.create(p, h, lr=0.01)
-        bad = MlpParams(weights=[np.full_like(p.weights[0], np.nan)],
-                        biases=[np.zeros_like(p.biases[0])],
-                        layer_dims=p.layer_dims)
-        gz = HeadParams(f_w=np.zeros_like(h.f_w), f_b=np.zeros_like(h.f_b),
-                        g_w=np.zeros_like(h.g_w), g_b=np.zeros_like(h.g_b))
+        state.grads[0][...] = np.nan
         with pytest.raises(NeuralError):
-            adam_step(bad, gz, state)
+            adam_step(state)
 
     def test_non_finite_parameter_raises(self):
         # every gradient is finite and nonzero, but an infinite rate steps to -inf
         p, h = tiny_net()
         state = AdamState.create(p, h, lr=np.inf)
-        ones = MlpParams(weights=[np.ones_like(w) for w in p.weights],
-                         biases=[np.ones_like(b) for b in p.biases], layer_dims=p.layer_dims)
-        head_ones = HeadParams(f_w=np.ones_like(h.f_w), f_b=np.ones_like(h.f_b),
-                               g_w=np.ones_like(h.g_w), g_b=np.ones_like(h.g_b))
+        state.grad[:] = 1.0
         with pytest.raises(NeuralError, match="^non-finite parameter after update$"):
-            adam_step(ones, head_ones, state)
+            adam_step(state)
 
 
 class TestFlatAdam:
@@ -250,11 +241,12 @@ class TestFlatAdam:
             x = rng.normal(size=(32, dims[0]))
             rep, cache = forward(p, x)
             f, g = heads_forward(h, rep)
-            mg, hg = backward(p, h, cache, rep, grad_scale * rng.normal(size=f.shape),
-                              grad_scale * rng.normal(size=g.shape))
-            grads = _flatten(mg, hg)
+            d_f, d_g = grad_scale * rng.normal(size=(2, *f.shape))
+            grads = per_array_backward(p, h, cache, rep, d_f, d_g)
             clipped.append(np.sqrt(sum(np.sum(a * a) for a in grads)) > GRAD_CLIP_NORM)
-            adam_step(mg, hg, state)
+            state.grad[:] = np.nan
+            backward(p, h, cache, rep, d_f, d_g, state.grads)
+            adam_step(state)
             per_array_adam_step(ref_arrays, grads, ref)
             for got, want in zip(_flatten(p, h), ref_arrays, strict=True):
                 assert np.array_equal(got, want)
